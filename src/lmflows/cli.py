@@ -26,6 +26,7 @@ from .estimation import (
     estimate_transition_matrix,
 )
 from .fixtures import fixture_names, get_fixture
+from .fpt import VERDICT_WELL_DEFINED
 from .panel import generate_synthetic_panel, parse_panel_file, write_pairs_csv
 from .serialize import (
     build_fpt_report,
@@ -49,8 +50,6 @@ _AGE_CHOICES = {
     "late": AgeBand.LATE_YOUNG,
     "preadult": AgeBand.PRE_ADULTS,
 }
-
-VERDICT_OK = "well_defined"
 
 
 def _positive_int(text: str) -> int:
@@ -194,17 +193,22 @@ def _load_dataset(args):
     return dataset
 
 
+def _render(args, cfg, value, pretty, to_doc, to_csv) -> None:
+    """Write ``value`` as --pretty text, or as json or csv by the configured format."""
+    if args.pretty:
+        text = pretty(value)
+    elif cfg.output_format == "json":
+        text = to_json(to_doc(value))
+    else:
+        text = to_csv(value)
+    _emit(text, args.out)
+
+
 def cmd_shares(args) -> int:
     cfg = _load_config(args)
     dataset = _load_dataset(args)
     table = compute_shares(dataset, QuarterId.parse(args.quarter), _cohort_from_args(args))
-    if args.pretty:
-        text = shares_pretty(table)
-    elif cfg.output_format == "json":
-        text = to_json(shares_to_doc(table))
-    else:
-        text = shares_to_csv(table)
-    _emit(text, args.out)
+    _render(args, cfg, table, shares_pretty, shares_to_doc, shares_to_csv)
     return 0
 
 
@@ -218,13 +222,7 @@ def cmd_transitions(args) -> int:
         min_support=cfg.min_support,
     )
     matrix = apply_fallback_policy(matrix, cfg.fallback_policy)
-    if args.pretty:
-        text = matrix_pretty(matrix)
-    elif cfg.output_format == "json":
-        text = to_json(matrix_to_doc(matrix))
-    else:
-        text = matrix_to_csv(matrix)
-    _emit(text, args.out)
+    _render(args, cfg, matrix, matrix_pretty, matrix_to_doc, matrix_to_csv)
     return 0
 
 
@@ -235,7 +233,7 @@ def cmd_fpt(args) -> int:
     else:
         if not args.quarter:
             raise ValueError("--quarter is required with --data")
-        dataset = _load_dataset_plain(args.data)
+        dataset = _load_dataset(args)
         matrix = estimate_transition_matrix(
             dataset,
             QuarterId.parse(args.quarter),
@@ -251,14 +249,8 @@ def cmd_fpt(args) -> int:
         epsilon=cfg.epsilon,
         max_horizon=cfg.max_horizon,
     )
-    if args.pretty:
-        text = fpt_report_pretty(doc)
-    elif cfg.output_format == "json":
-        text = to_json(doc)
-    else:
-        text = fpt_report_to_csv(doc)
-    _emit(text, args.out)
-    if args.strict and doc["well_defined"]["verdict"] != VERDICT_OK:
+    _render(args, cfg, doc, fpt_report_pretty, lambda d: d, fpt_report_to_csv)
+    if args.strict and doc["well_defined"]["verdict"] != VERDICT_WELL_DEFINED:
         print(
             f"strict: passage {doc['source']} -> {doc['target']} is "
             f"{doc['well_defined']['verdict']}",
@@ -266,13 +258,6 @@ def cmd_fpt(args) -> int:
         )
         return 1
     return 0
-
-
-def _load_dataset_plain(path):
-    dataset, report = parse_panel_file(path)
-    if report.rejections:
-        print(f"note: {len(report.rejections)} of {report.n_rows} rows rejected", file=sys.stderr)
-    return dataset
 
 
 def _parse_shares(text: str, k: int):

@@ -14,8 +14,8 @@ import warnings
 import numpy as np
 
 from .errors import EmptyCohortError
-from .states import STATE_CODES, CohortFilter, LaborState, QuarterId
-from .stochastic import ensure_row_stochastic
+from .states import STATE_CODES, CohortFilter, LaborState, QuarterId, resolve_state
+from .stochastic import as_square_matrix, ensure_row_stochastic
 
 FALLBACK_UNIFORM = "uniform"
 FALLBACK_ABSORBING = "absorbing_fs"
@@ -82,20 +82,7 @@ class TransitionMatrix:
 
     def state_index(self, state) -> int:
         """Resolve a state given as an index, a label, or a LaborState."""
-        if isinstance(state, LaborState):
-            state = state.name
-        if isinstance(state, (int, np.integer)):
-            idx = int(state)
-            if not 0 <= idx < self.n_states:
-                raise ValueError(f"state index {idx} out of range 0..{self.n_states - 1}")
-            return idx
-        label = str(state).strip()
-        for i, name in enumerate(self.states):
-            if name.upper() == label.upper():
-                return i
-        if label.upper() == "NEET":
-            return self.state_index("NLFET")
-        raise ValueError(f"unknown state {state!r}; expected one of {', '.join(self.states)}")
+        return resolve_state(state, self.states)
 
     def probability(self, source, target) -> float:
         return float(self.entries[self.state_index(source), self.state_index(target)])
@@ -213,9 +200,7 @@ def renormalize_rows(entries) -> np.ndarray:
     and returns a float copy passing the row-stochastic check. Rows with a
     zero or negative sum, or any negative entry, raise ValueError.
     """
-    m = np.array(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = as_square_matrix(entries)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     if m.min() < 0:

@@ -12,32 +12,37 @@ the probability of hitting :math:`j` for the first time after exactly
 :math:`n` steps. Writing :math:`\tilde P` for :math:`P` with column
 :math:`j` zeroed, the vector of horizon-:math:`n` probabilities over all
 sources is :math:`F(1) = P_{\cdot j}`, :math:`F(n) = \tilde P F(n-1)`,
-which is how this module computes it.
+which is how this module computes it, in one recursion shared by the
+distribution, the series and the well-definedness check.
 
 The expected first passage time is :math:`\mu_{ij} = \sum_n n f_{ij}(n)`,
-finite exactly when the passage probabilities sum to one. Two independent
-routes are provided and kept separate on purpose:
+finite exactly when the passage probabilities sum to one. Whether they do
+is decided from the chain's structure alone (Kemeny & Snell, *Finite
+Markov Chains*, 1960): the passage is certain exactly when every state the
+chain can visit before its first entry to :math:`j` can still reach
+:math:`j`. One reachability screen over the support of :math:`P` finds the
+states that cannot (the trapped states); every route reports an infinite
+expectation with them at once.
+
+For a passage the screen finds certain, two independent routes compute
+the expectation and share no numbers:
 
 * ``efpt_series`` accumulates the truncated series until the mass left in
-  the tail is negligible;
+  the tail is negligible, up to a cap on the number of terms;
 * ``efpt_linear`` solves the first-step equations
-  :math:`(I - Q)\mu = \mathbf 1`, where :math:`Q` drops row and column
-  :math:`j`, restricted to the states actually reachable from the source.
+  :math:`(I - Q)\mu = \mathbf 1`, where :math:`Q` is :math:`P` restricted
+  to the states visited before the first entry to :math:`j`.
 
-Agreement between the two is a cross-check on both. States from which
-:math:`j` is unreachable, or from which the chain can wander into a region
-with no route back to :math:`j`, have an infinite expectation; the linear
-route detects this structurally and raises, while the series route reports
-a diverging tail through ``check_well_defined``.
+Agreement between the two is a cross-check on both.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import InfiniteEfptError
-from .states import LaborState
+from .states import resolve_state
 from .stochastic import ensure_row_stochastic
 
 VERDICT_WELL_DEFINED = "well_defined"
@@ -47,80 +52,92 @@ VERDICT_DIVERGENT = "divergent"
 DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_HORIZON = 4000
 
-# Mass thresholds separating the three verdicts of check_well_defined.
+# Largest unpassed mass with which check_well_defined calls a certain passage well defined.
 _MASS_OK = 1e-6
-_MASS_DIVERGENT = 1e-3
 
-_PIVOT_FLOOR = 1e-12
+# Smallest singular value of I - Q that efpt_linear will solve with.
+_SINGULAR_FLOOR = 1e-12
 
 
-def _as_chain(m) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Accept a TransitionMatrix or a bare array; return (P, labels)."""
+def _read_chain(m, source, target) -> tuple[np.ndarray, tuple[str, ...], int, int]:
+    """Validate a TransitionMatrix or bare array; return (P, labels, source, target index)."""
     entries = getattr(m, "entries", m)
     labels = getattr(m, "states", None)
     P = ensure_row_stochastic(entries)
     if labels is None:
-        labels = tuple(str(i) for i in range(P.shape[0]))
+        labels = tuple(str(k) for k in range(P.shape[0]))
     else:
         labels = tuple(labels)
         if len(labels) != P.shape[0]:
             raise ValueError(f"{len(labels)} labels for a {P.shape[0]}-state chain")
-    return P, labels
+    return P, labels, resolve_state(source, labels), resolve_state(target, labels)
 
 
-def _resolve_state(state, labels: tuple[str, ...]) -> int:
-    if isinstance(state, LaborState):
-        state = state.name
-    if isinstance(state, (int, np.integer)):
-        idx = int(state)
-        if not 0 <= idx < len(labels):
-            raise ValueError(f"state index {idx} out of range 0..{len(labels) - 1}")
-        return idx
-    text = str(state).strip()
-    for i, name in enumerate(labels):
-        if name.upper() == text.upper():
-            return i
-    if text.upper() == "NEET" and "NLFET" in labels:
-        return labels.index("NLFET")
-    raise ValueError(f"unknown state {state!r}; expected one of {', '.join(labels)}")
+def _closure(adjacency: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Mask of the states reachable from the ``seeds`` mask in zero or more steps."""
+    seen = seeds.copy()
+    frontier = seeds
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
 
 
-def _support(P: np.ndarray) -> np.ndarray:
-    return P > 0.0
+def _screen(P: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Structural screen of the passage i -> j over the support of P.
+
+    Returns (region, trapped, reachable). ``region`` holds the states the
+    chain can visit before its first entry to j, starting from i, or for a
+    return time (i == j) from the states one step out of j. ``trapped``
+    holds the starting states from which j cannot be reached, or when there
+    are none, the region states from which it cannot; the passage is
+    certain exactly when it is empty. ``reachable`` says whether j can be
+    reached from i in one or more steps.
+    """
+    support = P > 0.0
+    reaches_j = _closure(support.T, support[:, j])
+    taboo = support.copy()
+    taboo[:, j] = False
+    start = taboo[j] if i == j else np.arange(len(P)) == i
+    region = _closure(taboo, start)
+    trapped = np.flatnonzero(start & ~reaches_j)
+    if not len(trapped):
+        trapped = np.flatnonzero(region & ~reaches_j)
+    return np.flatnonzero(region), trapped, bool(reaches_j[i])
 
 
-def _reaching_set(P: np.ndarray, j: int) -> set[int]:
-    """States from which j is reachable in one or more steps."""
-    support = _support(P)
-    reach = {k for k in range(P.shape[0]) if support[k, j]}
-    frontier = list(reach)
-    while frontier:
-        nxt = []
-        for k in range(P.shape[0]):
-            if k in reach:
-                continue
-            if any(support[k, r] for r in frontier):
-                reach.add(k)
-                nxt.append(k)
-        frontier = nxt
-    return reach
+def _certain_region(P: np.ndarray, labels, i: int, j: int) -> np.ndarray:
+    """The screened region of the passage i -> j; raise InfiniteEfptError if any state is trapped."""
+    region, trapped, _ = _screen(P, i, j)
+    if len(trapped):
+        raise InfiniteEfptError(labels[i], labels[j], trapped=tuple(labels[t] for t in trapped))
+    return region
 
 
-def _forward_closure(P: np.ndarray, seeds, avoid: int) -> set[int]:
-    """States reachable from ``seeds`` along paths that never pass through ``avoid``."""
-    support = _support(P)
-    closure = {s for s in seeds if s != avoid}
-    frontier = list(closure)
-    while frontier:
-        nxt = []
-        for k in frontier:
-            for t in np.nonzero(support[k])[0]:
-                t = int(t)
-                if t != avoid and t not in closure:
-                    closure.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return closure
+def _taboo_terms(P: np.ndarray, i: int, j: int):
+    """Yield f(1), f(2), ... for the passage i -> j by the taboo recursion."""
+    Pm = P.copy()
+    Pm[:, j] = 0.0
+    fvec = P[:, j].copy()
+    while True:
+        yield float(fvec[i])
+        fvec = Pm @ fvec
+
+
+def _partial_sums(P: np.ndarray, i: int, j: int, tol: float, cap: int) -> tuple[int, float, float]:
+    """Sum f(n) and n f(n) for i -> j until the unpassed mass is at most ``tol`` or n = ``cap``.
+
+    Returns (n, sum of f, sum of n f) over the n terms summed.
+    """
+    terms = _taboo_terms(P, i, j)
+    total = mean = next(terms)
+    n = 1
+    while n < cap and 1.0 - total > tol:
+        f = next(terms)
+        n += 1
+        total += f
+        mean += n * f
+    return n, total, mean
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -192,19 +209,10 @@ def fpt_distribution(m, source, target, horizon: int) -> FptDistribution:
     FptDistribution
         probabilities[n - 1] holds f(n) for n = 1..horizon.
     """
-    P, labels = _as_chain(m)
-    i = _resolve_state(source, labels)
-    j = _resolve_state(target, labels)
+    P, labels, i, j = _read_chain(m, source, target)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    Pm = P.copy()
-    Pm[:, j] = 0.0
-    fvec = P[:, j].copy()
-    out = np.empty(horizon, dtype=float)
-    out[0] = fvec[i]
-    for n in range(1, horizon):
-        fvec = Pm @ fvec
-        out[n] = fvec[i]
+    out = np.fromiter(itertools.islice(_taboo_terms(P, i, j), horizon), dtype=float, count=horizon)
     return FptDistribution(
         source=labels[i], target=labels[j], probabilities=out, horizon=horizon
     )
@@ -224,40 +232,29 @@ def efpt_series(
 ) -> EfptResult:
     """Expected first passage time by direct series summation.
 
-    Accumulates sum(n * f(n)) until the unpassed mass 1 - sum(f(n)) drops
-    below ``epsilon``, then stops. Raises InfiniteEfptError if the residual
-    is still above ``epsilon`` at ``max_horizon``, which covers both truly
-    infinite expectations and horizons too short for the chain's mixing;
-    use check_well_defined or efpt_linear to tell the two apart.
+    Raises InfiniteEfptError naming the trapped states at once when the
+    structural screen finds the passage uncertain. Otherwise accumulates
+    sum(n * f(n)) until the unpassed mass 1 - sum(f(n)) drops below
+    ``epsilon``, then stops; raises InfiniteEfptError if the residual is
+    still above ``epsilon`` at ``max_horizon``, a horizon too short for the
+    chain's mixing (efpt_linear is immune to truncation).
     """
-    P, labels = _as_chain(m)
-    i = _resolve_state(source, labels)
-    j = _resolve_state(target, labels)
+    P, labels, i, j = _read_chain(m, source, target)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if max_horizon < 1:
         raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
-
-    Pm = P.copy()
-    Pm[:, j] = 0.0
-    fvec = P[:, j].copy()
-    total = float(fvec[i])
-    mean = float(fvec[i])
-    n = 1
-    while 1.0 - total > epsilon:
-        if n >= max_horizon:
-            raise InfiniteEfptError(
-                labels[i],
-                labels[j],
-                detail=(
-                    f"series residual {1.0 - total:.3e} exceeds epsilon {epsilon:g} "
-                    f"after {max_horizon} terms"
-                ),
-            )
-        fvec = Pm @ fvec
-        n += 1
-        total += float(fvec[i])
-        mean += n * float(fvec[i])
+    _certain_region(P, labels, i, j)
+    n, total, mean = _partial_sums(P, i, j, epsilon, max_horizon)
+    if 1.0 - total > epsilon:
+        raise InfiniteEfptError(
+            labels[i],
+            labels[j],
+            detail=(
+                f"series residual {1.0 - total:.3e} exceeds epsilon {epsilon:g} "
+                f"after {max_horizon} terms"
+            ),
+        )
     return EfptResult(
         source=labels[i], target=labels[j], quarters=mean, method="series", n_terms=n
     )
@@ -266,103 +263,66 @@ def efpt_series(
 def efpt_linear(m, source, target) -> EfptResult:
     """Expected first passage time via the first-step linear system.
 
-    Solves (I - Q) mu = 1 where Q is the chain restricted to the states
-    reachable from ``source`` without touching ``target``. If that region
-    contains states with no route back to the target, the expectation is
-    infinite and InfiniteEfptError is raised, naming the trapped states.
+    Solves (I - Q) mu = 1 where Q is the chain restricted to the states it
+    can visit before first entering ``target``: from ``source`` on, or for a
+    return time from the states one step out of ``target``, whose mean is
+    then one plus the step-weighted mu. If that region contains states with
+    no route to the target, the expectation is infinite and
+    InfiniteEfptError is raised, naming the trapped states.
 
-    Independent of efpt_series by construction; the two share no
-    intermediate quantities beyond the matrix itself.
+    Independent of efpt_series by construction; the two share only the
+    structural screen, no numbers.
     """
-    P, labels = _as_chain(m)
-    i = _resolve_state(source, labels)
-    j = _resolve_state(target, labels)
-
-    reach_j = _reaching_set(P, j)
-    if i != j and i not in reach_j:
-        raise InfiniteEfptError(labels[i], labels[j], trapped=(labels[i],))
-
-    if i == j:
-        # Return time: one step out of j, then expected passage back from
-        # wherever the step landed.
-        targets = [int(t) for t in np.nonzero(P[j] > 0.0)[0]]
-        trapped = sorted(t for t in targets if t != j and t not in reach_j)
-        if trapped:
-            raise InfiniteEfptError(
-                labels[i], labels[j], trapped=tuple(labels[t] for t in trapped)
-            )
-        mean = 1.0
-        for t in targets:
-            if t != j:
-                mean += P[j, t] * efpt_linear(m, t, j).quarters
-        return EfptResult(
-            source=labels[i], target=labels[j], quarters=mean, method="linear_system"
-        )
-
-    closure = sorted(_forward_closure(P, [i], avoid=j))
-    trapped = sorted(set(closure) - reach_j)
-    if trapped:
-        raise InfiniteEfptError(labels[i], labels[j], trapped=tuple(labels[t] for t in trapped))
-
-    idx = np.array(closure, dtype=int)
-    Q = P[np.ix_(idx, idx)]
-    A = np.eye(len(idx)) - Q
-    lu, piv = lu_factor(A)
-    if np.abs(np.diag(lu)).min() <= _PIVOT_FLOOR:
-        # Cannot happen when the trapped-state screen passed; kept as a
-        # defensive guard against degenerate numerics.
+    P, labels, i, j = _read_chain(m, source, target)
+    region = _certain_region(P, labels, i, j)
+    A = np.eye(len(region)) - P[np.ix_(region, region)]
+    try:
+        # Cannot trip once the screen passed; kept as a guard against
+        # degenerate numerics.
+        if np.linalg.svd(A, compute_uv=False).min(initial=np.inf) <= _SINGULAR_FLOOR:
+            raise np.linalg.LinAlgError("smallest singular value below the floor")
+        mu = np.linalg.solve(A, np.ones(len(region)))
+    except np.linalg.LinAlgError:
         raise InfiniteEfptError(
             labels[i], labels[j], detail="first-step system is numerically singular"
-        )
-    mu = lu_solve((lu, piv), np.ones(len(idx)))
-    pos = int(np.searchsorted(idx, i))
+        ) from None
+    if i == j:
+        quarters = 1.0 + P[j, region] @ mu
+    else:
+        quarters = mu[np.searchsorted(region, i)]
     return EfptResult(
-        source=labels[i], target=labels[j], quarters=float(mu[pos]), method="linear_system"
+        source=labels[i], target=labels[j], quarters=float(quarters), method="linear_system"
     )
 
 
 def check_well_defined(m, source, target, horizon: int = DEFAULT_MAX_HORIZON) -> WellDefinedness:
     """Diagnose whether the EFPT series from ``source`` to ``target`` converges.
 
-    Computes the passage mass accumulated by ``horizon`` and classifies:
-    "well_defined" when the tail is below 1e-6, "divergent" when more than
-    1e-3 of the mass is still outstanding (or the target is unreachable),
-    "suspect" in between.
+    "divergent" when the structural screen finds trapped states (the target
+    unreachable included), whatever mass the series gathers. Otherwise the
+    passage is certain, and the verdict is "well_defined" when the tail
+    1 - sum(f(n)) is at most 1e-6 by ``horizon`` and "suspect" when the
+    horizon is too short to show it.
     """
-    P, labels = _as_chain(m)
-    i = _resolve_state(source, labels)
-    j = _resolve_state(target, labels)
+    P, labels, i, j = _read_chain(m, source, target)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-
-    reach_j = _reaching_set(P, j)
-    reachable = i in reach_j
+    _, trapped, reachable = _screen(P, i, j)
     if i != j and not reachable:
         return WellDefinedness(
             source=labels[i], target=labels[j],
             mass_at_horizon=0.0, reachable=False,
             verdict=VERDICT_DIVERGENT, horizon=0,
         )
-
-    Pm = P.copy()
-    Pm[:, j] = 0.0
-    fvec = P[:, j].copy()
-    total = float(fvec[i])
-    n = 1
-    while n < horizon and 1.0 - total > _MASS_OK:
-        fvec = Pm @ fvec
-        n += 1
-        total += float(fvec[i])
-    mass = min(total, 1.0)
-    tail = 1.0 - total
-    if tail <= _MASS_OK:
-        verdict = VERDICT_WELL_DEFINED
-    elif tail <= _MASS_DIVERGENT:
-        verdict = VERDICT_SUSPECT
-    else:
+    n, total, _ = _partial_sums(P, i, j, _MASS_OK, horizon)
+    if len(trapped):
         verdict = VERDICT_DIVERGENT
+    elif 1.0 - total <= _MASS_OK:
+        verdict = VERDICT_WELL_DEFINED
+    else:
+        verdict = VERDICT_SUSPECT
     return WellDefinedness(
         source=labels[i], target=labels[j],
-        mass_at_horizon=mass, reachable=bool(reachable),
+        mass_at_horizon=min(total, 1.0), reachable=reachable,
         verdict=verdict, horizon=n,
     )

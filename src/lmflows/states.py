@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import numbers
 import re
 
 
@@ -35,6 +36,28 @@ class LaborState(enum.Enum):
 STATE_ORDER: tuple[LaborState, ...] = tuple(LaborState)
 STATE_CODES: tuple[str, ...] = tuple(s.name for s in STATE_ORDER)
 N_STATES = len(STATE_ORDER)
+
+
+def resolve_state(state, labels) -> int:
+    """Index of ``state`` among ``labels``.
+
+    ``state`` may be an index, a label (any case; NEET is accepted for
+    NLFET) or a LaborState. Raises ValueError otherwise.
+    """
+    if isinstance(state, LaborState):
+        state = state.name
+    if isinstance(state, numbers.Integral):
+        idx = int(state)
+        if not 0 <= idx < len(labels):
+            raise ValueError(f"state index {idx} out of range 0..{len(labels) - 1}")
+        return idx
+    text = str(state).strip().upper()
+    for i, name in enumerate(labels):
+        if name.upper() == text:
+            return i
+    if text == "NEET" and "NLFET" in labels:
+        return labels.index("NLFET")
+    raise ValueError(f"unknown state {state!r}; expected one of {', '.join(labels)}")
 
 
 class Sex(enum.Enum):

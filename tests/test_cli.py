@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmflows
 from lmflows.cli import main
 from lmflows.panel import PAIR_HEADER
 
@@ -205,6 +210,13 @@ class TestFptCommand:
         doc = json.loads(out)
         assert doc["distribution"][0] == 0.5
 
+    def test_data_rejections_noted(self, tmp_path, capsys):
+        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1", "B,2019.1"])
+        code, _, err = run(capsys, "fpt", "--data", data, "--quarter", "2019.1",
+                           "--from", "EDU", "--to", "TE", "--horizon", "3")
+        assert code == 0
+        assert err == "note: 1 of 2 rows rejected\n"
+
     def test_data_requires_quarter(self, tmp_path, capsys):
         data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1"])
         code, _, err = run(capsys, "fpt", "--data", data,
@@ -327,3 +339,11 @@ class TestOutputFile:
                            "--out", str(tmp_path / "nodir" / "x.csv"))
         assert code == 2
         assert "error" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(lmflows.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, lmflows.cli; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr or "scipy was imported"

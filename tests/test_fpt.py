@@ -192,6 +192,24 @@ class TestDegenerateChains:
         assert "2" in err.value.trapped
         assert check_well_defined(P, 0, 1, horizon=200).verdict == VERDICT_DIVERGENT
 
+    def test_tiny_leak_into_absorbing_side_state_is_divergent(self):
+        # The passage mass from A reaches 1 - 2e-8, inside any mass
+        # threshold, yet C traps the chain: the expectation is infinite.
+        P = np.array([
+            [0.5, 0.5 - 1e-8, 1e-8],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+        ])
+        v = check_well_defined(P, 0, 1)
+        assert v.verdict == VERDICT_DIVERGENT
+        assert v.reachable
+        with pytest.raises(InfiniteEfptError) as err:
+            efpt_series(P, 0, 1)
+        assert err.value.trapped == ("2",)
+        with pytest.raises(InfiniteEfptError) as err:
+            efpt_linear(P, 0, 1)
+        assert err.value.trapped == ("2",)
+
     def test_labels_appear_in_diagnostic(self):
         m = TransitionMatrix(entries=np.eye(7))
         with pytest.raises(InfiniteEfptError) as err:
@@ -216,15 +234,16 @@ class TestDegenerateChains:
             P[~ok] = 1.0 / k
             for i in range(k):
                 for j in range(k):
-                    if i == j:
-                        continue
                     expected = reachable_by_powers(P, i, j)
                     try:
                         efpt_linear(P, i, j)
-                        raised_unreachable = False
+                        raised = raised_unreachable = False
                     except InfiniteEfptError as exc:
+                        raised = True
                         raised_unreachable = str(i) in exc.trapped or not expected
-                    if not expected:
+                    verdict = check_well_defined(P, i, j, horizon=50).verdict
+                    assert (verdict == VERDICT_DIVERGENT) == raised
+                    if i != j and not expected:
                         assert raised_unreachable
 
 
