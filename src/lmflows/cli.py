@@ -74,12 +74,13 @@ def _cohort_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _output_parent() -> argparse.ArgumentParser:
+def _output_parent(pretty: bool) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("output")
     g.add_argument("--format", choices=OUTPUT_FORMATS, help="output format (default csv)")
     g.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    g.add_argument("--pretty", action="store_true", help="aligned two-decimal text instead of csv/json")
+    if pretty:
+        g.add_argument("--pretty", action="store_true", help="aligned two-decimal text instead of csv/json")
     g.add_argument("--config", metavar="PATH", help="key=value config file")
     return p
 
@@ -100,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     cohort = _cohort_parent()
-    output = _output_parent()
+    output = _output_parent(pretty=True)
+    plain_output = _output_parent(pretty=False)  # commands with no table to align
     data = _data_parent()
 
     p = sub.add_parser("shares", parents=[data, cohort, output], help="state shares in one quarter")
@@ -132,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_fpt)
 
-    p = sub.add_parser("simulate", parents=[output], help="write a synthetic panel CSV")
+    p = sub.add_parser("simulate", parents=[plain_output], help="write a synthetic panel CSV")
     p.add_argument("--fixture", choices=fixture_names(), required=True, help="truth chain")
     p.add_argument("--n", type=_positive_int, required=True, help="number of individuals")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -145,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fixtures", parents=[output], help="list the embedded matrices")
+    p = sub.add_parser("fixtures", parents=[plain_output], help="list the embedded matrices")
     p.set_defaults(func=cmd_fixtures)
 
     return parser
@@ -295,7 +297,7 @@ def cmd_fixtures(args) -> int:
         text = to_json(fixtures_to_doc(fixtures))
     else:
         text = fixtures_to_csv(fixtures)
-    _emit(text, getattr(args, "out", None))
+    _emit(text, args.out)
     return 0
 
 

@@ -1,5 +1,11 @@
 """Cohort state shares and quarterly transition matrices from linked pairs.
 
+Both tables are tabulated from a PanelDataset's columns: one boolean mask
+selects the pairs of a quarter and cohort, and ``np.bincount`` adds their
+weights per state or per move. It adds each bin's weights one by one in row
+order, as a loop over the pairs would, so the figures are the same to the
+last bit.
+
 Shares are weighted occupancy fractions in a single quarter. Transition
 matrices are weighted row-conditional frequencies over pairs departing a
 single quarter: entry (i, j) is the weighted share of pairs leaving state i
@@ -14,7 +20,16 @@ import warnings
 import numpy as np
 
 from .errors import EmptyCohortError
-from .states import STATE_CODES, CohortFilter, LaborState, QuarterId, resolve_state
+from .states import (
+    N_STATES,
+    REGION_ORDER,
+    SEX_ORDER,
+    STATE_CODES,
+    CohortFilter,
+    LaborState,
+    QuarterId,
+    resolve_state,
+)
 from .stochastic import as_square_matrix, ensure_row_stochastic
 
 FALLBACK_UNIFORM = "uniform"
@@ -99,13 +114,18 @@ class StateShareTable:
     total_weight: float
 
 
-def _select_pairs(data, quarter: QuarterId | None, cohort: CohortFilter):
-    for pair in data.pairs:
-        if quarter is not None and pair.quarter_from != quarter:
-            continue
-        if not cohort.matches(pair.demographics):
-            continue
-        yield pair
+def _cohort_rows(data, quarter: QuarterId, cohort: CohortFilter) -> np.ndarray:
+    """Mask of the pairs departing ``quarter`` whose demographics ``cohort`` matches."""
+    mask = data.quarter == quarter.ordinal
+    if cohort.age_band is not None:
+        mask &= (data.age >= cohort.age_band.lo) & (data.age <= cohort.age_band.hi)
+    if cohort.sex is not None:
+        mask &= data.sex == SEX_ORDER.index(cohort.sex)
+    if cohort.citizen is not None:
+        mask &= data.citizen == cohort.citizen
+    if cohort.region is not None:
+        mask &= data.region == REGION_ORDER.index(cohort.region)
+    return mask
 
 
 def compute_shares(data, quarter: QuarterId, cohort: CohortFilter | None = None) -> StateShareTable:
@@ -114,21 +134,19 @@ def compute_shares(data, quarter: QuarterId, cohort: CohortFilter | None = None)
     Raises EmptyCohortError when no pair matches.
     """
     cohort = cohort or CohortFilter()
-    weight_by_state = {s: 0.0 for s in LaborState}
-    count_by_state = {s: 0 for s in LaborState}
-    total = 0.0
-    for pair in _select_pairs(data, quarter, cohort):
-        weight_by_state[pair.state_from] += pair.weight
-        count_by_state[pair.state_from] += 1
-        total += pair.weight
+    rows = _cohort_rows(data, quarter, cohort)
+    state, weight = data.state_from[rows], data.weight[rows]
+    weight_by_state = np.bincount(state, weights=weight, minlength=N_STATES).tolist()
+    count_by_state = np.bincount(state, minlength=N_STATES).tolist()
+    # One bin, not np.sum: np.sum adds pairwise, which can change the last bits.
+    total = float(np.bincount(np.zeros(len(weight), dtype=np.intp), weights=weight, minlength=1)[0])
     if total <= 0:
         raise EmptyCohortError(quarter, cohort)
-    shares = {s: weight_by_state[s] / total for s in LaborState}
     return StateShareTable(
         quarter=quarter,
         cohort=cohort,
-        shares=shares,
-        n_obs=count_by_state,
+        shares={s: weight_by_state[s.index] / total for s in LaborState},
+        n_obs={s: count_by_state[s.index] for s in LaborState},
         total_weight=total,
     )
 
@@ -150,14 +168,12 @@ def estimate_transition_matrix(
     Raises EmptyCohortError when no pair departs the quarter at all.
     """
     cohort = cohort or CohortFilter()
-    k = len(LaborState)
-    flows = np.zeros((k, k), dtype=float)
-    n_pairs = 0
-    for pair in _select_pairs(data, from_quarter, cohort):
-        flows[pair.state_from.index, pair.state_to.index] += pair.weight
-        n_pairs += 1
-    if n_pairs == 0:
+    k = N_STATES
+    rows = _cohort_rows(data, from_quarter, cohort)
+    if not rows.any():
         raise EmptyCohortError(from_quarter, cohort)
+    moves = data.state_from[rows].astype(np.intp) * k + data.state_to[rows]
+    flows = np.bincount(moves, weights=data.weight[rows], minlength=k * k).reshape(k, k)
 
     row_weight = flows.sum(axis=1)
     entries = np.empty_like(flows)

@@ -23,11 +23,24 @@ quarter couple, demographics and weight taken from the first wave of the
 pair. Person identifiers are assumed stable across the two rotation spells;
 real survey extracts may not guarantee this, in which case the second spell
 simply contributes pairs under a fresh identifier.
+
+A PanelDataset holds its pairs as columns (a struct of arrays), one entry
+per pair: the departure quarter as an ordinal (``year * 4 + quarter - 1``;
+the arrival quarter is the next one), both states and the sex and region
+as small integer codes, the age, the citizen flag, the weight as float64,
+and the person as a code into a table of distinct identifiers. Estimation
+selects rows with a boolean mask over these columns. ``PanelDataset.pairs``
+is an adapter for callers that want one object per pair: it builds a tuple
+of ObservationPair on each read, and the dataset does not keep it.
+Parsing memoises each quarter, state, age, sex, citizen and region token by
+its raw text; a token that fails is parsed again wherever it occurs, so
+rejection texts and line numbers do not depend on the memo.
 """
 
 import csv
 import dataclasses
-from collections import defaultdict
+import math
+import re
 
 import numpy as np
 
@@ -36,13 +49,14 @@ from .states import (
     AGE_MAX,
     AGE_MIN,
     N_STATES,
+    REGION_ORDER,
+    SEX_ORDER,
     STATE_ORDER,
     Demographics,
     LaborState,
     MacroRegion,
     QuarterId,
     Sex,
-    quarter_successor,
 )
 from .stochastic import ensure_row_stochastic
 
@@ -80,7 +94,7 @@ class ObservationPair:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.quarter_to != quarter_successor(self.quarter_from):
+        if self.quarter_to.ordinal != self.quarter_from.ordinal + 1:
             raise ValueError(
                 f"pair quarters must be adjacent, got {self.quarter_from} -> {self.quarter_to}"
             )
@@ -88,27 +102,122 @@ class ObservationPair:
             raise ValueError(f"pair weight must be positive, got {self.weight!r}")
 
 
-@dataclasses.dataclass(frozen=True)
-class PanelDataset:
-    """Immutable collection of observation pairs plus provenance."""
+# Column dtypes of a PanelDataset, in constructor order.
+_COLUMNS = {
+    "person": np.int64,
+    "quarter": np.int64,
+    "state_from": np.int8,
+    "state_to": np.int8,
+    "age": np.int64,
+    "sex": np.int8,
+    "citizen": np.bool_,
+    "region": np.int8,
+    "weight": np.float64,
+}
 
-    pairs: tuple[ObservationPair, ...]
+
+# Columns of a wave table: one entry per interview, coded as in PanelDataset.
+_WAVE_COLUMNS = ("person", "quarter", "state", "age", "sex", "citizen", "region", "weight")
+_DTYPES = {**_COLUMNS, "state": _COLUMNS["state_from"]}
+
+
+def _columns(rows, names) -> dict[str, np.ndarray]:
+    """The columns ``names`` of a list of value tuples, as arrays of their dtypes."""
+    return {name: np.array([row[i] for row in rows], dtype=_DTYPES[name])
+            for i, name in enumerate(names)}
+
+
+def _demographic_codes(d: Demographics) -> tuple:
+    return (d.age_at_first_wave, SEX_ORDER.index(d.sex), d.italian_citizen,
+            REGION_ORDER.index(d.macro_region))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class PanelDataset:
+    """Observation pairs stored as columns, one entry per pair, plus provenance.
+
+    ``quarter`` is the departure quarter as ``QuarterId.ordinal``; the
+    arrival quarter is always the next one. ``state_from`` and ``state_to``
+    index STATE_ORDER, ``sex`` indexes SEX_ORDER, ``region`` indexes
+    REGION_ORDER and ``person`` indexes ``person_ids``. The constructor
+    copies each column into a read-only array of its fixed dtype.
+    """
+
+    person_ids: tuple[str, ...]
+    person: np.ndarray
+    quarter: np.ndarray
+    state_from: np.ndarray
+    state_to: np.ndarray
+    age: np.ndarray
+    sex: np.ndarray
+    citizen: np.ndarray
+    region: np.ndarray
+    weight: np.ndarray
     provenance: str
-    quarter_range: tuple[QuarterId, QuarterId] | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "person_ids", tuple(self.person_ids))
+        for name, dtype in _COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if len({len(getattr(self, name)) for name in _COLUMNS}) > 1:
+            raise ValueError("dataset columns must have equal lengths")
 
     @classmethod
     def from_pairs(cls, pairs, provenance: str) -> "PanelDataset":
-        pairs = tuple(pairs)
-        if pairs:
-            lo = min(p.quarter_from for p in pairs)
-            hi = max(p.quarter_to for p in pairs)
-            qrange = (lo, hi)
-        else:
-            qrange = None
-        return cls(pairs=pairs, provenance=provenance, quarter_range=qrange)
+        person_codes: dict[str, int] = {}
+        rows = [
+            (person_codes.setdefault(p.person_id, len(person_codes)), p.quarter_from.ordinal,
+             p.state_from.index, p.state_to.index, *_demographic_codes(p.demographics), p.weight)
+            for p in pairs
+        ]
+        return cls(person_ids=tuple(person_codes), provenance=provenance,
+                   **_columns(rows, _COLUMNS))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.weight)
+
+    @property
+    def quarter_range(self) -> tuple[QuarterId, QuarterId] | None:
+        """(earliest departure, latest arrival), or None for an empty dataset."""
+        if not len(self):
+            return None
+        return (QuarterId.from_ordinal(self.quarter.min()),
+                QuarterId.from_ordinal(self.quarter.max() + 1))
+
+    @property
+    def pairs(self) -> tuple[ObservationPair, ...]:
+        """The rows as ObservationPair objects, built anew on each read.
+
+        The dataset does not keep the tuple. Pairs with equal quarters or
+        equal demographics share one QuarterId or Demographics instance.
+        """
+        quarters = {q: QuarterId.from_ordinal(q)
+                    for u in np.unique(self.quarter).tolist() for q in (u, u + 1)}
+        demographics: dict[tuple, Demographics] = {}
+        pairs = []
+        for person, q, s_from, s_to, *demo, weight in zip(*(getattr(self, name).tolist()
+                                                            for name in _COLUMNS)):
+            key = tuple(demo)
+            d = demographics.get(key)
+            if d is None:
+                age, sex, citizen, region = key
+                d = demographics[key] = Demographics(
+                    age, SEX_ORDER[sex], citizen, REGION_ORDER[region])
+            pairs.append(ObservationPair(
+                self.person_ids[person], quarters[q], quarters[q + 1],
+                STATE_ORDER[s_from], STATE_ORDER[s_to], d, weight,
+            ))
+        return tuple(pairs)
+
+    def _take(self, rows) -> "PanelDataset":
+        """The dataset restricted to ``rows`` (a boolean mask or indices), in their order."""
+        return PanelDataset(
+            person_ids=self.person_ids,
+            provenance=self.provenance,
+            **{name: getattr(self, name)[rows] for name in _COLUMNS},
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,23 +248,56 @@ class LinkResult:
     rejected: tuple[tuple[WaveRow, str], ...]
 
 
-def _parse_demographics(age_text, sex_text, citizen_text, region_text) -> Demographics:
-    try:
-        age = int(str(age_text).strip())
-    except ValueError:
-        raise ValueError(f"invalid age {age_text!r}") from None
+class _TokenCodes(dict):
+    """Parsed field values keyed by their raw text; each token is parsed when first seen.
+
+    A token that fails to parse is not stored, so every occurrence of it
+    fails through ``parse`` again, with the same message.
+    """
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        value = self[text] = self.parse(text)
+        return value
+
+
+_AGE_RE = re.compile(r"[+-]?[0-9]+")
+_AGE_CAP = int(np.iinfo(_COLUMNS["age"]).max)
+
+
+def _parse_age(text) -> int:
+    raw = str(text).strip()
+    if not _AGE_RE.fullmatch(raw):
+        raise ValueError(f"invalid age {text!r}")
+    age = int(raw)
     if age < 0:
         raise ValueError(f"invalid age {age!r} (negative)")
-    sex = Sex.parse(sex_text)
-    cit_raw = str(citizen_text).strip()
-    if cit_raw not in ("0", "1"):
-        raise ValueError(f"invalid citizen flag {citizen_text!r} (expected 0 or 1)")
-    region = MacroRegion.parse(region_text)
-    return Demographics(
-        age_at_first_wave=age,
-        sex=sex,
-        italian_citizen=cit_raw == "1",
-        macro_region=region,
+    # Any age past the cap is out of scope anyway; capped, it fits the age column.
+    return min(age, _AGE_CAP)
+
+
+def _parse_citizen(text) -> bool:
+    raw = str(text).strip()
+    if raw not in ("0", "1"):
+        raise ValueError(f"invalid citizen flag {text!r} (expected 0 or 1)")
+    return raw == "1"
+
+
+def _field_tables():
+    """Memoised parsers of quarter, state, age, sex, citizen and region tokens, in that order.
+
+    Quarters parse to ordinals and states, sexes and regions to their codes.
+    """
+    return (
+        _TokenCodes(lambda text: QuarterId.parse(text).ordinal),
+        _TokenCodes(lambda text: LaborState.parse(text).index),
+        _TokenCodes(_parse_age),
+        _TokenCodes(lambda text: SEX_ORDER.index(Sex.parse(text))),
+        _TokenCodes(_parse_citizen),
+        _TokenCodes(lambda text: REGION_ORDER.index(MacroRegion.parse(text))),
     )
 
 
@@ -167,7 +309,7 @@ def _parse_weight(text) -> float:
         w = float(raw)
     except ValueError:
         raise ValueError(f"invalid weight {text!r}") from None
-    if not np.isfinite(w) or w <= 0:
+    if not math.isfinite(w) or w <= 0:
         raise ValueError(f"nonpositive weight {raw}")
     return w
 
@@ -221,126 +363,145 @@ def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseRep
         return _parse_wave_rows(reader, str(path))
 
 
-def _parse_pair_rows(reader, src: str) -> tuple[PanelDataset, ParseReport]:
-    pairs = []
+def _pair_fields(row, quarter_of, state_of, age_of, sex_of, citizen_of, region_of) -> tuple:
+    """Values of the pair columns after ``person`` from one pair_rows row."""
+    _, q_from, q_to, s_from, s_to, age, sex, cit, region, weight = row
+    quarter, quarter_to = quarter_of[q_from], quarter_of[q_to]
+    if quarter_to != quarter + 1:
+        raise ValueError(f"quarters not adjacent ({QuarterId.from_ordinal(quarter)} -> "
+                         f"{QuarterId.from_ordinal(quarter_to)})")
+    return (quarter, state_of[s_from], state_of[s_to], age_of[age], sex_of[sex],
+            citizen_of[cit], region_of[region], _parse_weight(weight))
+
+
+def _wave_fields(row, quarter_of, state_of, age_of, sex_of, citizen_of, region_of) -> tuple:
+    """Values of the wave columns after ``person`` from one wave_rows row."""
+    _, quarter, state, age, sex, cit, region, weight = row
+    return (quarter_of[quarter], state_of[state], age_of[age], sex_of[sex],
+            citizen_of[cit], region_of[region], _parse_weight(weight))
+
+
+def _read_rows(reader, header, names, parse_fields):
+    """Parse every data row into the columns ``names``, the person's code first.
+
+    ``parse_fields`` returns a row's other values in order, or raises
+    ValueError to reject it. Returns (person_ids, columns as arrays, line
+    numbers of the admitted rows, rejections, rows read).
+    """
+    tables = _field_tables()
+    person_codes: dict[str, int] = {}
+    columns = {name: [] for name in names}
+    person_append, *appends = (columns[name].append for name in names)
+    lines = []
     rejections = []
     n_rows = 0
-    n_age_filtered = 0
     for row in reader:
         if not row:
             continue
         n_rows += 1
-        line = reader.line_num
-        if len(row) != len(PAIR_HEADER):
-            rejections.append((line, f"wrong field count (expected {len(PAIR_HEADER)}, got {len(row)})"))
+        if len(row) != len(header):
+            rejections.append((reader.line_num,
+                               f"wrong field count (expected {len(header)}, got {len(row)})"))
             continue
-        pid, q_from, q_to, s_from, s_to, age, sex, cit, region, weight = row
         try:
-            quarter_from = QuarterId.parse(q_from)
-            quarter_to = QuarterId.parse(q_to)
-            if quarter_to != quarter_successor(quarter_from):
-                raise ValueError(f"quarters not adjacent ({quarter_from} -> {quarter_to})")
-            pair = ObservationPair(
-                person_id=pid.strip(),
-                quarter_from=quarter_from,
-                quarter_to=quarter_to,
-                state_from=LaborState.parse(s_from),
-                state_to=LaborState.parse(s_to),
-                demographics=_parse_demographics(age, sex, cit, region),
-                weight=_parse_weight(weight),
-            )
+            values = parse_fields(row, *tables)
         except ValueError as exc:
-            rejections.append((line, str(exc)))
+            rejections.append((reader.line_num, str(exc)))
             continue
-        if not AGE_MIN <= pair.demographics.age_at_first_wave <= AGE_MAX:
-            n_age_filtered += 1
-            continue
-        pairs.append(pair)
-    dataset = PanelDataset.from_pairs(pairs, provenance=f"pair_rows:{src}")
+        pid = row[0].strip()
+        code = person_codes.get(pid)
+        if code is None:
+            code = person_codes[pid] = len(person_codes)
+        person_append(code)
+        for append, value in zip(appends, values):
+            append(value)
+        lines.append(reader.line_num)
+    arrays = {name: np.array(columns.pop(name), dtype=_DTYPES[name]) for name in names}
+    return tuple(person_codes), arrays, lines, rejections, n_rows
+
+
+def _in_scope(admitted: PanelDataset, rejections, n_rows) -> tuple[PanelDataset, ParseReport]:
+    """The admitted pairs whose first-wave age is in scope, and the parse report."""
+    dataset = admitted._take((admitted.age >= AGE_MIN) & (admitted.age <= AGE_MAX))
     report = ParseReport(
         rejections=tuple(rejections),
         n_rows=n_rows,
-        n_pairs=len(pairs),
-        n_age_filtered=n_age_filtered,
+        n_pairs=len(dataset),
+        n_age_filtered=len(admitted) - len(dataset),
     )
     return dataset, report
+
+
+def _parse_pair_rows(reader, src: str) -> tuple[PanelDataset, ParseReport]:
+    person_ids, columns, _, rejections, n_rows = _read_rows(
+        reader, PAIR_HEADER, _COLUMNS, _pair_fields)
+    admitted = PanelDataset(person_ids=person_ids, provenance=f"pair_rows:{src}", **columns)
+    return _in_scope(admitted, rejections, n_rows)
 
 
 def _parse_wave_rows(reader, src: str) -> tuple[PanelDataset, ParseReport]:
-    waves: list[tuple[int, WaveRow]] = []
-    rejections = []
-    n_rows = 0
-    for row in reader:
-        if not row:
-            continue
-        n_rows += 1
-        line = reader.line_num
-        if len(row) != len(WAVE_HEADER):
-            rejections.append((line, f"wrong field count (expected {len(WAVE_HEADER)}, got {len(row)})"))
-            continue
-        pid, quarter, state, age, sex, cit, region, weight = row
-        try:
-            wave = WaveRow(
-                person_id=pid.strip(),
-                quarter=QuarterId.parse(quarter),
-                state=LaborState.parse(state),
-                demographics=_parse_demographics(age, sex, cit, region),
-                weight=_parse_weight(weight),
-            )
-        except ValueError as exc:
-            rejections.append((line, str(exc)))
-            continue
-        waves.append((line, wave))
-
-    clean, dup_rejected = _screen_duplicates(waves)
-    rejections.extend((line, reason) for line, _, reason in dup_rejected)
-    rejections.sort(key=lambda item: item[0])
-
-    linked = link_waves([w for _, w in clean])
-    pairs = []
-    n_age_filtered = 0
-    for pair in linked.pairs:
-        if AGE_MIN <= pair.demographics.age_at_first_wave <= AGE_MAX:
-            pairs.append(pair)
-        else:
-            n_age_filtered += 1
-    dataset = PanelDataset.from_pairs(pairs, provenance=f"wave_rows:{src}")
-    report = ParseReport(
-        rejections=tuple(rejections),
-        n_rows=n_rows,
-        n_pairs=len(pairs),
-        n_age_filtered=n_age_filtered,
-    )
-    return dataset, report
+    person_ids, waves, lines, rejections, n_rows = _read_rows(
+        reader, WAVE_HEADER, _WAVE_COLUMNS, _wave_fields)
+    keep, dup_rejected = _screen_duplicates(waves, person_ids, lines)
+    rejections = sorted(rejections + dup_rejected, key=lambda item: item[0])
+    linked = _link({name: column[keep] for name, column in waves.items()}, person_ids,
+                   provenance=f"wave_rows:{src}")
+    return _in_scope(linked, rejections, n_rows)
 
 
-def _screen_duplicates(waves):
-    """Split numbered waves into clean rows and duplicate-key rejects.
+def _screen_duplicates(waves, person_ids, lines):
+    """Rows to keep, and (line, reason) rejections, for repeated (person, quarter) keys.
 
-    A repeated (person, quarter) key with conflicting states invalidates
-    every row carrying the key; repeats that agree keep the first row only.
+    A repeated key with conflicting states invalidates every row carrying
+    the key; repeats that agree keep the first row only. ``lines`` numbers
+    the rows in increasing order.
     """
-    by_key: dict[tuple[str, QuarterId], list[tuple[int, WaveRow]]] = defaultdict(list)
-    for line, wave in waves:
-        by_key[(wave.person_id, wave.quarter)].append((line, wave))
+    person, quarter, state = waves["person"], waves["quarter"], waves["state"]
+    n = len(person)
+    order = np.lexsort((quarter, person))  # stable: rows of one key stay in input order
+    p, q = person[order], quarter[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (p[1:] != p[:-1]) | (q[1:] != q[:-1])
+    keep = np.zeros(n, dtype=bool)
+    keep[order[first]] = True
 
-    clean = []
     rejected = []
-    for (pid, quarter), group in by_key.items():
-        if len(group) == 1:
-            clean.append(group[0])
-            continue
-        states = {w.state for _, w in group}
-        if len(states) > 1:
-            for line, wave in group:
-                rejected.append((line, wave, f"conflicting duplicate states for person {pid!r} at {quarter}"))
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, n))
+    for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        rows = order[start:start + size].tolist()
+        pid = person_ids[person[rows[0]]]
+        at = QuarterId.from_ordinal(quarter[rows[0]])
+        if len(set(state[rows].tolist())) > 1:
+            keep[rows[0]] = False
+            rejected += [(lines[r], f"conflicting duplicate states for person {pid!r} at {at}")
+                         for r in rows]
         else:
-            clean.append(group[0])
-            first_line = group[0][0]
-            for line, wave in group[1:]:
-                rejected.append((line, wave, f"duplicate of line {first_line} (person {pid!r} at {quarter})"))
-    clean.sort(key=lambda item: item[0])
-    return clean, rejected
+            rejected += [(lines[r], f"duplicate of line {lines[rows[0]]} (person {pid!r} at {at})")
+                         for r in rows[1:]]
+    return keep, rejected
+
+
+def _link(waves, person_ids, provenance: str) -> PanelDataset:
+    """Pairs of a duplicate-free wave table, sorted by (person_id, quarter_from).
+
+    One pair per person and couple of adjacent quarters; demographics and
+    weight come from the first wave.
+    """
+    by_id = sorted(range(len(person_ids)), key=person_ids.__getitem__)
+    rank = np.empty(len(by_id), dtype=np.int64)
+    rank[by_id] = np.arange(len(by_id))
+    order = np.lexsort((waves["quarter"], rank[waves["person"]]))
+    person, quarter = waves["person"][order], waves["quarter"][order]
+    linked = (person[1:] == person[:-1]) & (quarter[1:] == quarter[:-1] + 1)
+    first, second = order[:-1][linked], order[1:][linked]
+    return PanelDataset(
+        person_ids=person_ids,
+        provenance=provenance,
+        state_from=waves["state"][first],
+        state_to=waves["state"][second],
+        **{name: waves[name][first] for name in _WAVE_COLUMNS if name != "state"},
+    )
 
 
 def link_waves(rows) -> LinkResult:
@@ -350,37 +511,21 @@ def link_waves(rows) -> LinkResult:
     non-adjacent observations produce no pair. Demographics and weight come
     from the first wave of each pair. Duplicate (person, quarter) keys with
     conflicting states drop every involved row; agreeing duplicates keep the
-    first. Pairs are sorted by (person_id, quarter_from).
+    first. Pairs are sorted by (person_id, quarter_from); dropped rows come
+    in input order.
     """
-    numbered = list(enumerate(rows))
-    clean, dup_rejected = _screen_duplicates(numbered)
-    rejected = tuple((wave, reason) for _, wave, reason in dup_rejected)
-
-    by_person: dict[str, list[WaveRow]] = defaultdict(list)
-    for _, wave in clean:
-        by_person[wave.person_id].append(wave)
-
-    pairs = []
-    for pid in sorted(by_person):
-        person_waves = sorted(by_person[pid], key=lambda w: w.quarter)
-        by_quarter = {w.quarter: w for w in person_waves}
-        for wave in person_waves:
-            nxt = by_quarter.get(quarter_successor(wave.quarter))
-            if nxt is None:
-                continue
-            pairs.append(
-                ObservationPair(
-                    person_id=pid,
-                    quarter_from=wave.quarter,
-                    quarter_to=nxt.quarter,
-                    state_from=wave.state,
-                    state_to=nxt.state,
-                    demographics=wave.demographics,
-                    weight=wave.weight,
-                )
-            )
-    pairs.sort(key=lambda p: (p.person_id, p.quarter_from))
-    return LinkResult(pairs=tuple(pairs), rejected=rejected)
+    rows = list(rows)
+    person_codes: dict[str, int] = {}
+    waves = _columns([
+        (person_codes.setdefault(w.person_id, len(person_codes)), w.quarter.ordinal, w.state.index,
+         *_demographic_codes(w.demographics), w.weight)
+        for w in rows
+    ], _WAVE_COLUMNS)
+    person_ids = tuple(person_codes)
+    keep, dup_rejected = _screen_duplicates(waves, person_ids, range(len(rows)))
+    linked = _link({name: column[keep] for name, column in waves.items()}, person_ids, "")
+    return LinkResult(pairs=linked.pairs,
+                      rejected=tuple((rows[i], reason) for i, reason in sorted(dup_rejected)))
 
 
 def _sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -458,60 +603,53 @@ def generate_synthetic_panel(
     for t in range(1, n_steps + 1):
         states[:, t] = _sample_rows(cum[states[:, t - 1]], rng.random(n))
 
-    quarters = [start_quarter.plus(k) for k in range(n_quarters)]
-    region_values = (MacroRegion.NORTH, MacroRegion.CENTRE, MacroRegion.SOUTH)
-    sex_values = (Sex.M, Sex.F)
+    # One pair per interview spell that ends inside the window, by person then spell.
+    spell_start = np.array(ROTATION_OFFSETS[::2])
+    k, spell = np.nonzero(entry[:, None] + spell_start + 1 < n_quarters)
+    lo = spell_start[spell]
+    people, person = np.unique(k, return_inverse=True)
     width = max(len(str(n - 1)), 6)
-
-    pairs = []
-    for k in range(n):
-        demo = Demographics(
-            age_at_first_wave=int(ages[k]),
-            sex=sex_values[sexes[k]],
-            italian_citizen=bool(citizens[k]),
-            macro_region=region_values[regions[k]],
-        )
-        pid = f"P{k:0{width}d}"
-        e = int(entry[k])
-        for lo in (0, 4):
-            if e + lo + 1 >= n_quarters:
-                break
-            pairs.append(
-                ObservationPair(
-                    person_id=pid,
-                    quarter_from=quarters[e + lo],
-                    quarter_to=quarters[e + lo + 1],
-                    state_from=STATE_ORDER[states[k, lo]],
-                    state_to=STATE_ORDER[states[k, lo + 1]],
-                    demographics=demo,
-                    weight=1.0,
-                )
-            )
     provenance = (
         f"synthetic panel: seed={seed}, individuals={n_individuals}, "
         f"start={start_quarter}, quarters={n_quarters}"
     )
-    return PanelDataset.from_pairs(pairs, provenance=provenance)
+    return PanelDataset(
+        person_ids=tuple(f"P{i:0{width}d}" for i in people.tolist()),
+        person=person,
+        quarter=start_quarter.ordinal + entry[k] + lo,
+        state_from=states[k, lo],
+        state_to=states[k, lo + 1],
+        age=ages[k],
+        sex=sexes[k],
+        citizen=citizens[k],
+        region=regions[k],
+        weight=np.ones(len(k)),
+        provenance=provenance,
+    )
+
+
+def _labels(codes: np.ndarray, labels) -> list:
+    """The label of each code, ``labels[code]``, as a list."""
+    return np.array(labels, dtype=object)[codes].tolist()
 
 
 def write_pairs_csv(dataset: PanelDataset, path) -> None:
     """Write a dataset in the pair_rows layout. Output is byte-deterministic."""
+    quarters, quarter_index = np.unique(dataset.quarter, return_inverse=True)
+    state_names = [s.name for s in STATE_ORDER]
+    columns = (
+        _labels(dataset.person, dataset.person_ids),
+        _labels(quarter_index, [str(QuarterId.from_ordinal(q)) for q in quarters.tolist()]),
+        _labels(quarter_index, [str(QuarterId.from_ordinal(q + 1)) for q in quarters.tolist()]),
+        _labels(dataset.state_from, state_names),
+        _labels(dataset.state_to, state_names),
+        dataset.age.tolist(),
+        _labels(dataset.sex, [s.name for s in SEX_ORDER]),
+        dataset.citizen.astype(np.int8).tolist(),
+        _labels(dataset.region, [r.name for r in REGION_ORDER]),
+        [repr(w) for w in dataset.weight.tolist()],
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(PAIR_HEADER)
-        for p in dataset.pairs:
-            d = p.demographics
-            w.writerow(
-                [
-                    p.person_id,
-                    str(p.quarter_from),
-                    str(p.quarter_to),
-                    p.state_from.name,
-                    p.state_to.name,
-                    d.age_at_first_wave,
-                    d.sex.name,
-                    1 if d.italian_citizen else 0,
-                    d.macro_region.name,
-                    repr(float(p.weight)),
-                ]
-            )
+        w.writerows(zip(*columns))

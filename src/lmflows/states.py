@@ -89,6 +89,10 @@ class MacroRegion(enum.Enum):
             ) from None
 
 
+SEX_ORDER: tuple[Sex, ...] = tuple(Sex)
+REGION_ORDER: tuple[MacroRegion, ...] = tuple(MacroRegion)
+
+
 class AgeBand(enum.Enum):
     """Disjoint age bands covering ages 15-34, bounds inclusive."""
 
@@ -121,7 +125,8 @@ def age_band_of(age: int) -> AgeBand | None:
     return None
 
 
-_QUARTER_RE = re.compile(r"^(\d{4})\.([1-4])$")
+# ASCII digits only: ``\d`` would also admit other scripts' digits (``２０１９``).
+_QUARTER_RE = re.compile(r"^([0-9]{4})\.([1-4])$")
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -139,9 +144,17 @@ class QuarterId:
         if self.quarter not in (1, 2, 3, 4):
             raise ValueError(f"quarter {self.quarter} out of range (must be 1..4)")
 
+    @property
+    def ordinal(self) -> int:
+        """Quarters since year 0: ``year * 4 + quarter - 1``; consecutive quarters differ by 1."""
+        return self.year * 4 + self.quarter - 1
+
+    @classmethod
+    def from_ordinal(cls, ordinal: int) -> "QuarterId":
+        return cls(int(ordinal) // 4, int(ordinal) % 4 + 1)
+
     def plus(self, n: int) -> "QuarterId":
-        total = self.year * 4 + (self.quarter - 1) + n
-        return QuarterId(total // 4, total % 4 + 1)
+        return QuarterId.from_ordinal(self.ordinal + n)
 
     @classmethod
     def parse(cls, text: str) -> "QuarterId":

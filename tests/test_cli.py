@@ -298,6 +298,16 @@ class TestFixturesCommand:
         doc = json.loads(out)
         assert len(doc["fixtures"]) == 9
 
+    @pytest.mark.parametrize("argv", [
+        ["fixtures", "--pretty"],
+        ["simulate", "--fixture", "early_2019Q3", "--n", "5", "--out", "x.csv", "--pretty"],
+    ])
+    def test_pretty_is_usage_error_without_a_table(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--pretty" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_sets_format_flags_override(self, tmp_path, capsys):

@@ -78,6 +78,30 @@ class TestPairRowsParsing:
         assert line == 3
         assert reason_part in reason
 
+    @pytest.mark.parametrize("row,reason", [
+        ("A,２０１９.1,2019.2,EDU,TE,21,F,1,SOUTH,1", "invalid quarter '２０１９.1' (expected YYYY.Q)"),
+        ("A,2019.1,2019.２,EDU,TE,21,F,1,SOUTH,1", "invalid quarter '2019.２' (expected YYYY.Q)"),
+        ("A,2019.1,2019.2,EDU,TE,２４,F,1,SOUTH,1", "invalid age '２４'"),
+        ("A,2019.1,2019.2,EDU,TE,2_4,F,1,SOUTH,1", "invalid age '2_4'"),
+        ("A,2019.1,2019.2,EDU,TE,-3,F,1,SOUTH,1", "invalid age -3 (negative)"),
+    ], ids=["fullwidth-year", "fullwidth-quarter", "fullwidth-age", "underscore-age", "negative-age"])
+    def test_quarters_and_ages_take_ascii_digits_only(self, tmp_path, row, reason):
+        path = write(tmp_path, "p.csv", PAIR_HEAD + "\n" + row + "\n")
+        data, report = parse_panel_file(path)
+        assert len(data) == 0
+        assert report.rejections == ((2, reason),)
+
+    def test_repeated_bad_token_rejected_on_every_line(self, tmp_path):
+        # Tokens are parsed once and memoised; a failing token must not be.
+        path = write(tmp_path, "p.csv", PAIR_HEAD + "\n"
+                     "A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1\n"
+                     "B,2019.1,2019.2,EDU,XX,21,F,1,SOUTH,1\n"
+                     "C,2019.1,2019.2,EDU,TE,+21,F,1,SOUTH,1\n"
+                     "D,2019.1,2019.2,EDU,XX,21,F,1,SOUTH,1\n")
+        data, report = parse_panel_file(path)
+        assert [p.person_id for p in data.pairs] == ["A", "C"]
+        assert report.rejections == ((3, "unknown state code 'XX'"), (5, "unknown state code 'XX'"))
+
     def test_out_of_scope_ages_filtered_not_rejected(self, tmp_path):
         path = write(tmp_path, "p.csv", PAIR_HEAD + "\n"
                      "A,2019.1,2019.2,U,U,14,F,1,SOUTH,1\n"
@@ -87,6 +111,18 @@ class TestPairRowsParsing:
         assert len(data) == 1
         assert report.rejections == ()
         assert report.n_age_filtered == 2
+
+    def test_huge_age_is_out_of_scope(self, tmp_path):
+        path = write(tmp_path, "p.csv", PAIR_HEAD + "\n"
+                     "A,2019.1,2019.2,U,U,123456789012345678901234567890,F,1,SOUTH,1\n")
+        wave_path = write(tmp_path, "w.csv", WAVE_HEAD + "\n"
+                          "A,2019.1,U,123456789012345678901234567890,F,1,SOUTH,1\n"
+                          "A,2019.2,U,21,F,1,SOUTH,1\n")
+        for p in (path, wave_path):
+            data, report = parse_panel_file(p)
+            assert len(data) == 0
+            assert report.rejections == ()
+            assert report.n_age_filtered == 1
 
     def test_report_csv_layout(self, tmp_path):
         path = write(tmp_path, "p.csv", PAIR_HEAD + "\n"
@@ -138,6 +174,15 @@ class TestWaveRowsParsing:
         assert len(data) == 1
         assert len(report.rejections) == 1
         assert "duplicate" in report.rejections[0][1]
+
+    def test_non_ascii_digits_rejected(self, tmp_path):
+        path = write(tmp_path, "w.csv", WAVE_HEAD + "\n"
+                     "A,２０１９.1,EDU,21,F,1,SOUTH,1.0\n"
+                     "A,2019.2,TE,２１,F,1,SOUTH,1.0\n")
+        data, report = parse_panel_file(path)
+        assert len(data) == 0
+        assert report.rejections == ((2, "invalid quarter '２０１９.1' (expected YYYY.Q)"),
+                                     (3, "invalid age '２１'"))
 
     def test_duplicate_waves_conflicting_states_reject_all(self, tmp_path):
         path = write(tmp_path, "w.csv", WAVE_HEAD + "\n"

@@ -59,6 +59,18 @@ class TestQuarterId:
         with pytest.raises(ValueError):
             QuarterId.parse(text)
 
+    @pytest.mark.parametrize("text", ["２０１９.1", "2019.１", "२०१९.1"],
+                             ids=["fullwidth-year", "fullwidth-quarter", "devanagari-year"])
+    def test_parse_accepts_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match="invalid quarter"):
+            QuarterId.parse(text)
+
+    def test_ordinal_round_trip(self):
+        q = QuarterId(2019, 4)
+        assert q.ordinal == 2019 * 4 + 3
+        assert q.plus(1).ordinal == q.ordinal + 1
+        assert QuarterId.from_ordinal(q.ordinal) == q
+
     @pytest.mark.parametrize("year,quarter", [(1899, 1), (2019, 0), (2019, 5)])
     def test_constructor_validates(self, year, quarter):
         with pytest.raises(ValueError):
