@@ -74,10 +74,11 @@ def _cohort_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _output_parent(pretty: bool) -> argparse.ArgumentParser:
+def _output_parent(pretty: bool, formats: bool = True) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("output")
-    g.add_argument("--format", choices=OUTPUT_FORMATS, help="output format (default csv)")
+    if formats:
+        g.add_argument("--format", choices=OUTPUT_FORMATS, help="output format (default csv)")
     g.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     if pretty:
         g.add_argument("--pretty", action="store_true", help="aligned two-decimal text instead of csv/json")
@@ -103,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     cohort = _cohort_parent()
     output = _output_parent(pretty=True)
     plain_output = _output_parent(pretty=False)  # commands with no table to align
+    file_output = _output_parent(pretty=False, formats=False)  # commands with one file format
     data = _data_parent()
 
     p = sub.add_parser("shares", parents=[data, cohort, output], help="state shares in one quarter")
@@ -121,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--fixture", choices=fixture_names(), help="use an embedded matrix")
     src.add_argument("--data", metavar="PATH", help="estimate the matrix from this panel CSV")
+    p.add_argument("--rejects", metavar="PATH", help="with --data, write the rejection report CSV here")
     p.add_argument("--quarter", help="departure quarter when estimating from --data")
     p.add_argument("--from", dest="from_state", required=True, metavar="STATE", help="source state")
     p.add_argument("--to", dest="to_state", required=True, metavar="STATE", help="target state")
@@ -134,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_fpt)
 
-    p = sub.add_parser("simulate", parents=[plain_output], help="write a synthetic panel CSV")
+    p = sub.add_parser("simulate", parents=[file_output], help="write a synthetic panel CSV")
     p.add_argument("--fixture", choices=fixture_names(), required=True, help="truth chain")
     p.add_argument("--n", type=_positive_int, required=True, help="number of individuals")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -154,8 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    return cfg.override(
+    values = RunConfig.read_file(args.config) if getattr(args, "config", None) else {}
+    if "output_format" in values and not hasattr(args, "format"):
+        raise ValueError(f"{args.config}: format does not apply to {args.command}")
+    return RunConfig(**values).override(
         epsilon=getattr(args, "epsilon", None),
         max_horizon=getattr(args, "max_horizon", None),
         min_support=getattr(args, "min_support", None),
@@ -231,6 +236,8 @@ def cmd_transitions(args) -> int:
 def cmd_fpt(args) -> int:
     cfg = _load_config(args)
     if args.fixture:
+        if args.rejects:
+            raise ValueError("--rejects applies only with --data")
         matrix = get_fixture(args.fixture).matrix()
     else:
         if not args.quarter:

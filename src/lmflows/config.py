@@ -35,9 +35,9 @@ class RunConfig:
                 f"expected one of {FALLBACK_POLICIES}"
             )
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        """Read a key=value file; blank lines and # comments are skipped.
+    @staticmethod
+    def read_file(path) -> dict:
+        """The fields a key=value file sets; blank lines and # comments are skipped.
 
         Keys: epsilon, max_horizon, min_support, format, fallback_policy.
         Unknown keys and unparsable values raise ValueError naming the line.
@@ -68,7 +68,7 @@ class RunConfig:
                         raise ValueError(f"unknown key {key!r}")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-        return cls(**values)
+        return values
 
     def override(self, **kwargs) -> "RunConfig":
         """Replace the given fields; None values mean 'keep as is'."""

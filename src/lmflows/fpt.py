@@ -12,8 +12,13 @@ the probability of hitting :math:`j` for the first time after exactly
 :math:`n` steps. Writing :math:`\tilde P` for :math:`P` with column
 :math:`j` zeroed, the vector of horizon-:math:`n` probabilities over all
 sources is :math:`F(1) = P_{\cdot j}`, :math:`F(n) = \tilde P F(n-1)`,
-which is how this module computes it, in one recursion shared by the
-distribution, the series and the well-definedness check.
+which is how this module computes it. A ``Passage`` runs that recursion
+once per passage, as far as the furthest request, and keeps each f(n)
+with the running sums of f(n) and n f(n); the distribution, the series
+stop and the well-definedness stop are lookups into those arrays. Every
+public function below builds one ``Passage``, and a full report
+(``serialize.build_fpt_report``) builds one for all of its parts, so it
+validates the chain, screens it and runs the recursion once.
 
 The expected first passage time is :math:`\mu_{ij} = \sum_n n f_{ij}(n)`,
 finite exactly when the passage probabilities sum to one. Whether they do
@@ -37,7 +42,6 @@ Agreement between the two is a cross-check on both.
 """
 
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -106,40 +110,6 @@ def _screen(P: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray, bool
     return np.flatnonzero(region), trapped, bool(reaches_j[i])
 
 
-def _certain_region(P: np.ndarray, labels, i: int, j: int) -> np.ndarray:
-    """The screened region of the passage i -> j; raise InfiniteEfptError if any state is trapped."""
-    region, trapped, _ = _screen(P, i, j)
-    if len(trapped):
-        raise InfiniteEfptError(labels[i], labels[j], trapped=tuple(labels[t] for t in trapped))
-    return region
-
-
-def _taboo_terms(P: np.ndarray, i: int, j: int):
-    """Yield f(1), f(2), ... for the passage i -> j by the taboo recursion."""
-    Pm = P.copy()
-    Pm[:, j] = 0.0
-    fvec = P[:, j].copy()
-    while True:
-        yield float(fvec[i])
-        fvec = Pm @ fvec
-
-
-def _partial_sums(P: np.ndarray, i: int, j: int, tol: float, cap: int) -> tuple[int, float, float]:
-    """Sum f(n) and n f(n) for i -> j until the unpassed mass is at most ``tol`` or n = ``cap``.
-
-    Returns (n, sum of f, sum of n f) over the n terms summed.
-    """
-    terms = _taboo_terms(P, i, j)
-    total = mean = next(terms)
-    n = 1
-    while n < cap and 1.0 - total > tol:
-        f = next(terms)
-        n += 1
-        total += f
-        mean += n * f
-    return n, total, mean
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class FptDistribution:
     """First-passage probabilities f(n), n = 1..horizon, for one (source, target)."""
@@ -193,6 +163,171 @@ class WellDefinedness:
     horizon: int
 
 
+def _check_horizon(horizon) -> None:
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+
+
+class Passage:
+    """The passage from ``source`` to ``target`` on one chain, shared by every route.
+
+    Construction validates the chain, resolves both ends and screens the
+    passage. The taboo recursion runs on demand, one ``P~.dot(F, out=...)``
+    a term into a reused block of rows, carrying on from where the last
+    request stopped. Each f(n) is kept with the running sums of f(n) and
+    n f(n), added in order of n, so the distribution and every stopping
+    rule are lookups into the same arrays, 24 bytes a term computed.
+    """
+
+    # Rows of the recursion buffer, reused from one stretch of terms to the next.
+    _BLOCK = 256
+    # Fewest terms a stopping rule adds to the recursion when it needs more.
+    _GROW = 128
+
+    def __init__(self, m, source, target):
+        self.P, self.labels, self.i, self.j = _read_chain(m, source, target)
+        self.source, self.target = self.labels[self.i], self.labels[self.j]
+        self.region, self.trapped, self.reachable = _screen(self.P, self.i, self.j)
+        self._taboo = self.P.copy()
+        self._taboo[:, self.j] = 0.0
+        self._block = np.empty((self._BLOCK, len(self.P)))
+        self._block[0] = self.P[:, self.j]
+        self._rows = list(self._block)
+        # f(n), sum of f and sum of n f through n, at index n - 1.
+        self._f = np.empty(self._GROW)
+        self._f[0] = self._block[0, self.i]
+        self._mass = self._f.copy()
+        self._mean = self._f.copy()
+        self._n = 1
+
+    def _certain_region(self) -> np.ndarray:
+        """The screened region; raise InfiniteEfptError if any state is trapped."""
+        if len(self.trapped):
+            raise InfiniteEfptError(
+                self.source, self.target, trapped=tuple(self.labels[t] for t in self.trapped)
+            )
+        return self.region
+
+    def _extend(self, n: int) -> None:
+        """Run the taboo recursion F(n) = P~ F(n-1) on to ``n`` terms."""
+        n0 = self._n
+        if n <= n0:
+            return
+        if n > len(self._f):
+            size = max(n, 2 * len(self._f))
+            for name in ("_f", "_mass", "_mean"):
+                grown = np.empty(size)
+                grown[:n0] = getattr(self, name)[:n0]
+                setattr(self, name, grown)
+        advance, block, rows = self._taboo.dot, self._block, self._rows
+        k = n0
+        while k < n:
+            step = min(n - k, len(rows) - 1)
+            for r in range(step):
+                advance(rows[r], out=rows[r + 1])
+            self._f[k:k + step] = block[1:step + 1, self.i]
+            block[0] = block[step]
+            k += step
+        # Each running sum carries on from its value at n0, adding in order of n.
+        terms = self._f[n0:n]
+        for acc, add in ((self._mass, terms), (self._mean, np.arange(n0 + 1, n + 1) * terms)):
+            run = acc[n0 - 1:n]
+            run[1:] = add
+            np.cumsum(run, out=run)
+        self._n = n
+
+    def _sums(self, tol: float, cap: int) -> tuple[int, float, float]:
+        """(n, sum of f, sum of n f) through the first n with unpassed mass at most ``tol``.
+
+        Through n = ``cap`` when no earlier n has it.
+        """
+        start = 0
+        while True:
+            end = min(self._n, cap)
+            hit = np.flatnonzero(~(1.0 - self._mass[start:end] > tol))
+            if len(hit):
+                n = start + int(hit[0]) + 1
+                break
+            if end == cap:
+                n = cap
+                break
+            start = end
+            self._extend(min(cap, end + max(self._GROW, end // 4)))
+        return n, float(self._mass[n - 1]), float(self._mean[n - 1])
+
+    def distribution(self, horizon: int) -> FptDistribution:
+        _check_horizon(horizon)
+        self._extend(horizon)
+        return FptDistribution(
+            source=self.source, target=self.target,
+            probabilities=self._f[:horizon], horizon=horizon,
+        )
+
+    def series(self, epsilon: float, max_horizon: int) -> EfptResult:
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+        if max_horizon < 1:
+            raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
+        self._certain_region()
+        n, total, mean = self._sums(epsilon, max_horizon)
+        if 1.0 - total > epsilon:
+            raise InfiniteEfptError(
+                self.source,
+                self.target,
+                detail=(
+                    f"series residual {1.0 - total:.3e} exceeds epsilon {epsilon:g} "
+                    f"after {max_horizon} terms"
+                ),
+            )
+        return EfptResult(
+            source=self.source, target=self.target, quarters=mean, method="series", n_terms=n
+        )
+
+    def linear(self) -> EfptResult:
+        P, i, j = self.P, self.i, self.j
+        region = self._certain_region()
+        A = np.eye(len(region)) - P[np.ix_(region, region)]
+        try:
+            # Cannot trip once the screen passed; kept as a guard against
+            # degenerate numerics.
+            if np.linalg.svd(A, compute_uv=False).min(initial=np.inf) <= _SINGULAR_FLOOR:
+                raise np.linalg.LinAlgError("smallest singular value below the floor")
+            mu = np.linalg.solve(A, np.ones(len(region)))
+        except np.linalg.LinAlgError:
+            raise InfiniteEfptError(
+                self.source, self.target, detail="first-step system is numerically singular"
+            ) from None
+        if i == j:
+            quarters = 1.0 + P[j, region] @ mu
+        else:
+            quarters = mu[np.searchsorted(region, i)]
+        return EfptResult(
+            source=self.source, target=self.target, quarters=float(quarters),
+            method="linear_system",
+        )
+
+    def well_defined(self, horizon: int) -> WellDefinedness:
+        _check_horizon(horizon)
+        if self.i != self.j and not self.reachable:
+            return WellDefinedness(
+                source=self.source, target=self.target,
+                mass_at_horizon=0.0, reachable=False,
+                verdict=VERDICT_DIVERGENT, horizon=0,
+            )
+        n, total, _ = self._sums(_MASS_OK, horizon)
+        if len(self.trapped):
+            verdict = VERDICT_DIVERGENT
+        elif 1.0 - total <= _MASS_OK:
+            verdict = VERDICT_WELL_DEFINED
+        else:
+            verdict = VERDICT_SUSPECT
+        return WellDefinedness(
+            source=self.source, target=self.target,
+            mass_at_horizon=min(total, 1.0), reachable=self.reachable,
+            verdict=verdict, horizon=n,
+        )
+
+
 def fpt_distribution(m, source, target, horizon: int) -> FptDistribution:
     """First-passage probabilities from ``source`` to ``target`` up to ``horizon``.
 
@@ -209,13 +344,7 @@ def fpt_distribution(m, source, target, horizon: int) -> FptDistribution:
     FptDistribution
         probabilities[n - 1] holds f(n) for n = 1..horizon.
     """
-    P, labels, i, j = _read_chain(m, source, target)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    out = np.fromiter(itertools.islice(_taboo_terms(P, i, j), horizon), dtype=float, count=horizon)
-    return FptDistribution(
-        source=labels[i], target=labels[j], probabilities=out, horizon=horizon
-    )
+    return Passage(m, source, target).distribution(horizon)
 
 
 def fpt_cdf(m, source, target, horizon: int) -> np.ndarray:
@@ -239,25 +368,7 @@ def efpt_series(
     still above ``epsilon`` at ``max_horizon``, a horizon too short for the
     chain's mixing (efpt_linear is immune to truncation).
     """
-    P, labels, i, j = _read_chain(m, source, target)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if max_horizon < 1:
-        raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
-    _certain_region(P, labels, i, j)
-    n, total, mean = _partial_sums(P, i, j, epsilon, max_horizon)
-    if 1.0 - total > epsilon:
-        raise InfiniteEfptError(
-            labels[i],
-            labels[j],
-            detail=(
-                f"series residual {1.0 - total:.3e} exceeds epsilon {epsilon:g} "
-                f"after {max_horizon} terms"
-            ),
-        )
-    return EfptResult(
-        source=labels[i], target=labels[j], quarters=mean, method="series", n_terms=n
-    )
+    return Passage(m, source, target).series(epsilon, max_horizon)
 
 
 def efpt_linear(m, source, target) -> EfptResult:
@@ -273,26 +384,7 @@ def efpt_linear(m, source, target) -> EfptResult:
     Independent of efpt_series by construction; the two share only the
     structural screen, no numbers.
     """
-    P, labels, i, j = _read_chain(m, source, target)
-    region = _certain_region(P, labels, i, j)
-    A = np.eye(len(region)) - P[np.ix_(region, region)]
-    try:
-        # Cannot trip once the screen passed; kept as a guard against
-        # degenerate numerics.
-        if np.linalg.svd(A, compute_uv=False).min(initial=np.inf) <= _SINGULAR_FLOOR:
-            raise np.linalg.LinAlgError("smallest singular value below the floor")
-        mu = np.linalg.solve(A, np.ones(len(region)))
-    except np.linalg.LinAlgError:
-        raise InfiniteEfptError(
-            labels[i], labels[j], detail="first-step system is numerically singular"
-        ) from None
-    if i == j:
-        quarters = 1.0 + P[j, region] @ mu
-    else:
-        quarters = mu[np.searchsorted(region, i)]
-    return EfptResult(
-        source=labels[i], target=labels[j], quarters=float(quarters), method="linear_system"
-    )
+    return Passage(m, source, target).linear()
 
 
 def check_well_defined(m, source, target, horizon: int = DEFAULT_MAX_HORIZON) -> WellDefinedness:
@@ -304,25 +396,4 @@ def check_well_defined(m, source, target, horizon: int = DEFAULT_MAX_HORIZON) ->
     1 - sum(f(n)) is at most 1e-6 by ``horizon`` and "suspect" when the
     horizon is too short to show it.
     """
-    P, labels, i, j = _read_chain(m, source, target)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    _, trapped, reachable = _screen(P, i, j)
-    if i != j and not reachable:
-        return WellDefinedness(
-            source=labels[i], target=labels[j],
-            mass_at_horizon=0.0, reachable=False,
-            verdict=VERDICT_DIVERGENT, horizon=0,
-        )
-    n, total, _ = _partial_sums(P, i, j, _MASS_OK, horizon)
-    if len(trapped):
-        verdict = VERDICT_DIVERGENT
-    elif 1.0 - total <= _MASS_OK:
-        verdict = VERDICT_WELL_DEFINED
-    else:
-        verdict = VERDICT_SUSPECT
-    return WellDefinedness(
-        source=labels[i], target=labels[j],
-        mass_at_horizon=min(total, 1.0), reachable=reachable,
-        verdict=verdict, horizon=n,
-    )
+    return Passage(m, source, target).well_defined(horizon)

@@ -13,7 +13,7 @@ import io
 import json
 
 from .errors import InfiniteEfptError
-from .fpt import check_well_defined, efpt_linear, efpt_series, fpt_distribution
+from .fpt import Passage
 
 
 def _fmt(x) -> str:
@@ -140,9 +140,9 @@ def shares_pretty(table) -> str:
 
 # --------------------------------------------------------------------- fpt
 
-def _efpt_series_doc(m, source, target, epsilon, max_horizon):
+def _efpt_series_doc(passage, epsilon, max_horizon):
     try:
-        r = efpt_series(m, source, target, epsilon=epsilon, max_horizon=max_horizon)
+        r = passage.series(epsilon, max_horizon)
     except InfiniteEfptError as exc:
         return {
             "quarters": None,
@@ -160,9 +160,9 @@ def _efpt_series_doc(m, source, target, epsilon, max_horizon):
     }
 
 
-def _efpt_linear_doc(m, source, target):
+def _efpt_linear_doc(passage):
     try:
-        r = efpt_linear(m, source, target)
+        r = passage.linear()
     except InfiniteEfptError as exc:
         return {
             "quarters": None,
@@ -186,11 +186,16 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
     Contains the distribution f(n) with its cdf and survival companions up
     to ``horizon``, the expectation by both routes (series and linear
     system, each reported even when the other is infinite), and the
-    well-definedness diagnosis at ``max_horizon``.
+    well-definedness diagnosis at ``max_horizon``. One Passage serves all
+    four, so the chain is validated and screened once and the taboo
+    recursion runs once; the results and the errors, in their order, are
+    those of fpt_distribution, check_well_defined, efpt_series and
+    efpt_linear called one by one.
     """
-    dist = fpt_distribution(m, source, target, horizon)
+    passage = Passage(m, source, target)
+    dist = passage.distribution(horizon)
     cdf = dist.cdf()
-    wd = check_well_defined(m, source, target, horizon=max_horizon)
+    wd = passage.well_defined(max_horizon)
     doc = {
         "source": dist.source,
         "target": dist.target,
@@ -205,8 +210,8 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
             "horizon": int(wd.horizon),
         },
         "efpt": {
-            "series": _efpt_series_doc(m, source, target, epsilon, max_horizon),
-            "linear_system": _efpt_linear_doc(m, source, target),
+            "series": _efpt_series_doc(passage, epsilon, max_horizon),
+            "linear_system": _efpt_linear_doc(passage),
         },
         "distribution": [float(v) for v in dist.probabilities],
         "cdf": [float(v) for v in cdf],

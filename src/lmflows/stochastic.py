@@ -23,12 +23,17 @@ def ensure_row_stochastic(m, tol: float = ROW_SUM_TOL) -> np.ndarray:
     first offending row.
     """
     a = as_square_matrix(m)
-    for i, row in enumerate(a):
-        if not np.all(np.isfinite(row)):
+    nonfinite = ~np.isfinite(a).all(axis=1)
+    lowest = a.min(axis=1, initial=np.inf)
+    with np.errstate(invalid="ignore", over="ignore"):  # rows with inf are named as non-finite
+        sums = a.sum(axis=1)
+    bad = nonfinite | (lowest < -_NEG_TOL) | (np.abs(sums - 1.0) > tol)
+    if bad.any():
+        # Within the first bad row: non-finite, then negative, then the sum.
+        i = int(bad.argmax())
+        if nonfinite[i]:
             raise NonStochasticError(i, "contains non-finite entries")
-        if row.min() < -_NEG_TOL:
-            raise NonStochasticError(i, f"negative entry {row.min()!r}")
-        s = float(row.sum())
-        if abs(s - 1.0) > tol:
-            raise NonStochasticError(i, f"row sums to {s!r}, expected 1")
+        if lowest[i] < -_NEG_TOL:
+            raise NonStochasticError(i, f"negative entry {lowest[i]!r}")
+        raise NonStochasticError(i, f"row sums to {float(sums[i])!r}, expected 1")
     return a

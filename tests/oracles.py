@@ -71,3 +71,24 @@ def geometric_fpt(q, horizon):
     """Closed-form passage law for a 2-state chain that fires with rate q."""
     n = np.arange(1, horizon + 1)
     return q * (1.0 - q) ** (n - 1)
+
+
+def series_by_loop(P, i, j, tol, cap):
+    """The passage i -> j summed one term at a time in plain Python floats.
+
+    Steps the vector recursion F(n) = P~ F(n-1) (P with column j zeroed)
+    and adds f(n) and n f(n) in order of n, while n < cap and the unpassed
+    mass 1 - sum f exceeds tol. Returns (n, sum of f, sum of n f, [f(1)..f(n)]).
+    """
+    P = np.asarray(P, dtype=float)
+    taboo = P.copy()
+    taboo[:, j] = 0.0
+    fvec = P[:, j].copy()
+    terms = [float(fvec[i])]
+    total = mean = terms[0]
+    while len(terms) < cap and 1.0 - total > tol:
+        fvec = taboo @ fvec
+        terms.append(float(fvec[i]))
+        total += terms[-1]
+        mean += len(terms) * terms[-1]
+    return len(terms), total, mean, terms

@@ -217,6 +217,32 @@ class TestFptCommand:
         assert code == 0
         assert err == "note: 1 of 2 rows rejected\n"
 
+    def test_data_rejects_written_as_by_transitions(self, tmp_path, capsys):
+        data = write_panel(tmp_path, [
+            "A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1",
+            "B,2019.1",
+            "C,2019.1,2019.2,XX,TE,21,F,1,SOUTH,1",
+        ])
+        by_fpt, by_transitions = tmp_path / "fpt_rejects.csv", tmp_path / "tr_rejects.csv"
+        code, _, err = run(capsys, "fpt", "--data", data, "--quarter", "2019.1",
+                           "--from", "EDU", "--to", "TE", "--horizon", "3",
+                           "--rejects", str(by_fpt))
+        assert code == 0
+        assert err == f"note: 2 of 3 rows rejected; report written to {by_fpt}\n"
+        code, _, _ = run(capsys, "transitions", "--data", data, "--quarter", "2019.1",
+                         "--rejects", str(by_transitions))
+        assert code == 0
+        assert by_fpt.read_bytes() == by_transitions.read_bytes()
+
+    def test_rejects_without_data_is_usage_error(self, tmp_path, capsys):
+        rejects = tmp_path / "rejects.csv"
+        code, out, err = run(capsys, "fpt", "--fixture", "demo_geometric_q25",
+                             "--from", "A", "--to", "B", "--rejects", str(rejects))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--rejects" in err
+        assert not rejects.exists()
+
     def test_data_requires_quarter(self, tmp_path, capsys):
         data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1"])
         code, _, err = run(capsys, "fpt", "--data", data,
@@ -280,6 +306,36 @@ class TestSimulateCommand:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "initial-shares" in err
+
+
+    def test_format_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--fixture", "early_2019Q3", "--n", "5", "--out", str(out),
+                  "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_format_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fallback_policy=uniform\nformat=json\n")
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "simulate", "--fixture", "early_2019Q3", "--n", "5",
+                                "--out", str(out), "--config", str(cfg))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {cfg}: format does not apply to simulate\n"
+        assert not out.exists()
+
+    def test_config_without_format_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fallback_policy=absorbing_fs\n")
+        out = tmp_path / "x.csv"
+        code, _, _ = run(capsys, "simulate", "--fixture", "early_2019Q3", "--n", "5",
+                         "--out", str(out), "--config", str(cfg))
+        assert code == 0
+        assert out.read_text().startswith(PAIR_HEAD)
 
 
 class TestFixturesCommand:
