@@ -10,17 +10,20 @@ fixtures      list the embedded transition tables
 
 Exit codes: 0 on success (including analytically degenerate passage-time
 reports, which are data facts, not failures), 1 when --strict escalates a
-degenerate report, 2 for usage or data errors.
+degenerate report, 2 for usage or data errors. Warnings, such as thin
+transition rows, are printed as one ``warning:`` line each on stderr.
 """
 
 import argparse
 import sys
+import warnings
 
 from . import __version__
 from .config import OUTPUT_FORMATS, RunConfig
 from .errors import LmflowsError
 from .estimation import (
     FALLBACK_POLICIES,
+    ThinRowWarning,
     apply_fallback_policy,
     compute_shares,
     estimate_transition_matrix,
@@ -236,8 +239,14 @@ def cmd_transitions(args) -> int:
 def cmd_fpt(args) -> int:
     cfg = _load_config(args)
     if args.fixture:
-        if args.rejects:
-            raise ValueError("--rejects applies only with --data")
+        data_flags = [flag for flag, value in (
+            ("--rejects", args.rejects), ("--quarter", args.quarter), ("--age", args.age),
+            ("--sex", args.sex), ("--citizen", args.citizen), ("--region", args.region),
+            ("--min-support", args.min_support),
+        ) if value is not None]
+        if data_flags:
+            raise ValueError(f"{', '.join(data_flags)} "
+                             f"{'applies' if len(data_flags) == 1 else 'apply'} only with --data")
         matrix = get_fixture(args.fixture).matrix()
     else:
         if not args.quarter:
@@ -308,14 +317,21 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (LmflowsError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", ThinRowWarning)
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (LmflowsError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def entrypoint() -> None:

@@ -32,18 +32,28 @@ and the person as a code into a table of distinct identifiers. Estimation
 selects rows with a boolean mask over these columns. ``PanelDataset.pairs``
 is an adapter for callers that want one object per pair: it builds a tuple
 of ObservationPair on each read, and the dataset does not keep it.
-Parsing memoises each quarter, state, age, sex, citizen and region token by
-its raw text; a token that fails is parsed again wherever it occurs, so
-rejection texts and line numbers do not depend on the memo.
+
+Files are read as UTF-8 bytes, column by column, a block of about 256 KiB
+at a time (see ``csvblocks``): each field's tokens are looked up in a
+sorted table of the tokens met so far, and a token new to the table is
+parsed once, by the same token parsers a row would use. A row whose token
+fails, or whose quarters are not adjacent, is parsed again as a row, so its
+rejection text and line number are the row parser's. A field longer than
+the csv module's field limit (``csv.field_size_limit()``, 131072
+characters unless changed) rejects its line; bytes that are not UTF-8 fail
+the parse with PanelFormatError naming the line that holds them.
 """
 
 import csv
 import dataclasses
+import io
+import itertools
 import math
 import re
 
 import numpy as np
 
+from . import csvblocks
 from .errors import PanelFormatError
 from .states import (
     AGE_MAX,
@@ -118,7 +128,7 @@ _COLUMNS = {
 
 # Columns of a wave table: one entry per interview, coded as in PanelDataset.
 _WAVE_COLUMNS = ("person", "quarter", "state", "age", "sex", "citizen", "region", "weight")
-_DTYPES = {**_COLUMNS, "state": _COLUMNS["state_from"]}
+_DTYPES = {**_COLUMNS, "state": _COLUMNS["state_from"], "quarter_to": _COLUMNS["quarter"]}
 
 
 def _columns(rows, names) -> dict[str, np.ndarray]:
@@ -130,6 +140,10 @@ def _columns(rows, names) -> dict[str, np.ndarray]:
 def _demographic_codes(d: Demographics) -> tuple:
     return (d.age_at_first_wave, SEX_ORDER.index(d.sex), d.italian_citizen,
             REGION_ORDER.index(d.macro_region))
+
+
+# Rows that PanelDataset.pairs converts to Python lists at a time.
+_PAIRS_CHUNK = 1 << 14
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -197,18 +211,19 @@ class PanelDataset:
                     for u in np.unique(self.quarter).tolist() for q in (u, u + 1)}
         demographics: dict[tuple, Demographics] = {}
         pairs = []
-        for person, q, s_from, s_to, *demo, weight in zip(*(getattr(self, name).tolist()
-                                                            for name in _COLUMNS)):
-            key = tuple(demo)
-            d = demographics.get(key)
-            if d is None:
-                age, sex, citizen, region = key
-                d = demographics[key] = Demographics(
-                    age, SEX_ORDER[sex], citizen, REGION_ORDER[region])
-            pairs.append(ObservationPair(
-                self.person_ids[person], quarters[q], quarters[q + 1],
-                STATE_ORDER[s_from], STATE_ORDER[s_to], d, weight,
-            ))
+        for at in range(0, len(self), _PAIRS_CHUNK):  # a chunk's rows as lists at a time
+            rows = zip(*(getattr(self, name)[at:at + _PAIRS_CHUNK].tolist() for name in _COLUMNS))
+            for person, q, s_from, s_to, *demo, weight in rows:
+                key = tuple(demo)
+                d = demographics.get(key)
+                if d is None:
+                    age, sex, citizen, region = key
+                    d = demographics[key] = Demographics(
+                        age, SEX_ORDER[sex], citizen, REGION_ORDER[region])
+                pairs.append(ObservationPair(
+                    self.person_ids[person], quarters[q], quarters[q + 1],
+                    STATE_ORDER[s_from], STATE_ORDER[s_to], d, weight,
+                ))
         return tuple(pairs)
 
     def _take(self, rows) -> "PanelDataset":
@@ -230,8 +245,6 @@ class ParseReport:
     n_age_filtered: int
 
     def to_csv(self) -> str:
-        import io
-
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["line_number", "reason"])
@@ -246,22 +259,6 @@ class LinkResult:
 
     pairs: tuple[ObservationPair, ...]
     rejected: tuple[tuple[WaveRow, str], ...]
-
-
-class _TokenCodes(dict):
-    """Parsed field values keyed by their raw text; each token is parsed when first seen.
-
-    A token that fails to parse is not stored, so every occurrence of it
-    fails through ``parse`` again, with the same message.
-    """
-
-    def __init__(self, parse):
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, text):
-        value = self[text] = self.parse(text)
-        return value
 
 
 _AGE_RE = re.compile(r"[+-]?[0-9]+")
@@ -286,21 +283,6 @@ def _parse_citizen(text) -> bool:
     return raw == "1"
 
 
-def _field_tables():
-    """Memoised parsers of quarter, state, age, sex, citizen and region tokens, in that order.
-
-    Quarters parse to ordinals and states, sexes and regions to their codes.
-    """
-    return (
-        _TokenCodes(lambda text: QuarterId.parse(text).ordinal),
-        _TokenCodes(lambda text: LaborState.parse(text).index),
-        _TokenCodes(_parse_age),
-        _TokenCodes(lambda text: SEX_ORDER.index(Sex.parse(text))),
-        _TokenCodes(_parse_citizen),
-        _TokenCodes(lambda text: REGION_ORDER.index(MacroRegion.parse(text))),
-    )
-
-
 def _parse_weight(text) -> float:
     raw = str(text).strip()
     if raw == "":
@@ -312,6 +294,29 @@ def _parse_weight(text) -> float:
     if not math.isfinite(w) or w <= 0:
         raise ValueError(f"nonpositive weight {raw}")
     return w
+
+
+def _field_parsers():
+    """Parsers of quarter, state, age, sex, citizen, region and weight tokens, in that order.
+
+    Quarters parse to ordinals and states, sexes and regions to their codes.
+    """
+    return (
+        lambda text: QuarterId.parse(text).ordinal,
+        lambda text: LaborState.parse(text).index,
+        _parse_age,
+        lambda text: SEX_ORDER.index(Sex.parse(text)),
+        _parse_citizen,
+        lambda text: REGION_ORDER.index(MacroRegion.parse(text)),
+        _parse_weight,
+    )
+
+
+# The parser in _field_parsers() of each field after person_id, by header name.
+_FIELD_PARSER = {
+    "quarter_from": 0, "quarter_to": 0, "quarter": 0, "state_from": 1, "state_to": 1,
+    "state": 1, "age": 2, "sex": 3, "citizen": 4, "region": 5, "weight": 6,
+}
 
 
 def _detect_format(header: list[str]) -> str:
@@ -331,7 +336,7 @@ def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseRep
     Parameters
     ----------
     path : str or Path
-        CSV file to read.
+        CSV file to read, UTF-8 encoded.
     format : {"auto", "pair_rows", "wave_rows"}
         Expected layout; "auto" detects it from the header line.
 
@@ -339,85 +344,130 @@ def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseRep
     -------
     (PanelDataset, ParseReport)
         The admitted pairs and the audit report. Malformed rows are listed
-        in the report with their line numbers; an unreadable file or an
-        unknown header raises PanelFormatError.
+        in the report with their line numbers; an unreadable file, bytes
+        that are not UTF-8 or an unknown header raise PanelFormatError.
     """
     if format not in ("auto", "pair_rows", "wave_rows"):
         raise ValueError(f"unknown format {format!r}")
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise PanelFormatError(f"cannot read {path}: {exc}") from exc
 
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path} is empty") from None
-        detected = _detect_format(header)
+        limit = csv.field_size_limit()
+        batches = csvblocks.record_batches(fh, str(path), limit)
+        first = next(batches, None)
+        if first is None:
+            raise PanelFormatError(f"{path} is empty")
+        if first.long[0]:
+            raise PanelFormatError(f"{path}: header {csvblocks.long_field(limit)}")
+        detected = _detect_format(first.fields(0))
         if format != "auto" and detected != format:
             raise PanelFormatError(f"{path} has a {detected} header but {format} was requested")
+        batches = itertools.chain([first.after_first()], batches)
         if detected == "pair_rows":
-            return _parse_pair_rows(reader, str(path))
-        return _parse_wave_rows(reader, str(path))
+            return _parse_pair_rows(batches, str(path))
+        return _parse_wave_rows(batches, str(path))
 
 
-def _pair_fields(row, quarter_of, state_of, age_of, sex_of, citizen_of, region_of) -> tuple:
+def _pair_fields(row, quarter_of, state_of, age_of, sex_of, citizen_of, region_of,
+                 weight_of) -> tuple:
     """Values of the pair columns after ``person`` from one pair_rows row."""
     _, q_from, q_to, s_from, s_to, age, sex, cit, region, weight = row
-    quarter, quarter_to = quarter_of[q_from], quarter_of[q_to]
+    quarter, quarter_to = quarter_of(q_from), quarter_of(q_to)
     if quarter_to != quarter + 1:
         raise ValueError(f"quarters not adjacent ({QuarterId.from_ordinal(quarter)} -> "
                          f"{QuarterId.from_ordinal(quarter_to)})")
-    return (quarter, state_of[s_from], state_of[s_to], age_of[age], sex_of[sex],
-            citizen_of[cit], region_of[region], _parse_weight(weight))
+    return (quarter, state_of(s_from), state_of(s_to), age_of(age), sex_of(sex),
+            citizen_of(cit), region_of(region), weight_of(weight))
 
 
-def _wave_fields(row, quarter_of, state_of, age_of, sex_of, citizen_of, region_of) -> tuple:
+def _wave_fields(row, quarter_of, state_of, age_of, sex_of, citizen_of, region_of,
+                 weight_of) -> tuple:
     """Values of the wave columns after ``person`` from one wave_rows row."""
     _, quarter, state, age, sex, cit, region, weight = row
-    return (quarter_of[quarter], state_of[state], age_of[age], sex_of[sex],
-            citizen_of[cit], region_of[region], _parse_weight(weight))
+    return (quarter_of(quarter), state_of(state), age_of(age), sex_of(sex),
+            citizen_of(cit), region_of(region), weight_of(weight))
 
 
-def _read_rows(reader, header, names, parse_fields):
-    """Parse every data row into the columns ``names``, the person's code first.
+class _Columns:
+    """The columns of the admitted rows of a panel file, filled a batch of records at a time.
 
-    ``parse_fields`` returns a row's other values in order, or raises
-    ValueError to reject it. Returns (person_ids, columns as arrays, line
-    numbers of the admitted rows, rejections, rows read).
+    Each field's tokens are looked up in a table of the tokens met so far,
+    and a token new to it is parsed then (so each distinct token of the file
+    is parsed once). A record whose token fails, or whose quarters are not
+    adjacent, is parsed again by ``parse_fields`` (which returns a row's
+    values after the person in order, or raises ValueError), so its
+    rejection text is that function's.
     """
-    tables = _field_tables()
-    person_codes: dict[str, int] = {}
-    columns = {name: [] for name in names}
-    person_append, *appends = (columns[name].append for name in names)
-    lines = []
-    rejections = []
-    n_rows = 0
-    for row in reader:
-        if not row:
-            continue
-        n_rows += 1
-        if len(row) != len(header):
-            rejections.append((reader.line_num,
-                               f"wrong field count (expected {len(header)}, got {len(row)})"))
-            continue
-        try:
-            values = parse_fields(row, *tables)
-        except ValueError as exc:
-            rejections.append((reader.line_num, str(exc)))
-            continue
-        pid = row[0].strip()
-        code = person_codes.get(pid)
-        if code is None:
-            code = person_codes[pid] = len(person_codes)
-        person_append(code)
-        for append, value in zip(appends, values):
-            append(value)
-        lines.append(reader.line_num)
-    arrays = {name: np.array(columns.pop(name), dtype=_DTYPES[name]) for name in names}
-    return tuple(person_codes), arrays, lines, rejections, n_rows
+
+    def __init__(self, header, names, parse_fields):
+        self.header, self.names, self.parse_fields = header, tuple(names), parse_fields
+        self.parsers = _field_parsers()
+        self.fields = []
+        rest = iter(self.names[1:])  # the column each field after person_id fills
+        for field in header[1:]:
+            name = field if field == "quarter_to" else next(rest)  # quarter_to is only checked
+            parse = self.parsers[_FIELD_PARSER[field]]
+            self.fields.append((name, csvblocks.FieldTable(parse, _DTYPES[name])))
+        self.persons = csvblocks.PersonTable()
+        self.parts = {name: [] for name in (*self.names, "line")}
+        self.rejections = []
+        self.n_rows = 0
+        self.long_field = csvblocks.long_field(csv.field_size_limit())
+
+    def add(self, rec: csvblocks.Records) -> None:
+        k = len(self.header)
+        real = (rec.count > 0) | rec.long
+        self.n_rows += int(real.sum())
+        ok = (rec.count == k) & ~rec.long
+        for line, too_long, count in zip(*(column[real & ~ok].tolist()
+                                           for column in (rec.line, rec.long, rec.count))):
+            self.rejections.append((line, self.long_field if too_long
+                                    else f"wrong field count (expected {k}, got {count})"))
+        at = rec.first[ok][:, None] + np.arange(k)
+        start, end, line = rec.start[at], rec.end[at], rec.line[ok]
+        failed = np.zeros(len(line), dtype=bool)
+        values = {}
+        for j, (name, table) in enumerate(self.fields, start=1):
+            values[name], bad = table.decode(rec, start[:, j], end[:, j])
+            failed |= bad
+        if "quarter_to" in values:
+            failed |= values.pop("quarter_to") != values["quarter"] + 1
+        for r in np.flatnonzero(failed).tolist():
+            row = [rec.data[s:e].decode() for s, e in zip(start[r].tolist(), end[r].tolist())]
+            try:
+                self.parse_fields(row, *self.parsers)
+            except ValueError as exc:
+                self.rejections.append((int(line[r]), str(exc)))
+        keep = ~failed
+        self.parts[self.names[0]].append(self.persons.codes(rec, start[keep, 0], end[keep, 0]))
+        for name in self.names[1:]:
+            self.parts[name].append(values[name][keep])
+        self.parts["line"].append(line[keep])
+
+    def result(self):
+        """(person_ids, columns as arrays, line numbers of the admitted rows, rejections, rows read)."""
+        parts = self.parts
+        columns = {name: np.concatenate(parts.pop(name) or [np.empty(0, _DTYPES[name])])
+                   for name in self.names}
+        lines = np.concatenate(parts.pop("line") or [np.empty(0, dtype=np.int64)])
+        return (tuple(self.persons.ids), columns, lines,
+                sorted(self.rejections, key=lambda item: item[0]), self.n_rows)
+
+
+def _read_rows(batches, header, names, parse_fields):
+    """Parse every data record into the columns ``names``, the person's code first.
+
+    Returns (person_ids, columns as arrays, line numbers of the admitted
+    rows, rejections, rows read); see _Columns.
+    """
+    columns = _Columns(header, names, parse_fields)
+    for rec in batches:
+        columns.add(rec)
+        del rec  # not kept while the next batch is read
+    return columns.result()
 
 
 def _in_scope(admitted: PanelDataset, rejections, n_rows) -> tuple[PanelDataset, ParseReport]:
@@ -432,17 +482,18 @@ def _in_scope(admitted: PanelDataset, rejections, n_rows) -> tuple[PanelDataset,
     return dataset, report
 
 
-def _parse_pair_rows(reader, src: str) -> tuple[PanelDataset, ParseReport]:
+def _parse_pair_rows(batches, src: str) -> tuple[PanelDataset, ParseReport]:
     person_ids, columns, _, rejections, n_rows = _read_rows(
-        reader, PAIR_HEADER, _COLUMNS, _pair_fields)
+        batches, PAIR_HEADER, _COLUMNS, _pair_fields)
     admitted = PanelDataset(person_ids=person_ids, provenance=f"pair_rows:{src}", **columns)
     return _in_scope(admitted, rejections, n_rows)
 
 
-def _parse_wave_rows(reader, src: str) -> tuple[PanelDataset, ParseReport]:
+def _parse_wave_rows(batches, src: str) -> tuple[PanelDataset, ParseReport]:
     person_ids, waves, lines, rejections, n_rows = _read_rows(
-        reader, WAVE_HEADER, _WAVE_COLUMNS, _wave_fields)
+        batches, WAVE_HEADER, _WAVE_COLUMNS, _wave_fields)
     keep, dup_rejected = _screen_duplicates(waves, person_ids, lines)
+    dup_rejected = [(int(line), reason) for line, reason in dup_rejected]
     rejections = sorted(rejections + dup_rejected, key=lambda item: item[0])
     linked = _link({name: column[keep] for name, column in waves.items()}, person_ids,
                    provenance=f"wave_rows:{src}")

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: exhaustive enumeration and direct
 counting, no shared code with the package beyond numpy. Slow but obviously
-correct on small inputs.
+correct on small inputs. The one exception is ``read_panel_by_loop``, which
+reads a panel file one row at a time with ``csv.reader`` and, by design,
+the package's own token parsers (what each token means is theirs to say).
 """
 
+import csv
 import itertools
 
 import numpy as np
@@ -92,3 +95,83 @@ def series_by_loop(P, i, j, tol, cap):
         total += terms[-1]
         mean += len(terms) * terms[-1]
     return len(terms), total, mean, terms
+
+
+def _pair_values(row):
+    from lmflows.panel import _parse_age, _parse_citizen, _parse_weight
+    from lmflows.states import REGION_ORDER, SEX_ORDER, LaborState, MacroRegion, QuarterId, Sex
+
+    _, q_from, q_to, s_from, s_to, age, sex, cit, region, weight = row
+    quarter, quarter_to = QuarterId.parse(q_from).ordinal, QuarterId.parse(q_to).ordinal
+    if quarter_to != quarter + 1:
+        raise ValueError(f"quarters not adjacent ({QuarterId.from_ordinal(quarter)} -> "
+                         f"{QuarterId.from_ordinal(quarter_to)})")
+    return [quarter, LaborState.parse(s_from).index, LaborState.parse(s_to).index,
+            _parse_age(age), SEX_ORDER.index(Sex.parse(sex)), _parse_citizen(cit),
+            REGION_ORDER.index(MacroRegion.parse(region)), _parse_weight(weight)]
+
+
+def _wave_values(row):
+    from lmflows.panel import _parse_age, _parse_citizen, _parse_weight
+    from lmflows.states import REGION_ORDER, SEX_ORDER, LaborState, MacroRegion, QuarterId, Sex
+
+    _, quarter, state, age, sex, cit, region, weight = row
+    return [QuarterId.parse(quarter).ordinal, LaborState.parse(state).index, _parse_age(age),
+            SEX_ORDER.index(Sex.parse(sex)), _parse_citizen(cit),
+            REGION_ORDER.index(MacroRegion.parse(region)), _parse_weight(weight)]
+
+
+PAIR_COLUMNS = ("person", "quarter", "state_from", "state_to", "age", "sex", "citizen",
+                "region", "weight")
+WAVE_COLUMNS = ("person", "quarter", "state", "age", "sex", "citizen", "region", "weight")
+
+
+def read_panel_by_loop(path):
+    """A panel file read one row at a time, as plain as it gets.
+
+    ``csv.reader`` over the UTF-8 text (opened with ``newline=""``) gives
+    the rows and ``reader.line_num`` their line numbers; blank rows are
+    skipped; a row ``csv.reader`` refuses for a field past its limit is
+    rejected as "field longer than N characters"; then field count, then
+    the token parsers in field order decide. Person ids are stripped and
+    numbered in order of first appearance among admitted rows. Returns
+    (layout, person_ids, {column: list of values}, line numbers of the
+    admitted rows, [(line, reason)], rows read). Bytes that are not UTF-8
+    raise UnicodeDecodeError.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        names = tuple(h.strip().lstrip("\ufeff") for h in header)
+        pair = names[1] == "quarter_from"
+        values_of, columns = (_pair_values, PAIR_COLUMNS) if pair else (_wave_values, WAVE_COLUMNS)
+        person_codes, table = {}, {name: [] for name in columns}
+        lines, rejections, n_rows = [], [], 0
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error:
+                n_rows += 1
+                rejections.append((reader.line_num,
+                                   f"field longer than {csv.field_size_limit()} characters"))
+                continue
+            if not row:
+                continue
+            n_rows += 1
+            if len(row) != len(header):
+                rejections.append((reader.line_num,
+                                   f"wrong field count (expected {len(header)}, got {len(row)})"))
+                continue
+            try:
+                values = values_of(row)
+            except ValueError as exc:
+                rejections.append((reader.line_num, str(exc)))
+                continue
+            values.insert(0, person_codes.setdefault(row[0].strip(), len(person_codes)))
+            for name, value in zip(columns, values):
+                table[name].append(value)
+            lines.append(reader.line_num)
+    layout = "pair_rows" if pair else "wave_rows"
+    return layout, tuple(person_codes), table, lines, rejections, n_rows

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,34 @@ class TestTransitionsCommand:
         assert lines[1].startswith("3,")
 
 
+class TestDiagnostics:
+    def test_thin_rows_warned_on_one_stderr_line(self, tmp_path, capsys):
+        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1"])
+        code, out, err = run(capsys, "transitions", "--data", data, "--quarter", "2019.1")
+        assert code == 0
+        assert err == ("warning: thin transition rows departing 2019.1 (all): EDU"
+                       " below support floor 30\n")
+        code, quiet_out, quiet_err = run(capsys, "transitions", "--data", data,
+                                         "--quarter", "2019.1", "--min-support", "0")
+        assert (code, quiet_err) == (0, "")
+        assert out == quiet_out
+
+    def test_unasserted_thin_row_warning_fails_a_test(self):
+        from lmflows.estimation import ThinRowWarning
+
+        with pytest.raises(ThinRowWarning):
+            warnings.warn("thin", ThinRowWarning)
+
+    def test_invalid_utf8_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(PAIR_HEAD.encode() + b"\nA\xff,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1\n")
+        code, out, err = run(capsys, "transitions", "--data", str(path), "--quarter", "2019.1")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {path}: line 2 is not UTF-8 text "
+                       "(invalid start byte: byte 0xff)\n")
+
+
 class TestFptCommand:
     def test_fixture_report_csv(self, capsys):
         code, out, _ = run(capsys, "fpt", "--fixture", "demo_geometric_q25",
@@ -215,7 +244,9 @@ class TestFptCommand:
         code, _, err = run(capsys, "fpt", "--data", data, "--quarter", "2019.1",
                            "--from", "EDU", "--to", "TE", "--horizon", "3")
         assert code == 0
-        assert err == "note: 1 of 2 rows rejected\n"
+        assert err == ("note: 1 of 2 rows rejected\n"
+                       "warning: thin transition rows departing 2019.1 (all): EDU"
+                       " below support floor 30\n")
 
     def test_data_rejects_written_as_by_transitions(self, tmp_path, capsys):
         data = write_panel(tmp_path, [
@@ -228,7 +259,9 @@ class TestFptCommand:
                            "--from", "EDU", "--to", "TE", "--horizon", "3",
                            "--rejects", str(by_fpt))
         assert code == 0
-        assert err == f"note: 2 of 3 rows rejected; report written to {by_fpt}\n"
+        assert err == (f"note: 2 of 3 rows rejected; report written to {by_fpt}\n"
+                       "warning: thin transition rows departing 2019.1 (all): EDU"
+                       " below support floor 30\n")
         code, _, _ = run(capsys, "transitions", "--data", data, "--quarter", "2019.1",
                          "--rejects", str(by_transitions))
         assert code == 0
@@ -242,6 +275,36 @@ class TestFptCommand:
         assert out == ""
         assert err.startswith("error:") and "--rejects" in err
         assert not rejects.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--quarter", "1999.9"],
+        ["--age", "teens"],
+        ["--sex", "F"],
+        ["--citizen", "0"],
+        ["--region", "SOUTH"],
+        ["--min-support", "5"],
+    ], ids=lambda flags: flags[0])
+    def test_data_flags_with_fixture_are_usage_errors(self, flags, capsys):
+        code, out, err = run(capsys, "fpt", "--fixture", "demo_geometric_q25",
+                             "--from", "A", "--to", "B", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flags[0]} applies only with --data\n"
+
+    def test_every_data_flag_with_fixture_is_named(self, capsys):
+        code, _, err = run(capsys, "fpt", "--fixture", "demo_geometric_q25", "--from", "A",
+                           "--to", "B", "--quarter", "1999.9", "--age", "teens",
+                           "--min-support", "5")
+        assert code == 2
+        assert err == "error: --quarter, --age, --min-support apply only with --data\n"
+
+    def test_config_min_support_accepted_with_fixture(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min_support=5\n")
+        code, out, _ = run(capsys, "fpt", "--fixture", "demo_geometric_q25",
+                           "--from", "A", "--to", "B", "--config", str(cfg))
+        assert code == 0
+        assert out.startswith("# source=A")
 
     def test_data_requires_quarter(self, tmp_path, capsys):
         data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1"])

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,40 @@ class TestPairRowsParsing:
         path = write(tmp_path, "p.csv", PAIR_HEAD + "\n")
         with pytest.raises(PanelFormatError):
             parse_panel_file(path, format="wave_rows")
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["byte-split", "csv-reader"])
+    def test_invalid_utf8_names_path_and_line(self, tmp_path, quoted):
+        path = tmp_path / "p.csv"
+        second = '"A",2019.1' if quoted else "A,2019.1"
+        path.write_bytes(PAIR_HEAD.encode() + b"\n" + second.encode()
+                         + b",2019.2,EDU,TE,21,F,1,SOUTH,1\nB\xff,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1\n")
+        with pytest.raises(PanelFormatError) as info:
+            parse_panel_file(path)
+        assert str(info.value) == (f"{path}: line 3 is not UTF-8 text "
+                                   "(invalid start byte: byte 0xff)")
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["byte-split", "csv-reader"])
+    def test_over_long_field_rejects_its_line(self, tmp_path, quoted):
+        limit = csv.field_size_limit()
+        long_id = "X" * (limit + 1)
+        fits = "Y" * limit
+        if quoted:
+            long_id, fits = f'"{long_id}"', f'"{fits}"'
+        path = write(tmp_path, "p.csv", PAIR_HEAD + "\n"
+                     + long_id + ",2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1\n"
+                     + fits + ",2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1\n"
+                     + long_id + "\n")
+        data, report = parse_panel_file(path)
+        assert report.rejections == ((2, f"field longer than {limit} characters"),
+                                     (4, f"field longer than {limit} characters"))
+        assert report.n_rows == 3
+        assert data.person_ids == ("Y" * limit,)
+        assert csv.field_size_limit() == limit
+
+    def test_over_long_header_field_is_fatal(self, tmp_path):
+        path = write(tmp_path, "p.csv", "x" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(PanelFormatError, match="longer than"):
+            parse_panel_file(path)
 
 
 class TestWaveRowsParsing:
