@@ -15,7 +15,9 @@ transition rows, are printed as one ``warning:`` line each on stderr.
 """
 
 import argparse
+import os
 import sys
+import tempfile
 import warnings
 
 from . import __version__
@@ -181,10 +183,36 @@ def _cohort_from_args(args) -> CohortFilter:
     )
 
 
+def _write_file(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A failed write leaves the target as it was and no temporary file behind.
+    A path that is not a regular file (a terminal, a pipe) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)  # through a symlink, the file it names is replaced
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".lmflows-", dir=os.path.dirname(target))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives a new file, not mkstemp's 0o600
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -192,8 +220,7 @@ def _emit(text: str, out_path) -> None:
 def _load_dataset(args):
     dataset, report = parse_panel_file(args.data)
     if getattr(args, "rejects", None):
-        with open(args.rejects, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+        _write_file(args.rejects, report.to_csv())
     if report.rejections:
         print(
             f"note: {len(report.rejections)} of {report.n_rows} rows rejected"

@@ -1,8 +1,9 @@
-"""A CSV file read a block of bytes at a time, and tables of the distinct tokens of its fields.
+"""A CSV file read a block of bytes at a time, and the decoding of its fields' tokens.
 
 ``record_batches`` reads a binary file in blocks of about BLOCK_BYTES, each
-cut after a newline, and gives each block's records as byte ranges of their
-fields (``Records``). A block holding no double quote and no carriage
+cut after a newline (a byte order mark at the start of the file is dropped
+first), and gives each block's records as byte ranges of their fields
+(``Records``). A block holding no double quote and no carriage
 return is split at commas and newlines with numpy; any other block is read
 by ``csv.reader``, the reference for quoting, embedded newlines and CRLF,
 and a quoted field running past the block takes in the blocks after it.
@@ -10,12 +11,17 @@ Either way a field longer than the csv module's field limit flags its
 record, where ``csv.reader`` would raise, and bytes that are not UTF-8
 raise PanelFormatError naming their line.
 
-``FieldTable`` and ``PersonTable`` keep the distinct tokens of one field
-met so far as a sorted array of fixed-width keys (a uint64 up to 8 bytes,
-else ``S<n>``), so a block's tokens are looked up with one sort and one
-binary search, and a token new to the table is decoded and parsed once.
+Tokens are keyed by their bytes, as fixed-width keys (a uint64 up to 8
+bytes, else ``S<n>``). ``FieldTable`` keeps the distinct tokens of a field
+of few values met so far as a sorted array of keys: a block's tokens are
+looked up with one binary search, and only those the table lacks are
+decoded and parsed, once each. ``DecimalField`` decodes a column of
+decimal numbers with numpy, exactly, and keeps only the tokens it cannot
+decode that way in a table. ``PersonTable`` keeps the keys of every row
+and numbers the distinct ones once, when the whole file is read.
 """
 
+import codecs
 import csv
 import dataclasses
 import functools
@@ -104,9 +110,12 @@ def record_batches(fh, path: str, limit: int):
 def _blocks(fh):
     """The bytes of ``fh`` in blocks of about BLOCK_BYTES that end after a newline.
 
-    Only the last block may lack a final newline.
+    A byte order mark at the start of the file is dropped. Only the last
+    block may lack a final newline.
     """
-    tail = b""
+    tail = fh.read(len(codecs.BOM_UTF8))
+    if tail == codecs.BOM_UTF8:
+        tail = b""
     while chunk := fh.read(BLOCK_BYTES):
         cut = chunk.rfind(b"\n") + 1
         if cut:
@@ -224,49 +233,18 @@ _ASIDE = np.uint64(0xFF << 56)
 
 
 class _Table:
-    """The distinct tokens of one field met so far in a parse, as a sorted array of keys.
+    """Fixed-width keys of the tokens of one field, with the texts of tokens set aside.
 
     A token is keyed by its bytes, zero-padded: as a little-endian uint64
-    while the tokens fit in 8 bytes, else as ``S<n>`` (the S8 view of a
-    uint64 key is the same bytes). Zero padding cannot tell a token that
-    ends in NUL from a shorter one, and a token longer than KEY_BYTES would
-    widen every key of its batch; such tokens are numbered in ``aside`` and
-    keyed as _ASIDE plus their number. ``data`` holds, in key order, one
-    array per thing kept about each token, which ``_enter`` works out.
+    while the tokens of a batch fit in 8 bytes, else as ``S<n>`` (the S8
+    view of a uint64 key is the same bytes). Zero padding cannot tell a
+    token that ends in NUL from a shorter one, and a token longer than
+    KEY_BYTES would widen every key of its batch; such tokens are numbered
+    in ``aside``, for the whole parse, and keyed as _ASIDE plus their number.
     """
 
-    def __init__(self, *dtypes):
-        self.keys = np.empty(0, dtype=np.uint64)
-        self.data = [np.empty(0, dtype=dtype) for dtype in dtypes]
+    def __init__(self):
         self.aside: dict[str, int] = {}
-
-    def _enter(self, texts: list[str], first: np.ndarray) -> list[np.ndarray]:
-        """The arrays of ``data`` for new tokens, given their texts and the row
-        where each first occurs, in key order."""
-        raise NotImplementedError
-
-    def rows(self, rec: Records, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-        """The table index of each token ``rec.data[start:end]``, new tokens entered first."""
-        keys = self._common(self._keys(rec, start, end))
-        order = np.argsort(keys)
-        ordered = keys[order]
-        new = np.ones(len(keys), dtype=bool)
-        new[1:] = ordered[1:] != ordered[:-1]
-        inverse = np.empty(len(keys), dtype=np.intp)
-        inverse[order] = np.cumsum(new) - 1
-        distinct = ordered[new]
-        at = np.searchsorted(self.keys, distinct)
-        unknown = at == len(self.keys)
-        unknown[~unknown] = self.keys[at[~unknown]] != distinct[~unknown]
-        if unknown.any():
-            first = np.full(len(distinct), len(keys), dtype=np.intp)
-            np.minimum.at(first, inverse, np.arange(len(keys)))
-            fresh = distinct[unknown]
-            self.keys = np.insert(self.keys, at[unknown], fresh)
-            self.data = [np.insert(column, at[unknown], values) for column, values in
-                         zip(self.data, self._enter(self._texts(fresh), first[unknown]))]
-            at = np.searchsorted(self.keys, distinct)
-        return at[inverse]
 
     def _keys(self, rec, start, end) -> np.ndarray:
         n = len(start)
@@ -290,29 +268,16 @@ class _Table:
             keys[odd] = aside if keys.dtype == np.uint64 else aside.view("S8")
         return keys
 
-    def _common(self, keys: np.ndarray) -> np.ndarray:
-        """``keys`` as keys of one type with the table's, widening (and re-sorting) the table."""
-        if keys.dtype == self.keys.dtype:
-            return keys
-        width = max(keys.itemsize, self.keys.itemsize)
-        if self.keys.dtype != f"S{width}":
-            table = _key_bytes(self.keys, width)
-            order = np.argsort(table)
-            self.keys, self.data = table[order], [column[order] for column in self.data]
-        return _key_bytes(keys, width)
-
     def _texts(self, keys: np.ndarray) -> list[str]:
         """The texts of the tokens with these keys."""
         lead = keys.view(np.uint8).reshape(len(keys), keys.itemsize)[:, :8].copy().view("<u8").ravel()
         aside = lead >= _ASIDE
-        tokens = keys[~aside].view(f"S{keys.itemsize}")
-        if (tokens.view(np.uint8) < 0x80).all():
-            texts = tokens.astype(f"U{tokens.itemsize}").tolist()
-        else:
-            texts = [token.decode() for token in tokens.tolist()]
-        names = list(self.aside) if aside.any() else []
-        for i, number in zip(np.flatnonzero(aside).tolist(), (lead[aside] - _ASIDE).tolist()):
-            texts.insert(i, names[number])
+        texts = list(map(bytes.decode, keys[~aside].view(f"S{keys.itemsize}").tolist()))
+        if aside.any():
+            names = list(self.aside)
+            set_aside = iter([names[number] for number in (lead[aside] - _ASIDE).tolist()])
+            plain = iter(texts)
+            texts = [next(set_aside) if odd else next(plain) for odd in aside.tolist()]
         return texts
 
 
@@ -322,57 +287,129 @@ def _key_bytes(keys: np.ndarray, width: int) -> np.ndarray:
 
 
 class FieldTable(_Table):
-    """A field's tokens, with the value each parses to and whether its parse failed."""
+    """A field's distinct tokens met so far, as a sorted array of keys, with
+    the value each parses to and whether its parse failed."""
 
     def __init__(self, parse, dtype):
-        super().__init__(dtype, bool)
+        super().__init__()
         self.parse = parse
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.values = np.empty(0, dtype=dtype)
+        self.failed = np.empty(0, dtype=bool)
 
     def decode(self, rec: Records, start, end) -> tuple[np.ndarray, np.ndarray]:
-        """The value of each token ``rec.data[start:end]`` (0 if it failed), and whether it failed."""
-        rows = self.rows(rec, start, end)  # first: it may enter tokens, replacing data
-        return self.data[0][rows], self.data[1][rows]
+        """The value of each token ``rec.data[start:end]`` (0 if it failed), and whether it failed.
 
-    def _enter(self, texts, first):
-        values, failed = [], []
-        for i, text in enumerate(texts):
-            try:
-                values.append(self.parse(text))
-            except ValueError:
-                values.append(0)
-                failed.append(i)
-        bad = np.zeros(len(texts), dtype=bool)
-        bad[failed] = True
-        return [np.array(values, dtype=self.data[0].dtype), bad]
+        The tokens are looked up with one binary search; only those the
+        table lacks are parsed, once each, and entered.
+        """
+        keys = self._common(self._keys(rec, start, end))
+        at = np.searchsorted(self.keys, keys)
+        known = at < len(self.keys)
+        known[known] = self.keys[at[known]] == keys[known]
+        if not known.all():
+            fresh = np.unique(keys[~known])
+            values, failed = [], []
+            for text in self._texts(fresh):
+                try:
+                    values.append(self.parse(text))
+                    failed.append(False)
+                except ValueError:
+                    values.append(0)
+                    failed.append(True)
+            where = np.searchsorted(self.keys, fresh)
+            self.keys = np.insert(self.keys, where, fresh)
+            self.values = np.insert(self.values, where, values)
+            self.failed = np.insert(self.failed, where, failed)
+            at = np.searchsorted(self.keys, keys)
+        return self.values[at], self.failed[at]
+
+    def _common(self, keys: np.ndarray) -> np.ndarray:
+        """``keys`` as keys of one type with the table's, widening (and re-sorting) the table."""
+        if keys.dtype == self.keys.dtype:
+            return keys
+        width = max(keys.itemsize, self.keys.itemsize)
+        if self.keys.dtype != f"S{width}":
+            table = _key_bytes(self.keys, width)
+            order = np.argsort(table)
+            self.keys, self.values, self.failed = table[order], self.values[order], self.failed[order]
+        return _key_bytes(keys, width)
 
 
 class PersonTable(_Table):
-    """Person id tokens, with the code of each one's stripped id; ids numbered as they appear."""
+    """The person id tokens of a file's admitted rows, numbered once the file is read."""
 
     def __init__(self):
-        super().__init__(np.int64)
-        self.ids: list[str] = []
-        self.index: dict[str, int] | None = None  # kept once some raw id differs from its stripped form
+        super().__init__()
+        self.parts: list[np.ndarray] = []
 
-    def codes(self, rec: Records, start, end) -> np.ndarray:
-        """The code of each row's person id ``rec.data[start:end]``."""
-        rows = self.rows(rec, start, end)  # first: it may enter tokens, replacing data
-        return self.data[0][rows]
+    def add(self, rec: Records, start, end) -> None:
+        """Keep the keys of the person ids ``rec.data[start:end]`` of a batch's admitted rows."""
+        self.parts.append(self._keys(rec, start, end))
 
-    def _enter(self, texts, first):
-        order = np.argsort(first).tolist()
-        raw = [texts[i] for i in order]
-        ids = list(map(str.strip, raw))
-        codes = np.empty(len(texts), dtype=np.int64)
-        if self.index is None and ids == raw:
-            codes[order] = np.arange(len(self.ids), len(self.ids) + len(ids))
-            self.ids += ids
-        else:
-            if self.index is None:
-                self.index = dict(zip(self.ids, range(len(self.ids))))
-            for i, pid in zip(order, ids):
-                if pid not in self.index:
-                    self.index[pid] = len(self.ids)
-                    self.ids.append(pid)
-                codes[i] = self.index[pid]
-        return [codes]
+    def codes(self) -> tuple[list[str], np.ndarray]:
+        """The distinct stripped ids in order of first appearance, and each row's code into them."""
+        parts = self.parts or [np.empty(0, dtype=np.uint64)]
+        if any(part.dtype != np.uint64 for part in parts):
+            width = max(part.itemsize for part in parts)
+            parts = [_key_bytes(part, width) for part in parts]
+        distinct, first, inverse = np.unique(np.concatenate(parts), return_index=True,
+                                             return_inverse=True)
+        order = np.argsort(first)
+        code = np.empty(len(order), dtype=np.int64)
+        code[order] = np.arange(len(order))
+        raw = self._texts(distinct[order])
+        ids = [text.strip() for text in raw]
+        if ids != raw:  # raw ids that differ only in padding share a code
+            index: dict[str, int] = {}
+            merged = np.array([index.setdefault(pid, len(index)) for pid in ids], dtype=np.int64)
+            code, ids = merged[code], list(index)
+        return ids, code[inverse.ravel()]
+
+
+# 10**k for k = 0..15, each exact in float64.
+_POW10 = np.array([10.0 ** k for k in range(16)])
+
+
+class DecimalField(FieldTable):
+    """A field of decimal numbers, decoded by ``_decimals`` where it can, else as by FieldTable.
+
+    A token of 1 to 15 ASCII digits, at most one ``.`` among them, is its
+    mantissa m over 10**k, k the digits after the point. Both are exact in
+    float64, so the quotient is correctly rounded: it equals ``float(text)``
+    (Clinger, *How to Read Floating Point Numbers Accurately*, PLDI 1990).
+    """
+
+    def decode(self, rec: Records, start, end) -> tuple[np.ndarray, np.ndarray]:
+        values, fast = _decimals(rec, start, end)
+        failed = np.zeros(len(values), dtype=bool)
+        if not fast.all():
+            values[~fast], failed[~fast] = super().decode(rec, start[~fast], end[~fast])
+        return values, failed
+
+
+def _decimals(rec: Records, start, end) -> tuple[np.ndarray, np.ndarray]:
+    """m / 10**k for each token of 1 to 15 ASCII digits and at most one point
+    with a mantissa m > 0, and which tokens those are (the others' values are junk)."""
+    length = end - start
+    width = min(int(length.max(initial=0)), 16)
+    if width <= 8:
+        text = rec.words[start].view(np.uint8).reshape(-1, 8)
+    else:
+        after = rec.words[np.minimum(start + 8, len(rec.words) - 1)]
+        text = np.stack([rec.words[start], after], axis=1).view(np.uint8)
+    # Byte c of row r is the token's while c < length[r]; read one column at a time.
+    mantissa = np.zeros(len(start), dtype=np.int64)
+    point = np.full(len(start), -1, dtype=np.int64)
+    odd = length > 16
+    for c in range(width):
+        inside = c < length
+        d = text[:, c] - ord("0")  # uint8: any byte but a digit wraps past 9
+        digit = (d < 10) & inside
+        mantissa = np.where(digit, mantissa * 10 + d, mantissa)
+        first_point = (text[:, c] == ord(".")) & inside & (point < 0)
+        point[first_point] = c
+        odd |= inside & ~digit & ~first_point
+    scale = np.where(point >= 0, length - 1 - point, 0)
+    fast = ~odd & (length - (point >= 0) <= 15) & (mantissa > 0)  # 15 digits at most
+    return mantissa / _POW10[np.where(fast, scale, 0)], fast

@@ -11,12 +11,13 @@ wave_rows (one row per interview), header::
     person_id,quarter,state,age,sex,citizen,region,weight
 
 Quarters are written ``YYYY.Q``, sex as M/F, citizen as 0/1, region as
-NORTH/CENTRE/SOUTH. The weight column may be blank (read as 1.0) but must be
-positive when present. Malformed rows are rejected, not fatal: parsing
-returns a report of (line_number, reason) so dirty survey files stay
-auditable. Rows whose first-wave age falls outside 15-34 are dropped from
-the analysis dataset and counted separately (they are valid, just out of
-scope).
+NORTH/CENTRE/SOUTH. A weight is ASCII decimal (digits with at most one
+point, then optionally ``e``, a sign and digits); it may be blank (read as
+1.0) but must be positive when present. Malformed rows are rejected, not
+fatal: parsing returns a report of (line_number, reason) so dirty survey
+files stay auditable. Rows whose first-wave age falls outside 15-34 are
+dropped from the analysis dataset and counted separately (they are valid,
+just out of scope).
 
 Wave files are linked into 3-month pairs: one pair per person per adjacent
 quarter couple, demographics and weight taken from the first wave of the
@@ -34,11 +35,13 @@ is an adapter for callers that want one object per pair: it builds a tuple
 of ObservationPair on each read, and the dataset does not keep it.
 
 Files are read as UTF-8 bytes, column by column, a block of about 256 KiB
-at a time (see ``csvblocks``): each field's tokens are looked up in a
-sorted table of the tokens met so far, and a token new to the table is
-parsed once, by the same token parsers a row would use. A row whose token
-fails, or whose quarters are not adjacent, is parsed again as a row, so its
-rejection text and line number are the row parser's. A field longer than
+at a time (see ``csvblocks``). A field's tokens are looked up in a sorted
+table of the tokens met so far, and a token new to the table is parsed
+once, by the same token parser a row would use; but weights are decoded
+directly where they can be, and person ids are numbered once the whole
+file is read. A row whose token fails, or whose quarters are not adjacent,
+is parsed again as a row, so its rejection text and line number are the
+row parser's. A field longer than
 the csv module's field limit (``csv.field_size_limit()``, 131072
 characters unless changed) rejects its line; bytes that are not UTF-8 fail
 the parse with PanelFormatError naming the line that holds them.
@@ -283,6 +286,9 @@ def _parse_citizen(text) -> bool:
     return raw == "1"
 
 
+_WEIGHT_RE = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def _parse_weight(text) -> float:
     raw = str(text).strip()
     if raw == "":
@@ -293,6 +299,10 @@ def _parse_weight(text) -> float:
         raise ValueError(f"invalid weight {text!r}") from None
     if not math.isfinite(w) or w <= 0:
         raise ValueError(f"nonpositive weight {raw}")
+    # float() also reads signs, underscores and non-ASCII digits. Checked last,
+    # so a text that float() refuses or finds nonpositive keeps that reason.
+    if not _WEIGHT_RE.fullmatch(raw):
+        raise ValueError(f"invalid weight {text!r}")
     return w
 
 
@@ -320,7 +330,7 @@ _FIELD_PARSER = {
 
 
 def _detect_format(header: list[str]) -> str:
-    cleaned = tuple(h.strip().lstrip("﻿") for h in header)
+    cleaned = tuple(h.strip() for h in header)
     if cleaned == PAIR_HEADER:
         return "pair_rows"
     if cleaned == WAVE_HEADER:
@@ -394,9 +404,10 @@ def _wave_fields(row, quarter_of, state_of, age_of, sex_of, citizen_of, region_o
 class _Columns:
     """The columns of the admitted rows of a panel file, filled a batch of records at a time.
 
-    Each field's tokens are looked up in a table of the tokens met so far,
-    and a token new to it is parsed then (so each distinct token of the file
-    is parsed once). A record whose token fails, or whose quarters are not
+    A field's tokens are looked up in a table of the tokens met so far, and
+    a token new to it is parsed then, once; weights are mostly decoded
+    directly (``csvblocks.DecimalField``), and person ids are numbered in
+    ``result``. A record whose token fails, or whose quarters are not
     adjacent, is parsed again by ``parse_fields`` (which returns a row's
     values after the person in order, or raises ValueError), so its
     rejection text is that function's.
@@ -410,9 +421,10 @@ class _Columns:
         for field in header[1:]:
             name = field if field == "quarter_to" else next(rest)  # quarter_to is only checked
             parse = self.parsers[_FIELD_PARSER[field]]
-            self.fields.append((name, csvblocks.FieldTable(parse, _DTYPES[name])))
+            table = csvblocks.DecimalField if field == "weight" else csvblocks.FieldTable
+            self.fields.append((name, table(parse, _DTYPES[name])))
         self.persons = csvblocks.PersonTable()
-        self.parts = {name: [] for name in (*self.names, "line")}
+        self.parts = {name: [] for name in (*self.names[1:], "line")}
         self.rejections = []
         self.n_rows = 0
         self.long_field = csvblocks.long_field(csv.field_size_limit())
@@ -442,7 +454,7 @@ class _Columns:
             except ValueError as exc:
                 self.rejections.append((int(line[r]), str(exc)))
         keep = ~failed
-        self.parts[self.names[0]].append(self.persons.codes(rec, start[keep, 0], end[keep, 0]))
+        self.persons.add(rec, start[keep, 0], end[keep, 0])
         for name in self.names[1:]:
             self.parts[name].append(values[name][keep])
         self.parts["line"].append(line[keep])
@@ -451,9 +463,10 @@ class _Columns:
         """(person_ids, columns as arrays, line numbers of the admitted rows, rejections, rows read)."""
         parts = self.parts
         columns = {name: np.concatenate(parts.pop(name) or [np.empty(0, _DTYPES[name])])
-                   for name in self.names}
+                   for name in self.names[1:]}
+        person_ids, columns[self.names[0]] = self.persons.codes()
         lines = np.concatenate(parts.pop("line") or [np.empty(0, dtype=np.int64)])
-        return (tuple(self.persons.ids), columns, lines,
+        return (tuple(person_ids), columns, lines,
                 sorted(self.rejections, key=lambda item: item[0]), self.n_rows)
 
 

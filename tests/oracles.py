@@ -97,8 +97,38 @@ def series_by_loop(P, i, j, tol, cap):
     return len(terms), total, mean, terms
 
 
+def _weight(text):
+    """A weight token by the documented grammar, read without a regular expression.
+
+    Blank is 1.0. Otherwise, stripped of surrounding whitespace, it must be
+    ASCII digits with at most one point and at least one digit, optionally
+    followed by ``e`` or ``E``, a sign and ASCII digits, and be positive and
+    finite. The reasons are the row parser's: text ``float()`` refuses is
+    invalid, a value that is not positive and finite is nonpositive, and
+    any other text outside the grammar is invalid.
+    """
+    raw = text.strip()
+    if raw == "":
+        return 1.0
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"invalid weight {text!r}") from None
+    if not 0 < value < float("inf"):
+        raise ValueError(f"nonpositive weight {raw}")
+    digits = set("0123456789")
+    mantissa, e, exponent = raw.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    if exponent[:1] in ("+", "-"):
+        exponent = exponent[1:]
+    if not (whole + fraction and set(whole + fraction) <= digits
+            and set(exponent) <= digits and (exponent or not e)):
+        raise ValueError(f"invalid weight {text!r}")
+    return value
+
+
 def _pair_values(row):
-    from lmflows.panel import _parse_age, _parse_citizen, _parse_weight
+    from lmflows.panel import _parse_age, _parse_citizen
     from lmflows.states import REGION_ORDER, SEX_ORDER, LaborState, MacroRegion, QuarterId, Sex
 
     _, q_from, q_to, s_from, s_to, age, sex, cit, region, weight = row
@@ -108,17 +138,17 @@ def _pair_values(row):
                          f"{QuarterId.from_ordinal(quarter_to)})")
     return [quarter, LaborState.parse(s_from).index, LaborState.parse(s_to).index,
             _parse_age(age), SEX_ORDER.index(Sex.parse(sex)), _parse_citizen(cit),
-            REGION_ORDER.index(MacroRegion.parse(region)), _parse_weight(weight)]
+            REGION_ORDER.index(MacroRegion.parse(region)), _weight(weight)]
 
 
 def _wave_values(row):
-    from lmflows.panel import _parse_age, _parse_citizen, _parse_weight
+    from lmflows.panel import _parse_age, _parse_citizen
     from lmflows.states import REGION_ORDER, SEX_ORDER, LaborState, MacroRegion, QuarterId, Sex
 
     _, quarter, state, age, sex, cit, region, weight = row
     return [QuarterId.parse(quarter).ordinal, LaborState.parse(state).index, _parse_age(age),
             SEX_ORDER.index(Sex.parse(sex)), _parse_citizen(cit),
-            REGION_ORDER.index(MacroRegion.parse(region)), _parse_weight(weight)]
+            REGION_ORDER.index(MacroRegion.parse(region)), _weight(weight)]
 
 
 PAIR_COLUMNS = ("person", "quarter", "state_from", "state_to", "age", "sex", "citizen",
@@ -129,20 +159,22 @@ WAVE_COLUMNS = ("person", "quarter", "state", "age", "sex", "citizen", "region",
 def read_panel_by_loop(path):
     """A panel file read one row at a time, as plain as it gets.
 
-    ``csv.reader`` over the UTF-8 text (opened with ``newline=""``) gives
+    ``csv.reader`` over the UTF-8 text (opened as ``utf-8-sig``, so a byte
+    order mark before the header is dropped, with ``newline=""``) gives
     the rows and ``reader.line_num`` their line numbers; blank rows are
     skipped; a row ``csv.reader`` refuses for a field past its limit is
     rejected as "field longer than N characters"; then field count, then
-    the token parsers in field order decide. Person ids are stripped and
-    numbered in order of first appearance among admitted rows. Returns
+    the token parsers in field order decide (the weight's is ``_weight``).
+    Person ids are stripped and numbered in order of first appearance among
+    admitted rows. Returns
     (layout, person_ids, {column: list of values}, line numbers of the
     admitted rows, [(line, reason)], rows read). Bytes that are not UTF-8
     raise UnicodeDecodeError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        names = tuple(h.strip().lstrip("\ufeff") for h in header)
+        names = tuple(h.strip() for h in header)
         pair = names[1] == "quarter_from"
         values_of, columns = (_pair_values, PAIR_COLUMNS) if pair else (_wave_values, WAVE_COLUMNS)
         person_codes, table = {}, {name: [] for name in columns}

@@ -469,6 +469,54 @@ class TestOutputFile:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--rejects"])
+    def test_failed_write_leaves_target_untouched(self, tmp_path, capsys, monkeypatch, flag):
+        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1",
+                                      "B,2019.1,2019.2,XX,TE,21,F,1,SOUTH,1"])
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"earlier output\n")
+        before = sorted(os.listdir(tmp_path))
+        fdopen = os.fdopen
+
+        def failing_midway(fd, *args, **kwargs):  # writes half the text, then the disk is full
+            fh = fdopen(fd, *args, **kwargs)
+            write = fh.write
+
+            def write_half(text):
+                write(text[:len(text) // 2])
+                fh.flush()
+                raise OSError(28, "No space left on device")
+            fh.write = write_half
+            return fh
+
+        monkeypatch.setattr(os, "fdopen", failing_midway)
+        code, _, err = run(capsys, "transitions", "--data", data, "--quarter", "2019.1",
+                           flag, str(target))
+        assert code == 2
+        assert "No space left on device" in err
+        assert target.read_bytes() == b"earlier output\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--rejects"])
+    def test_write_replaces_target_through_a_symlink(self, tmp_path, capsys, flag):
+        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1"])
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"earlier output\n")
+        link.symlink_to(target.name)
+        code, _, _ = run(capsys, "transitions", "--data", data, "--quarter", "2019.1",
+                         "--min-support", "0", flag, str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("line_number" if flag == "--rejects" else "#")
+        assert (target.stat().st_mode & 0o777) == 0o666 & ~current_umask()
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "panel.csv", "target.csv"]
+
+
+def current_umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
 
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(lmflows.__file__).resolve().parents[1])

@@ -93,6 +93,46 @@ class TestPairRowsParsing:
         assert len(data) == 0
         assert report.rejections == ((2, reason),)
 
+    @pytest.mark.parametrize("token,weight", [
+        ("1.5", 1.5), ("650.25", 650.25), ("5.", 5.0), (".5", 0.5), ("007.50", 7.5),
+        (" 2 ", 2.0), ("1e3", 1000.0), ("1E-2", 0.01), ("2.5e+1", 25.0), (".5e1", 5.0),
+        ("1.00000000000000000001", 1.0), ("", 1.0),
+    ])
+    def test_weight_grammar_admits(self, tmp_path, token, weight):
+        path = write(tmp_path, "p.csv", PAIR_HEAD + "\n"
+                     f"A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,{token}\n")
+        data, report = parse_panel_file(path)
+        assert report.rejections == ()
+        assert data.weight.tolist() == [weight]
+
+    @pytest.mark.parametrize("token,reason", [
+        # float() reads these, but they are not ASCII decimal
+        ("1_000", "invalid weight '1_000'"),
+        ("２.5", "invalid weight '２.5'"),
+        ("١٢", "invalid weight '١٢'"),
+        ("+5", "invalid weight '+5'"),
+        (" +5 ", "invalid weight ' +5 '"),
+        # refused as before, with the same reasons
+        ("1e", "invalid weight '1e'"),
+        ("n/a", "invalid weight 'n/a'"),
+        ("0", "nonpositive weight 0"),
+        ("0.00", "nonpositive weight 0.00"),
+        ("000", "nonpositive weight 000"),
+        ("-3.5", "nonpositive weight -3.5"),
+        ("nan", "nonpositive weight nan"),
+        ("inf", "nonpositive weight inf"),
+        ("1e400", "nonpositive weight 1e400"),
+    ])
+    def test_weight_grammar_rejects(self, tmp_path, token, reason):
+        path = write(tmp_path, "p.csv", PAIR_HEAD + "\n"
+                     f"A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,{token}\n")
+        wave_path = write(tmp_path, "w.csv", WAVE_HEAD + "\n"
+                          f"A,2019.1,EDU,21,F,1,SOUTH,{token}\n")
+        for p in (path, wave_path):
+            data, report = parse_panel_file(p)
+            assert len(data) == 0
+            assert report.rejections == ((2, reason),)
+
     def test_repeated_bad_token_rejected_on_every_line(self, tmp_path):
         # Tokens are parsed once and memoised; a failing token must not be.
         path = write(tmp_path, "p.csv", PAIR_HEAD + "\n"

@@ -12,6 +12,7 @@ rejections and the counts must equal the loop's; a file that is not UTF-8
 must raise PanelFormatError naming the line of the first bad byte.
 """
 
+import codecs
 import csv
 import tempfile
 from pathlib import Path
@@ -37,7 +38,7 @@ VALID = {
     "sex": ["M", "F", "f", " M"],
     "citizen": ["0", "1", " 1"],
     "region": ["NORTH", "centre", "South", " SOUTH "],
-    "weight": ["1.5", "", " 2 ", "650.25", "0.1", "1e3", "1_0", "١٢", "1.00000000000000000001",
+    "weight": ["1.5", "", " 2 ", "650.25", "0.1", "1e3", "1.00000000000000000001",
                "123456789.125"],
 }
 INVALID = {
@@ -48,7 +49,7 @@ INVALID = {
     "sex": ["X", "", "M\x00"],
     "citizen": ["2", ""],
     "region": ["EAST", "NORTH\x00", ""],
-    "weight": ["0", "-3", "nope", "nan", "inf"],
+    "weight": ["0", "-3", "nope", "nan", "inf", "1_0", "١٢"],
 }
 PAIR_KINDS = ("person", "quarter", "quarter", "state", "state", "age", "sex", "citizen", "region",
               "weight")
@@ -91,7 +92,7 @@ def data_line(draw, layout):
 def panel_bytes(draw, layout):
     header = panel.PAIR_HEADER if layout == "pair_rows" else panel.WAVE_HEADER
     names = [draw(st.sampled_from([name, name, f'"{name}"'])) for name in header]
-    if draw(st.booleans()):  # a byte order mark, before a bare first name (csv would keep a quote)
+    if draw(st.booleans()):  # a byte order mark (before a quoted name: see below)
         names[0] = "\ufeff" + header[0]
     lines = [",".join(names)]
     blank = st.sampled_from(["", " ", "  \t"])
@@ -214,3 +215,27 @@ def test_ids_padded_or_long_share_codes_by_stripped_text(tmp_path):
     assert data.person.tolist() == [0, 0, 1, 2, 1]
     for block_bytes in (1, 40, csvblocks.BLOCK_BYTES):
         assert_parses_like_the_loop(raw, block_bytes, csv.field_size_limit())
+
+
+@pytest.mark.parametrize("header,end,by_csv", [
+    (PAIR_HEAD, "\n", False),
+    ('"person_id"' + PAIR_HEAD[len("person_id"):], "\n", True),
+    ('"' + PAIR_HEAD.replace(",", '","') + '"', "\n", True),
+    (PAIR_HEAD, "\r\n", True),
+], ids=["bare", "first-quoted", "all-quoted", "bare-crlf"])
+@pytest.mark.parametrize("block_bytes", [1, csvblocks.BLOCK_BYTES])
+def test_byte_order_mark_before_the_header(tmp_path, monkeypatch, header, end, by_csv, block_bytes):
+    """A leading byte order mark is dropped before either tokenizer reads the header."""
+    raw = ("\ufeff" + header + end + "A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1" + end).encode()
+    path = tmp_path / "p.csv"
+    path.write_bytes(raw)
+    read_by_csv = []
+    csv_records = csvblocks._csv_records
+    monkeypatch.setattr(csvblocks, "_csv_records",
+                        lambda data, *args: read_by_csv.append(data) or csv_records(data, *args))
+    monkeypatch.setattr(csvblocks, "BLOCK_BYTES", block_bytes)
+    data, report = panel.parse_panel_file(path, format="pair_rows")
+    assert data.person_ids == ("A",) and report.rejections == ()
+    assert bool(read_by_csv) == by_csv
+    assert all(not block.startswith(codecs.BOM_UTF8) for block in read_by_csv)
+    assert_parses_like_the_loop(raw, block_bytes, csv.field_size_limit())
