@@ -15,9 +15,7 @@ transition rows, are printed as one ``warning:`` line each on stderr.
 """
 
 import argparse
-import os
 import sys
-import tempfile
 import warnings
 
 from . import __version__
@@ -32,7 +30,7 @@ from .estimation import (
 )
 from .fixtures import fixture_names, get_fixture
 from .fpt import VERDICT_WELL_DEFINED
-from .panel import generate_synthetic_panel, parse_panel_file, write_pairs_csv
+from .panel import generate_synthetic_panel, parse_panel_file, replacing_file, write_pairs_csv
 from .serialize import (
     build_fpt_report,
     fixtures_to_csv,
@@ -183,36 +181,10 @@ def _cohort_from_args(args) -> CohortFilter:
     )
 
 
-def _write_file(path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
-
-    A failed write leaves the target as it was and no temporary file behind.
-    A path that is not a regular file (a terminal, a pipe) is written in place.
-    """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    target = os.path.realpath(path)  # through a symlink, the file it names is replaced
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=".lmflows-", dir=os.path.dirname(target))
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives a new file, not mkstemp's 0o600
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _emit(text: str, out_path) -> None:
     if out_path:
-        _write_file(out_path, text)
+        with replacing_file(out_path) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -220,7 +192,8 @@ def _emit(text: str, out_path) -> None:
 def _load_dataset(args):
     dataset, report = parse_panel_file(args.data)
     if getattr(args, "rejects", None):
-        _write_file(args.rejects, report.to_csv())
+        with replacing_file(args.rejects) as fh:
+            fh.write(report.to_csv())
     if report.rejections:
         print(
             f"note: {len(report.rejections)} of {report.n_rows} rows rejected"

@@ -353,18 +353,27 @@ class PersonTable(_Table):
         if any(part.dtype != np.uint64 for part in parts):
             width = max(part.itemsize for part in parts)
             parts = [_key_bytes(part, width) for part in parts]
-        distinct, first, inverse = np.unique(np.concatenate(parts), return_index=True,
-                                             return_inverse=True)
-        order = np.argsort(first)
-        code = np.empty(len(order), dtype=np.int64)
-        code[order] = np.arange(len(order))
-        raw = self._texts(distinct[order])
+        keys = np.concatenate(parts)
+        if not len(keys):
+            return [], np.empty(0, dtype=np.int64)
+        # An unstable sort is enough: a key's first row is the least row of its run.
+        order = np.argsort(keys)
+        ordered = keys[order]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(new)
+        by_first = np.argsort(np.minimum.reduceat(order, starts))
+        code = np.empty(len(starts), dtype=np.int64)
+        code[by_first] = np.arange(len(starts))
+        raw = self._texts(ordered[starts[by_first]])
         ids = [text.strip() for text in raw]
         if ids != raw:  # raw ids that differ only in padding share a code
             index: dict[str, int] = {}
             merged = np.array([index.setdefault(pid, len(index)) for pid in ids], dtype=np.int64)
             code, ids = merged[code], list(index)
-        return ids, code[inverse.ravel()]
+        codes = np.empty(len(keys), dtype=np.int64)
+        codes[order] = code[np.cumsum(new) - 1]  # the run of each sorted row is its key's
+        return ids, codes
 
 
 # 10**k for k = 0..15, each exact in float64.

@@ -1,10 +1,12 @@
 """Cohort state shares and quarterly transition matrices from linked pairs.
 
-Both tables are tabulated from a PanelDataset's columns: one boolean mask
-selects the pairs of a quarter and cohort, and ``np.bincount`` adds their
-weights per state or per move. It adds each bin's weights one by one in row
-order, as a loop over the pairs would, so the figures are the same to the
-last bit.
+Both tables are tabulated from a PanelDataset's columns grouped by departure
+quarter: a cell reads only its quarter's rows, a slice of each column,
+masks its cohort on that slice and gathers the matching rows by their
+indices. ``np.bincount`` then adds the weights per state or per move. The
+rows keep their order within a quarter, and ``np.bincount`` adds each bin's
+weights one by one in that order, as a loop over the pairs would, so the
+figures are the same to the last bit.
 
 Shares are weighted occupancy fractions in a single quarter. Transition
 matrices are weighted row-conditional frequencies over pairs departing a
@@ -114,18 +116,22 @@ class StateShareTable:
     total_weight: float
 
 
-def _cohort_rows(data, quarter: QuarterId, cohort: CohortFilter) -> np.ndarray:
-    """Mask of the pairs departing ``quarter`` whose demographics ``cohort`` matches."""
-    mask = data.quarter == quarter.ordinal
+def _cohort_rows(data, quarter: QuarterId, cohort: CohortFilter) -> dict[str, np.ndarray]:
+    """The columns state_from, state_to and weight of the pairs departing ``quarter``
+    whose demographics ``cohort`` matches, in row order."""
+    cell = data._quarter_columns(quarter.ordinal)
+    names = ("state_from", "state_to", "weight")
+    mask = np.ones(len(cell["weight"]), dtype=bool)
     if cohort.age_band is not None:
-        mask &= (data.age >= cohort.age_band.lo) & (data.age <= cohort.age_band.hi)
+        mask &= (cell["age"] >= cohort.age_band.lo) & (cell["age"] <= cohort.age_band.hi)
     if cohort.sex is not None:
-        mask &= data.sex == SEX_ORDER.index(cohort.sex)
+        mask &= cell["sex"] == SEX_ORDER.index(cohort.sex)
     if cohort.citizen is not None:
-        mask &= data.citizen == cohort.citizen
+        mask &= cell["citizen"] == cohort.citizen
     if cohort.region is not None:
-        mask &= data.region == REGION_ORDER.index(cohort.region)
-    return mask
+        mask &= cell["region"] == REGION_ORDER.index(cohort.region)
+    rows = np.flatnonzero(mask)
+    return {name: cell[name][rows] for name in names}
 
 
 def compute_shares(data, quarter: QuarterId, cohort: CohortFilter | None = None) -> StateShareTable:
@@ -135,7 +141,7 @@ def compute_shares(data, quarter: QuarterId, cohort: CohortFilter | None = None)
     """
     cohort = cohort or CohortFilter()
     rows = _cohort_rows(data, quarter, cohort)
-    state, weight = data.state_from[rows], data.weight[rows]
+    state, weight = rows["state_from"], rows["weight"]
     weight_by_state = np.bincount(state, weights=weight, minlength=N_STATES).tolist()
     count_by_state = np.bincount(state, minlength=N_STATES).tolist()
     # One bin, not np.sum: np.sum adds pairwise, which can change the last bits.
@@ -170,10 +176,10 @@ def estimate_transition_matrix(
     cohort = cohort or CohortFilter()
     k = N_STATES
     rows = _cohort_rows(data, from_quarter, cohort)
-    if not rows.any():
+    if not len(rows["weight"]):
         raise EmptyCohortError(from_quarter, cohort)
-    moves = data.state_from[rows].astype(np.intp) * k + data.state_to[rows]
-    flows = np.bincount(moves, weights=data.weight[rows], minlength=k * k).reshape(k, k)
+    moves = rows["state_from"].astype(np.intp) * k + rows["state_to"]
+    flows = np.bincount(moves, weights=rows["weight"], minlength=k * k).reshape(k, k)
 
     row_weight = flows.sum(axis=1)
     entries = np.empty_like(flows)

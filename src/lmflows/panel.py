@@ -30,9 +30,11 @@ per pair: the departure quarter as an ordinal (``year * 4 + quarter - 1``;
 the arrival quarter is the next one), both states and the sex and region
 as small integer codes, the age, the citizen flag, the weight as float64,
 and the person as a code into a table of distinct identifiers. Estimation
-selects rows with a boolean mask over these columns. ``PanelDataset.pairs``
-is an adapter for callers that want one object per pair: it builds a tuple
-of ObservationPair on each read, and the dataset does not keep it.
+reads a copy of the columns it needs grouped by departure quarter (see
+``PanelDataset``), so a cell scans only its quarter's rows.
+``PanelDataset.pairs`` is an adapter for callers that want one object per
+pair: it builds a tuple of ObservationPair on each read, and the dataset
+does not keep it.
 
 Files are read as UTF-8 bytes, column by column, a block of about 256 KiB
 at a time (see ``csvblocks``). A field's tokens are looked up in a sorted
@@ -47,11 +49,14 @@ characters unless changed) rejects its line; bytes that are not UTF-8 fail
 the parse with PanelFormatError naming the line that holds them.
 """
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import math
+import os
 import re
 
 import numpy as np
@@ -145,6 +150,10 @@ def _demographic_codes(d: Demographics) -> tuple:
             REGION_ORDER.index(d.macro_region))
 
 
+# The columns a cohort cell reads, kept grouped by departure quarter (PanelDataset._by_quarter).
+_CELL_COLUMNS = ("state_from", "state_to", "age", "sex", "citizen", "region", "weight")
+
+
 # Rows that PanelDataset.pairs converts to Python lists at a time.
 _PAIRS_CHUNK = 1 << 14
 
@@ -158,6 +167,10 @@ class PanelDataset:
     index STATE_ORDER, ``sex`` indexes SEX_ORDER, ``region`` indexes
     REGION_ORDER and ``person`` indexes ``person_ids``. The constructor
     copies each column into a read-only array of its fixed dtype.
+
+    Cohort selection reads a copy of the columns it needs grouped by
+    departure quarter, built on its first use and kept with the dataset
+    (about 21 bytes a row); the columns above keep their own row order.
     """
 
     person_ids: tuple[str, ...]
@@ -228,6 +241,37 @@ class PanelDataset:
                     STATE_ORDER[s_from], STATE_ORDER[s_to], d, weight,
                 ))
         return tuple(pairs)
+
+    @functools.cached_property
+    def _by_quarter(self) -> tuple[dict[int, tuple[int, int]], dict[str, np.ndarray]]:
+        """The rows grouped by departure quarter: ({ordinal: (start, stop)}, {name: column}).
+
+        The columns are those of _CELL_COLUMNS, reordered by a stable sort on
+        the quarter, so that each quarter's rows lie in ``start:stop`` and keep
+        their row order. Safe to keep: the dataset and its columns are frozen.
+        """
+        n = len(self)
+        low = int(self.quarter.min()) if n else 0
+        if n and int(self.quarter.max()) - low <= np.iinfo(np.uint16).max:
+            # A stable sort of 16-bit keys is numpy's O(n) radix sort: about 2 ms on
+            # 286k rows, where the stable sort of the int64 ordinals takes about 14 ms.
+            order = np.argsort((self.quarter - low).astype(np.uint16), kind="stable")
+        else:
+            order = np.argsort(self.quarter, kind="stable")
+        quarter = self.quarter[order]
+        starts = np.flatnonzero(np.diff(quarter, prepend=low - 1)).tolist()
+        bounds = dict(zip(quarter[starts].tolist(), zip(starts, starts[1:] + [n])))
+        columns = {}
+        for name in _CELL_COLUMNS:
+            column = columns[name] = getattr(self, name)[order]
+            column.setflags(write=False)
+        return bounds, columns
+
+    def _quarter_columns(self, ordinal: int) -> dict[str, np.ndarray]:
+        """The _CELL_COLUMNS of the rows departing quarter ``ordinal``, in row order, as views."""
+        bounds, columns = self._by_quarter
+        start, stop = bounds.get(ordinal, (0, 0))
+        return {name: column[start:stop] for name, column in columns.items()}
 
     def _take(self, rows) -> "PanelDataset":
         """The dataset restricted to ``rows`` (a boolean mask or indices), in their order."""
@@ -697,8 +741,43 @@ def _labels(codes: np.ndarray, labels) -> list:
     return np.array(labels, dtype=object)[codes].tolist()
 
 
+@contextlib.contextmanager
+def replacing_file(path):
+    """A text handle on a temporary file beside ``path``, renamed over ``path`` on success.
+
+    A failed write leaves the target as it was and no temporary file behind.
+    A path that is not a regular file (a terminal, a pipe) is written in place.
+    The text is UTF-8 and written as given, with no newline translation.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)  # through a symlink, the file it names is replaced
+    while True:
+        tmp = os.path.join(os.path.dirname(target), f".lmflows-{os.urandom(6).hex()}")
+        try:
+            # Mode 0o666 less the umask, applied by the kernel, as open() gives a new file.
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_pairs_csv(dataset: PanelDataset, path) -> None:
-    """Write a dataset in the pair_rows layout. Output is byte-deterministic."""
+    """Write a dataset in the pair_rows layout. Output is byte-deterministic.
+
+    The file is written as by ``replacing_file``: a failed write leaves ``path`` as it was.
+    """
     quarters, quarter_index = np.unique(dataset.quarter, return_inverse=True)
     state_names = [s.name for s in STATE_ORDER]
     columns = (
@@ -713,7 +792,7 @@ def write_pairs_csv(dataset: PanelDataset, path) -> None:
         _labels(dataset.region, [r.name for r in REGION_ORDER]),
         [repr(w) for w in dataset.weight.tolist()],
     )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing_file(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(PAIR_HEADER)
         w.writerows(zip(*columns))

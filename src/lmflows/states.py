@@ -191,17 +191,6 @@ class CohortFilter:
     citizen: bool | None = None
     region: MacroRegion | None = None
 
-    def matches(self, demo: Demographics) -> bool:
-        if self.age_band is not None and not self.age_band.contains(demo.age_at_first_wave):
-            return False
-        if self.sex is not None and demo.sex is not self.sex:
-            return False
-        if self.citizen is not None and demo.italian_citizen != self.citizen:
-            return False
-        if self.region is not None and demo.macro_region is not self.region:
-            return False
-        return True
-
     def describe(self) -> str:
         parts = []
         if self.age_band is not None:

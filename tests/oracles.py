@@ -52,6 +52,19 @@ def reachable_by_powers(P, i, j, via_at_least_one_step=True):
     return i == j or bool(acc[i, j])
 
 
+def cohort_matches(cohort, demo) -> bool:
+    """Whether the Demographics ``demo`` fall in ``cohort``: each field the filter sets agrees."""
+    if cohort.age_band is not None and not cohort.age_band.contains(demo.age_at_first_wave):
+        return False
+    if cohort.sex is not None and demo.sex is not cohort.sex:
+        return False
+    if cohort.citizen is not None and demo.italian_citizen != cohort.citizen:
+        return False
+    if cohort.region is not None and demo.macro_region is not cohort.region:
+        return False
+    return True
+
+
 def tabulate_transitions(rows):
     """Row-conditional frequencies by direct counting.
 

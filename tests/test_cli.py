@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,8 @@ import pytest
 
 import lmflows
 from lmflows.cli import main
-from lmflows.panel import PAIR_HEADER
+from lmflows.config import RunConfig
+from lmflows.panel import PAIR_HEADER, replacing_file
 
 PAIR_HEAD = ",".join(PAIR_HEADER)
 
@@ -443,6 +445,14 @@ class TestConfigFile:
         assert code == 0
         assert out.startswith("# source=A")
 
+    def test_value_ends_at_the_first_hash(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=json#x\n")
+        assert RunConfig.read_file(cfg) == {"output_format": "json"}
+        cfg.write_text("format=csv\nepsilon=#1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:2: "):
+            RunConfig.read_file(cfg)
+
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frmat=json\n")
@@ -476,22 +486,21 @@ class TestOutputFile:
         target = tmp_path / "target.csv"
         target.write_bytes(b"earlier output\n")
         before = sorted(os.listdir(tmp_path))
-        fdopen = os.fdopen
-
-        def failing_midway(fd, *args, **kwargs):  # writes half the text, then the disk is full
-            fh = fdopen(fd, *args, **kwargs)
-            write = fh.write
-
-            def write_half(text):
-                write(text[:len(text) // 2])
-                fh.flush()
-                raise OSError(28, "No space left on device")
-            fh.write = write_half
-            return fh
-
-        monkeypatch.setattr(os, "fdopen", failing_midway)
+        fail_writes_midway(monkeypatch)
         code, _, err = run(capsys, "transitions", "--data", data, "--quarter", "2019.1",
                            flag, str(target))
+        assert code == 2
+        assert "No space left on device" in err
+        assert target.read_bytes() == b"earlier output\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_failed_simulate_write_leaves_target_untouched(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "sim.csv"
+        target.write_bytes(b"earlier output\n")
+        before = sorted(os.listdir(tmp_path))
+        fail_writes_midway(monkeypatch)
+        code, _, err = run(capsys, "simulate", "--fixture", "early_2019Q3", "--n", "50",
+                           "--out", str(target))
         assert code == 2
         assert "No space left on device" in err
         assert target.read_bytes() == b"earlier output\n"
@@ -510,6 +519,49 @@ class TestOutputFile:
         assert target.read_text().startswith("line_number" if flag == "--rejects" else "#")
         assert (target.stat().st_mode & 0o777) == 0o666 & ~current_umask()
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "panel.csv", "target.csv"]
+
+    def test_write_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        mask = current_umask()
+
+        def set_umask(_):
+            raise AssertionError("the process umask was changed")
+
+        monkeypatch.setattr(os, "umask", set_umask)
+        target = tmp_path / "target.csv"
+        with replacing_file(target) as fh:
+            fh.write("a,b\r\n")
+        assert target.read_bytes() == b"a,b\r\n"
+        assert (target.stat().st_mode & 0o777) == 0o666 & ~mask
+
+    def test_temporary_name_in_use_is_not_touched(self, tmp_path, monkeypatch):
+        taken = tmp_path / f".lmflows-{bytes(6).hex()}"
+        taken.write_bytes(b"someone else's file\n")
+        draws = iter([bytes(6), bytes(6), b"\x01" * 6])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        target = tmp_path / "target.csv"
+        with replacing_file(target) as fh:
+            fh.write("new\n")
+        assert target.read_bytes() == b"new\n"
+        assert taken.read_bytes() == b"someone else's file\n"
+        assert sorted(os.listdir(tmp_path)) == [taken.name, "target.csv"]
+
+
+def fail_writes_midway(monkeypatch):
+    """Make each file opened by ``os.fdopen`` write half its first text, then fail as if full."""
+    fdopen = os.fdopen
+
+    def failing_midway(fd, *args, **kwargs):
+        fh = fdopen(fd, *args, **kwargs)
+        write = fh.write
+
+        def write_half(text):
+            write(text[:len(text) // 2])
+            fh.flush()
+            raise OSError(28, "No space left on device")
+        fh.write = write_half
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", failing_midway)
 
 
 def current_umask():

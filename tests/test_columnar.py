@@ -25,6 +25,8 @@ from lmflows.panel import (
     write_pairs_csv,
 )
 from lmflows.states import (
+    REGION_ORDER,
+    SEX_ORDER,
     AgeBand,
     CohortFilter,
     Demographics,
@@ -34,7 +36,7 @@ from lmflows.states import (
     Sex,
 )
 
-from oracles import tabulate_transitions
+from oracles import cohort_matches, tabulate_transitions
 
 START = QuarterId(2019, 3)
 
@@ -63,7 +65,8 @@ def make_pair(q, s_from, s_to, age, sex, citizen, region, weight, pid):
 
 
 def selected(data, quarter, cohort):
-    return [p for p in data.pairs if p.quarter_from == quarter and cohort.matches(p.demographics)]
+    return [p for p in data.pairs
+            if p.quarter_from == quarter and cohort_matches(cohort, p.demographics)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,6 +133,104 @@ def test_sums_keep_row_order_on_a_large_cohort(cohort):
     assert compute_shares(data, START, cohort).total_weight == total
     m = estimate_transition_matrix(data, START, cohort, min_support=0.0)
     assert m.row_counts == tuple(flows.sum(axis=1).tolist())
+
+
+def interleaved(n, seed, quarters):
+    """A dataset of ``n`` rows whose departure quarters, drawn from ``quarters``, interleave."""
+    rng = np.random.default_rng(seed)
+    return PanelDataset(
+        person_ids=("P",), person=np.zeros(n, dtype=np.int64), quarter=rng.choice(quarters, n),
+        state_from=rng.integers(0, 7, n), state_to=rng.integers(0, 7, n),
+        age=rng.integers(15, 35, n), sex=rng.integers(0, 2, n), citizen=rng.random(n) < 0.9,
+        region=rng.integers(0, 3, n), weight=rng.lognormal(6.0, 1.0, n), provenance="interleaved")
+
+
+def assert_full_scan_figures(data, quarter, cohort):
+    """Shares and matrix equal, to the last bit, bincounts over one mask of every row."""
+    mask = data.quarter == quarter.ordinal
+    if cohort.age_band is not None:
+        mask &= (data.age >= cohort.age_band.lo) & (data.age <= cohort.age_band.hi)
+    if cohort.sex is not None:
+        mask &= data.sex == SEX_ORDER.index(cohort.sex)
+    if cohort.citizen is not None:
+        mask &= data.citizen == cohort.citizen
+    if cohort.region is not None:
+        mask &= data.region == REGION_ORDER.index(cohort.region)
+    state, to, weight = data.state_from[mask], data.state_to[mask], data.weight[mask]
+    total = np.bincount(np.zeros(len(weight), dtype=np.intp), weights=weight)[0]
+    by_state = np.bincount(state, weights=weight, minlength=7)
+    flows = np.bincount(state * 7 + to, weights=weight, minlength=49).reshape(7, 7)
+    table = compute_shares(data, quarter, cohort)
+    assert table.total_weight == total
+    assert table.shares == {s: by_state[s.index] / total for s in LaborState}
+    m = estimate_transition_matrix(data, quarter, cohort, min_support=0.0)
+    assert m.row_counts == tuple(flows.sum(axis=1).tolist())
+    assert np.array_equal(m.entries, flows / flows.sum(axis=1)[:, None])
+
+
+FULL_SCAN_COHORTS = [
+    CohortFilter(),
+    CohortFilter(age_band=AgeBand.LATE_YOUNG, sex=Sex.F),
+    CohortFilter(citizen=False, region=MacroRegion.SOUTH),
+]
+
+
+@pytest.mark.parametrize("cohort", FULL_SCAN_COHORTS)
+def test_grouped_selection_matches_a_full_scan(cohort):
+    # Seven quarters drawn at random for each row: every quarter's rows are
+    # scattered over the file, and a cell holds thousands of them, enough for
+    # any reordering inside a quarter to change the last bits of a sum.
+    data = interleaved(60_000, 21, START.ordinal + np.arange(7))
+    for q in range(7):
+        assert_full_scan_figures(data, START.plus(q), cohort)
+
+
+def test_quarter_span_wider_than_16_bits():
+    # 65536 quarters apart: the two quarters would share a 16-bit offset key.
+    data = interleaved(6_000, 22, START.ordinal + np.array([0, 1, 1 << 16]))
+    for quarter in (START, START.plus(1), START.plus(1 << 16)):
+        for cohort in FULL_SCAN_COHORTS:
+            assert_full_scan_figures(data, quarter, cohort)
+
+
+@pytest.mark.parametrize("cohort", [CohortFilter(), CohortFilter(sex=Sex.M)])
+def test_empty_dataset_and_absent_quarter(cohort):
+    empty = PanelDataset.from_pairs([], "empty")
+    one_quarter = interleaved(500, 23, [START.ordinal])
+    for data, quarter in ((empty, START), (one_quarter, START.plus(-1)),
+                          (one_quarter, START.plus(1))):
+        with pytest.raises(EmptyCohortError):
+            compute_shares(data, quarter, cohort)
+        with pytest.raises(EmptyCohortError):
+            estimate_transition_matrix(data, quarter, cohort)
+
+
+def test_quarter_grouping_is_built_once_per_dataset(monkeypatch):
+    data = interleaved(3_000, 24, START.ordinal + np.arange(3))
+    sorts = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        sorts.append(args)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    for q in range(4):
+        for cohort in (CohortFilter(), CohortFilter(sex=Sex.F, citizen=True)):
+            if q < 3:
+                compute_shares(data, START.plus(q), cohort)
+                estimate_transition_matrix(data, START.plus(q), cohort, min_support=0.0)
+            else:
+                with pytest.raises(EmptyCohortError):
+                    compute_shares(data, START.plus(q), cohort)
+    assert len(sorts) == 1
+    part = data._take(data.sex == 0)
+    assert "_by_quarter" not in vars(part)
+    compute_shares(part, START)
+    estimate_transition_matrix(part, START.plus(1), min_support=0.0)
+    assert len(sorts) == 2
+    assert part._by_quarter is not data._by_quarter
+    assert_full_scan_figures(part, START, CohortFilter(age_band=AgeBand.EARLY_YOUNG))
 
 
 def _parse_text(text):

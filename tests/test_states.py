@@ -16,6 +16,8 @@ from lmflows.states import (
     quarter_successor,
 )
 
+from oracles import cohort_matches
+
 
 class TestLaborState:
     def test_canonical_order(self):
@@ -118,24 +120,24 @@ def _demo(age=22, sex=Sex.F, citizen=True, region=MacroRegion.SOUTH):
 class TestCohortFilter:
     def test_empty_filter_matches_everything(self):
         f = CohortFilter()
-        assert f.matches(_demo())
-        assert f.matches(_demo(age=31, sex=Sex.M, citizen=False, region=MacroRegion.NORTH))
+        assert cohort_matches(f, _demo())
+        assert cohort_matches(f, _demo(age=31, sex=Sex.M, citizen=False, region=MacroRegion.NORTH))
         assert f.describe() == "all"
 
     def test_single_field_restrictions(self):
-        assert CohortFilter(age_band=AgeBand.EARLY_YOUNG).matches(_demo(age=22))
-        assert not CohortFilter(age_band=AgeBand.EARLY_YOUNG).matches(_demo(age=25))
-        assert CohortFilter(sex=Sex.F).matches(_demo())
-        assert not CohortFilter(sex=Sex.M).matches(_demo())
-        assert not CohortFilter(citizen=False).matches(_demo())
-        assert CohortFilter(region=MacroRegion.SOUTH).matches(_demo())
-        assert not CohortFilter(region=MacroRegion.NORTH).matches(_demo())
+        assert cohort_matches(CohortFilter(age_band=AgeBand.EARLY_YOUNG), _demo(age=22))
+        assert not cohort_matches(CohortFilter(age_band=AgeBand.EARLY_YOUNG), _demo(age=25))
+        assert cohort_matches(CohortFilter(sex=Sex.F), _demo())
+        assert not cohort_matches(CohortFilter(sex=Sex.M), _demo())
+        assert not cohort_matches(CohortFilter(citizen=False), _demo())
+        assert cohort_matches(CohortFilter(region=MacroRegion.SOUTH), _demo())
+        assert not cohort_matches(CohortFilter(region=MacroRegion.NORTH), _demo())
 
     def test_conjunction(self):
         f = CohortFilter(age_band=AgeBand.EARLY_YOUNG, sex=Sex.F, region=MacroRegion.SOUTH)
-        assert f.matches(_demo())
-        assert not f.matches(_demo(sex=Sex.M))
-        assert not f.matches(_demo(region=MacroRegion.CENTRE))
+        assert cohort_matches(f, _demo())
+        assert not cohort_matches(f, _demo(sex=Sex.M))
+        assert not cohort_matches(f, _demo(region=MacroRegion.CENTRE))
 
     def test_describe_lists_active_fields(self):
         f = CohortFilter(age_band=AgeBand.LATE_YOUNG, citizen=False)
