@@ -92,6 +92,20 @@ class TransitionMatrix:
         if self.row_counts is not None:
             object.__setattr__(self, "row_counts", tuple(float(c) for c in self.row_counts))
         object.__setattr__(self, "fallback_rows", frozenset(int(r) for r in self.fallback_rows))
+        # fpt's passage engines by target index: the entries never change, so
+        # every passage report on this matrix shares one taboo recursion per target.
+        object.__setattr__(self, "_passage_engines", {})
+
+    def __getstate__(self):
+        # A copy or a pickle starts without engines, as dataclasses.replace does.
+        state = self.__dict__.copy()
+        del state["_passage_engines"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _passage_engines={})
+        # Copied arrays come back writable; the engines rely on the entries never changing.
+        self.entries.setflags(write=False)
 
     @property
     def n_states(self) -> int:

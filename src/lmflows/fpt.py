@@ -12,13 +12,23 @@ the probability of hitting :math:`j` for the first time after exactly
 :math:`n` steps. Writing :math:`\tilde P` for :math:`P` with column
 :math:`j` zeroed, the vector of horizon-:math:`n` probabilities over all
 sources is :math:`F(1) = P_{\cdot j}`, :math:`F(n) = \tilde P F(n-1)`,
-which is how this module computes it. A ``Passage`` runs that recursion
-once per passage, as far as the furthest request, and keeps each f(n)
-with the running sums of f(n) and n f(n); the distribution, the series
-stop and the well-definedness stop are lookups into those arrays. Every
-public function below builds one ``Passage``, and a full report
-(``serialize.build_fpt_report``) builds one for all of its parts, so it
-validates the chain, screens it and runs the recursion once.
+which is how this module computes it. One engine per (chain, target) runs
+that recursion for all sources at once, only as far as the furthest request
+so far, and keeps what the requests read as the terms pass: f(n) through
+the largest distribution horizon asked for, and for each stopping rule the
+first n at which a source meets it, with the sums of f(n) and n f(n) there.
+It never keeps the run of terms, so its memory is the kept rows plus a few
+numbers per source and rule, whatever the term cap. A ``TransitionMatrix``
+keeps its engines, so every passage on it into one target reads one shared
+run; a bare array, which may change, gets a private engine on each call.
+What a matrix keeps is bounded: a shared engine keeps rows through at most
+``Passage.SHARED_HORIZON`` terms (a longer distribution runs a private
+engine) and its latest ``_Engine.RULES`` stopping rules, and a copy or a
+pickle of the matrix starts without engines.
+Every public function below builds one ``Passage`` (a source and a target
+on a chain), and a full report (``serialize.build_fpt_report``) builds one
+for all of its parts, so it validates the chain and screens the passage
+once.
 
 The expected first passage time is :math:`\mu_{ij} = \sum_n n f_{ij}(n)`,
 finite exactly when the passage probabilities sum to one. Whether they do
@@ -41,7 +51,10 @@ the expectation and share no numbers:
 Agreement between the two is a cross-check on both.
 """
 
+import collections
 import dataclasses
+import numbers
+import threading
 
 import numpy as np
 
@@ -163,42 +176,254 @@ class WellDefinedness:
     horizon: int
 
 
-def _check_horizon(horizon) -> None:
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+def _term_count(value, name: str) -> int:
+    """``value`` as an int >= 1; raise an error naming the argument if it is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
+def _series_cap(epsilon, max_horizon) -> int:
+    """Check the series arguments; return ``max_horizon`` as an int."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    return _term_count(max_horizon, "max_horizon")
+
+
+class _Scratch(threading.local):
+    """A thread's buffers for streaming the recursion, one set per chain size.
+
+    Shared by every engine the thread runs (an engine runs under its lock,
+    on one thread at a time), so an engine keeps no block of its own.
+    """
+
+    def __init__(self):
+        self.by_size = {}
+
+    def get(self, k: int) -> tuple[np.ndarray, list, np.ndarray]:
+        """(block of f rows, a view of each row, block of running sums) for k states."""
+        buffers = self.by_size.get(k)
+        if buffers is None:
+            block = np.empty((_Engine.BLOCK + 1, k))
+            buffers = self.by_size[k] = (block, list(block), np.empty((_Engine.BLOCK + 1, 2, k)))
+        return buffers
+
+
+_SCRATCH = _Scratch()
+
+
+class _Stop:
+    """What a stopping rule (tol, cap) reads, for each source the engine records.
+
+    ``answers[s]`` is (n, sum of f, sum of n f) through the first n <= cap
+    at which the unpassed mass 1 - sum f from source s is at most tol, or
+    through cap if there is none. ``unmet`` lists the recorded sources the
+    stream has not yet taken that far.
+    """
+
+    def __init__(self, tol: float, cap: int, unmet: list[int]):
+        self.tol, self.cap, self.unmet = tol, cap, unmet
+        self.answers = {}
+
+
+class _Engine:
+    """The taboo recursion into one target, run for every source at once.
+
+    The terms stream through a block of rows, one ``P~.dot(F, out=...)`` a
+    term, and are dropped once recorded. What is kept: f(n) for every source
+    through the largest distribution horizon asked for, and what each of
+    the last ``RULES`` stopping rules asked for reads (``_Stop``). Stopping
+    rules are recorded for the first source asked about alone, and for
+    every source once a second one is: a chain asked about one passage per
+    target (each cell of a cohort grid) pays for that passage only, and a
+    chain asked about many records them all in one run. The sums of f and
+    n f carry over from block to block and add in order of n, as a
+    term-by-term loop adds them. A request for rows, a rule or a source
+    that the stream has already passed unrecorded sends it back to n = 0;
+    answers recorded so far are kept. One lock guards the whole state:
+    reports in several threads may share an engine.
+    """
+
+    # Most terms a block of the stream holds.
+    BLOCK = 256
+    # Fewest terms a stopping rule adds to the stream when it needs more.
+    _GROW = 128
+    # Most stopping rules an engine keeps; a new one past these drops the oldest.
+    RULES = 8
+
+    def __init__(self, P: np.ndarray, j: int):
+        self._taboo = P.copy()
+        self._taboo[:, j] = 0.0
+        self._first = P[:, j].copy()
+        self._rows = np.empty((0, len(P)))
+        self._stops = {}
+        # The sources whose stopping rules the stream records: none, one, or all.
+        self._cols = slice(0, 0)
+        self._lock = threading.Lock()
+        self._rewind()
+
+    def _rewind(self) -> None:
+        self._n = 0
+        self._last = self._first
+        # Sums of f and of n f through n; -0.0 leaves the first term's bits as they are.
+        self._carry = np.full((2, len(self._first)), -0.0)
+
+    def _recorded(self) -> range:
+        return range(len(self._first))[self._cols]
+
+    def _record_source(self, i: int) -> None:
+        recorded = self._recorded()
+        if i in recorded:
+            return
+        self._cols = slice(None) if recorded else slice(i, i + 1)
+        if self._n:
+            self._rewind()
+        for stop in self._stops.values():
+            stop.unmet = [s for s in self._recorded() if s not in stop.answers]
+
+    def _keep_rows(self, horizon: int) -> None:
+        kept = len(self._rows)
+        if horizon > kept:
+            if self._n > kept:
+                self._rewind()
+            rows = np.empty((horizon, len(self._first)))
+            rows[:kept] = self._rows
+            self._rows = rows
+
+    def _stop(self, tol: float, cap: int) -> _Stop:
+        stop = self._stops.get((tol, cap))
+        if stop is None:
+            if self._n:
+                self._rewind()
+            if len(self._stops) >= self.RULES:
+                del self._stops[next(iter(self._stops))]
+            stop = self._stops[tol, cap] = _Stop(tol, cap, list(self._recorded()))
+        return stop
+
+    def _run(self, n: int) -> None:
+        """Stream the recursion on to ``n`` terms, recording what the requests read."""
+        if n <= self._n:
+            return
+        block, rows, run = _SCRATCH.get(len(self._first))
+        advance, cols = self._taboo.dot, self._cols
+        block[0] = self._last
+        run[0] = self._carry
+        while self._n < n:
+            n0 = self._n
+            step = min(n - n0, self.BLOCK)
+            first = 0
+            if n0 == 0:
+                block[1] = self._first
+                first = 1
+            # One P~.dot(F, out) a term, driven from C: the out rows are views into the block.
+            collections.deque(map(advance, rows[first:step], rows[first + 1:step + 1]), maxlen=0)
+            f = block[1:step + 1]
+            keep = min(step, len(self._rows) - n0)
+            if keep > 0:
+                self._rows[n0:n0 + keep] = f[:keep]
+            # The sums are read only while a rule has an unmet source, and
+            # whatever adds one (a new rule or source) rewinds the stream.
+            stops = [stop for stop in self._stops.values() if stop.unmet]
+            if stops:
+                sums = run[:step + 1, :, cols]
+                sums[1:, 0] = f[:, cols]
+                np.multiply(np.arange(n0 + 1.0, n0 + step + 1.0)[:, None], f[:, cols],
+                            out=sums[1:, 1])
+                np.add.accumulate(sums, axis=0, out=sums)
+                self._scan(n0, sums, stops)
+            block[0] = block[step]
+            run[0] = run[step]
+            self._n = n0 + step
+        self._last = block[0].copy()
+        self._carry = run[0].copy()
+
+    def _scan(self, n0: int, sums: np.ndarray, stops: list[_Stop]) -> None:
+        """Record the sources that meet each of ``stops`` among the block's terms.
+
+        ``sums[r]`` holds the sums of f and of n f through n0 + r, a column
+        per recorded source.
+        """
+        base = self._cols.start or 0
+        mass = sums[1:, 0]
+        # Each recorded source's least unpassed mass in the block (f(n) < 0
+        # can occur, so the mass may fall within a block).
+        least = (1.0 - mass.max(axis=0)).tolist()
+        for stop in stops:
+            k = min(len(mass), stop.cap - n0)
+            if n0 + k == stop.cap:
+                new = stop.unmet
+            else:
+                new = [s for s in stop.unmet if least[s - base] <= stop.tol]
+            if not new:
+                continue
+            met = 1.0 - mass[:k, [s - base for s in new]] <= stop.tol
+            met[k - 1] = True  # the cap, where no earlier n meets tol
+            for s, r in zip(new, met.argmax(axis=0).tolist()):
+                stop.answers[s] = (n0 + r + 1, float(sums[r + 1, 0, s - base]),
+                                   float(sums[r + 1, 1, s - base]))
+            stop.unmet = [s for s in stop.unmet if s not in stop.answers]
+
+    def expect(self, i: int, horizon: int, stops) -> None:
+        """Get ready to serve source ``i`` rows through ``horizon`` and each (tol, cap) in
+        ``stops``, running nothing yet."""
+        with self._lock:
+            self._record_source(i)
+            self._keep_rows(horizon)
+            for tol, cap in stops:
+                self._stop(tol, cap)
+
+    def distribution(self, i: int, horizon: int) -> np.ndarray:
+        """f(1..horizon) from source ``i``."""
+        with self._lock:
+            self._keep_rows(horizon)
+            self._run(horizon)
+            return self._rows[:horizon, i].copy()
+
+    def sums(self, i: int, tol: float, cap: int) -> tuple[int, float, float]:
+        """(n, sum of f, sum of n f) from source ``i`` through the n where it meets (tol, cap)."""
+        with self._lock:
+            self._record_source(i)
+            stop = self._stop(tol, cap)
+            while i not in stop.answers:
+                self._run(min(cap, self._n + max(self._GROW, self._n // 4)))
+            return stop.answers[i]
 
 
 class Passage:
     """The passage from ``source`` to ``target`` on one chain, shared by every route.
 
     Construction validates the chain, resolves both ends and screens the
-    passage. The taboo recursion runs on demand, one ``P~.dot(F, out=...)``
-    a term into a reused block of rows, carrying on from where the last
-    request stopped. Each f(n) is kept with the running sums of f(n) and
-    n f(n), added in order of n, so the distribution and every stopping
-    rule are lookups into the same arrays, 24 bytes a term computed.
+    passage. The distribution and the stopping rules read the target's
+    engine, which runs the taboo recursion for all sources as far as they
+    ask; the linear route reads the screened region alone. The engine is
+    the one the TransitionMatrix keeps for the target, unless the chain is
+    a bare array or a distribution asks for more than ``SHARED_HORIZON``
+    terms: then the passage runs one of its own, which goes when it does.
     """
 
-    # Rows of the recursion buffer, reused from one stretch of terms to the next.
-    _BLOCK = 256
-    # Fewest terms a stopping rule adds to the recursion when it needs more.
-    _GROW = 128
+    # Longest distribution a matrix's shared engine keeps rows for.
+    SHARED_HORIZON = 1024
 
     def __init__(self, m, source, target):
         self.P, self.labels, self.i, self.j = _read_chain(m, source, target)
         self.source, self.target = self.labels[self.i], self.labels[self.j]
         self.region, self.trapped, self.reachable = _screen(self.P, self.i, self.j)
-        self._taboo = self.P.copy()
-        self._taboo[:, self.j] = 0.0
-        self._block = np.empty((self._BLOCK, len(self.P)))
-        self._block[0] = self.P[:, self.j]
-        self._rows = list(self._block)
-        # f(n), sum of f and sum of n f through n, at index n - 1.
-        self._f = np.empty(self._GROW)
-        self._f[0] = self._block[0, self.i]
-        self._mass = self._f.copy()
-        self._mean = self._f.copy()
-        self._n = 1
+        self._shared = getattr(m, "_passage_engines", None)
+        self._own = None
+
+    def _engine(self, horizon: int = 0) -> _Engine:
+        """The engine to read for rows through ``horizon``; once the passage has its own,
+        every later read is from it."""
+        if self._own is None and self._shared is not None and horizon <= self.SHARED_HORIZON:
+            engine = self._shared.get(self.j)
+            if engine is None:
+                engine = self._shared.setdefault(self.j, _Engine(self.P, self.j))
+            return engine
+        if self._own is None:
+            self._own = _Engine(self.P, self.j)
+        return self._own
 
     def _certain_region(self) -> np.ndarray:
         """The screened region; raise InfiniteEfptError if any state is trapped."""
@@ -208,68 +433,27 @@ class Passage:
             )
         return self.region
 
-    def _extend(self, n: int) -> None:
-        """Run the taboo recursion F(n) = P~ F(n-1) on to ``n`` terms."""
-        n0 = self._n
-        if n <= n0:
-            return
-        if n > len(self._f):
-            size = max(n, 2 * len(self._f))
-            for name in ("_f", "_mass", "_mean"):
-                grown = np.empty(size)
-                grown[:n0] = getattr(self, name)[:n0]
-                setattr(self, name, grown)
-        advance, block, rows = self._taboo.dot, self._block, self._rows
-        k = n0
-        while k < n:
-            step = min(n - k, len(rows) - 1)
-            for r in range(step):
-                advance(rows[r], out=rows[r + 1])
-            self._f[k:k + step] = block[1:step + 1, self.i]
-            block[0] = block[step]
-            k += step
-        # Each running sum carries on from its value at n0, adding in order of n.
-        terms = self._f[n0:n]
-        for acc, add in ((self._mass, terms), (self._mean, np.arange(n0 + 1, n + 1) * terms)):
-            run = acc[n0 - 1:n]
-            run[1:] = add
-            np.cumsum(run, out=run)
-        self._n = n
-
-    def _sums(self, tol: float, cap: int) -> tuple[int, float, float]:
-        """(n, sum of f, sum of n f) through the first n with unpassed mass at most ``tol``.
-
-        Through n = ``cap`` when no earlier n has it.
-        """
-        start = 0
-        while True:
-            end = min(self._n, cap)
-            hit = np.flatnonzero(~(1.0 - self._mass[start:end] > tol))
-            if len(hit):
-                n = start + int(hit[0]) + 1
-                break
-            if end == cap:
-                n = cap
-                break
-            start = end
-            self._extend(min(cap, end + max(self._GROW, end // 4)))
-        return n, float(self._mass[n - 1]), float(self._mean[n - 1])
+    def expect_report(self, horizon: int, epsilon: float, max_horizon: int) -> None:
+        """Check a full report's arguments as its parts do, in their order, and tell the
+        engine everything the parts will read, so that one run serves them all."""
+        horizon = _term_count(horizon, "horizon")
+        _term_count(max_horizon, "horizon")  # the verdict's horizon, checked before epsilon
+        max_horizon = _series_cap(epsilon, max_horizon)
+        self._engine(horizon).expect(
+            self.i, horizon, ((_MASS_OK, max_horizon), (epsilon, max_horizon))
+        )
 
     def distribution(self, horizon: int) -> FptDistribution:
-        _check_horizon(horizon)
-        self._extend(horizon)
+        horizon = _term_count(horizon, "horizon")
         return FptDistribution(
             source=self.source, target=self.target,
-            probabilities=self._f[:horizon], horizon=horizon,
+            probabilities=self._engine(horizon).distribution(self.i, horizon), horizon=horizon,
         )
 
     def series(self, epsilon: float, max_horizon: int) -> EfptResult:
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-        if max_horizon < 1:
-            raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
+        max_horizon = _series_cap(epsilon, max_horizon)
         self._certain_region()
-        n, total, mean = self._sums(epsilon, max_horizon)
+        n, total, mean = self._engine().sums(self.i, epsilon, max_horizon)
         if 1.0 - total > epsilon:
             raise InfiniteEfptError(
                 self.source,
@@ -307,14 +491,14 @@ class Passage:
         )
 
     def well_defined(self, horizon: int) -> WellDefinedness:
-        _check_horizon(horizon)
+        horizon = _term_count(horizon, "horizon")
         if self.i != self.j and not self.reachable:
             return WellDefinedness(
                 source=self.source, target=self.target,
                 mass_at_horizon=0.0, reachable=False,
                 verdict=VERDICT_DIVERGENT, horizon=0,
             )
-        n, total, _ = self._sums(_MASS_OK, horizon)
+        n, total, _ = self._engine().sums(self.i, _MASS_OK, horizon)
         if len(self.trapped):
             verdict = VERDICT_DIVERGENT
         elif 1.0 - total <= _MASS_OK:

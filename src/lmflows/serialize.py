@@ -187,12 +187,15 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
     to ``horizon``, the expectation by both routes (series and linear
     system, each reported even when the other is infinite), and the
     well-definedness diagnosis at ``max_horizon``. One Passage serves all
-    four, so the chain is validated and screened once and the taboo
-    recursion runs once; the results and the errors, in their order, are
-    those of fpt_distribution, check_well_defined, efpt_series and
-    efpt_linear called one by one.
+    four, so the chain is validated and screened once, and the target's
+    taboo recursion, told up front what the distribution, the verdict and
+    the series read, runs once for all three; on a TransitionMatrix it is
+    shared with every other report into the same target. The results and
+    the errors, in their order, are those of fpt_distribution,
+    check_well_defined, efpt_series and efpt_linear called one by one.
     """
     passage = Passage(m, source, target)
+    passage.expect_report(horizon, epsilon, max_horizon)
     dist = passage.distribution(horizon)
     cdf = dist.cdf()
     wd = passage.well_defined(max_horizon)
