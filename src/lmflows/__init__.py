@@ -68,8 +68,6 @@ from .states import (
     MacroRegion,
     QuarterId,
     Sex,
-    age_band_of,
-    quarter_successor,
 )
 from .stochastic import ensure_row_stochastic
 
@@ -111,7 +109,6 @@ __all__ = [
     "TransitionMatrix",
     "WaveRow",
     "WellDefinedness",
-    "age_band_of",
     "apply_fallback_policy",
     "check_well_defined",
     "compute_shares",
@@ -126,7 +123,6 @@ __all__ = [
     "get_fixture",
     "link_waves",
     "parse_panel_file",
-    "quarter_successor",
     "renormalize_rows",
     "write_pairs_csv",
     "__version__",

@@ -23,7 +23,7 @@ class RunConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if self.max_horizon < 1:
             raise ValueError(f"max_horizon must be >= 1, got {self.max_horizon!r}")
-        if self.min_support < 0:
+        if not self.min_support >= 0:  # NaN too
             raise ValueError(f"min_support must be >= 0, got {self.min_support!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(

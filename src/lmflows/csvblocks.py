@@ -15,7 +15,8 @@ Tokens are keyed by their bytes, as fixed-width keys (a uint64 up to 8
 bytes, else ``S<n>``). ``FieldTable`` keeps the distinct tokens of a field
 of few values met so far as a sorted array of keys: a block's tokens are
 looked up with one binary search, and only those the table lacks are
-decoded and parsed, once each. ``DecimalField`` decodes a column of
+decoded and parsed, once each; a token that fails keeps its error text,
+the reason of the rows that hold it. ``DecimalField`` decodes a column of
 decimal numbers with numpy, exactly, and keeps only the tokens it cannot
 decode that way in a table. ``PersonTable`` keeps the keys of every row
 and numbers the distinct ones once, when the whole file is read.
@@ -288,7 +289,8 @@ def _key_bytes(keys: np.ndarray, width: int) -> np.ndarray:
 
 class FieldTable(_Table):
     """A field's distinct tokens met so far, as a sorted array of keys, with
-    the value each parses to and whether its parse failed."""
+    the value each parses to and whether its parse failed; ``errors`` holds
+    the error text of each failed token, by its bytes."""
 
     def __init__(self, parse, dtype):
         super().__init__()
@@ -296,12 +298,14 @@ class FieldTable(_Table):
         self.keys = np.empty(0, dtype=np.uint64)
         self.values = np.empty(0, dtype=dtype)
         self.failed = np.empty(0, dtype=bool)
+        self.errors: dict[bytes, str] = {}
 
     def decode(self, rec: Records, start, end) -> tuple[np.ndarray, np.ndarray]:
         """The value of each token ``rec.data[start:end]`` (0 if it failed), and whether it failed.
 
         The tokens are looked up with one binary search; only those the
-        table lacks are parsed, once each, and entered.
+        table lacks are parsed, once each, and entered, a failed one with
+        its error text in ``errors``.
         """
         keys = self._common(self._keys(rec, start, end))
         at = np.searchsorted(self.keys, keys)
@@ -314,9 +318,10 @@ class FieldTable(_Table):
                 try:
                     values.append(self.parse(text))
                     failed.append(False)
-                except ValueError:
+                except ValueError as exc:
                     values.append(0)
                     failed.append(True)
+                    self.errors[text.encode()] = str(exc)
             where = np.searchsorted(self.keys, fresh)
             self.keys = np.insert(self.keys, where, fresh)
             self.values = np.insert(self.values, where, values)

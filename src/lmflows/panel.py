@@ -39,11 +39,11 @@ does not keep it.
 Files are read as UTF-8 bytes, column by column, a block of about 256 KiB
 at a time (see ``csvblocks``). A field's tokens are looked up in a sorted
 table of the tokens met so far, and a token new to the table is parsed
-once, by the same token parser a row would use; but weights are decoded
-directly where they can be, and person ids are numbered once the whole
-file is read. A row whose token fails, or whose quarters are not adjacent,
-is parsed again as a row, so its rejection text and line number are the
-row parser's. A field longer than
+once; but weights are decoded directly where they can be, and person ids
+are numbered once the whole file is read. A row is rejected for its first
+failing field in header order, non-adjacent quarters counting as a field
+right after ``quarter_to``, with the error text its token's table kept
+when the token failed. A field longer than
 the csv module's field limit (``csv.field_size_limit()``, 131072
 characters unless changed) rejects its line; bytes that are not UTF-8 fail
 the parse with PanelFormatError naming the line that holds them.
@@ -350,26 +350,17 @@ def _parse_weight(text) -> float:
     return w
 
 
-def _field_parsers():
-    """Parsers of quarter, state, age, sex, citizen, region and weight tokens, in that order.
-
-    Quarters parse to ordinals and states, sexes and regions to their codes.
-    """
-    return (
-        lambda text: QuarterId.parse(text).ordinal,
-        lambda text: LaborState.parse(text).index,
-        _parse_age,
-        lambda text: SEX_ORDER.index(Sex.parse(text)),
-        _parse_citizen,
-        lambda text: REGION_ORDER.index(MacroRegion.parse(text)),
-        _parse_weight,
-    )
-
-
-# The parser in _field_parsers() of each field after person_id, by header name.
-_FIELD_PARSER = {
-    "quarter_from": 0, "quarter_to": 0, "quarter": 0, "state_from": 1, "state_to": 1,
-    "state": 1, "age": 2, "sex": 3, "citizen": 4, "region": 5, "weight": 6,
+# The token parser of each field after person_id, by header name. Quarters
+# parse to ordinals and states, sexes and regions to their codes.
+_PARSERS = {
+    **dict.fromkeys(("quarter_from", "quarter_to", "quarter"),
+                    lambda text: QuarterId.parse(text).ordinal),
+    **dict.fromkeys(("state_from", "state_to", "state"), lambda text: LaborState.parse(text).index),
+    "age": _parse_age,
+    "sex": lambda text: SEX_ORDER.index(Sex.parse(text)),
+    "citizen": _parse_citizen,
+    "region": lambda text: REGION_ORDER.index(MacroRegion.parse(text)),
+    "weight": _parse_weight,
 }
 
 
@@ -425,48 +416,25 @@ def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseRep
         return _parse_wave_rows(batches, str(path))
 
 
-def _pair_fields(row, quarter_of, state_of, age_of, sex_of, citizen_of, region_of,
-                 weight_of) -> tuple:
-    """Values of the pair columns after ``person`` from one pair_rows row."""
-    _, q_from, q_to, s_from, s_to, age, sex, cit, region, weight = row
-    quarter, quarter_to = quarter_of(q_from), quarter_of(q_to)
-    if quarter_to != quarter + 1:
-        raise ValueError(f"quarters not adjacent ({QuarterId.from_ordinal(quarter)} -> "
-                         f"{QuarterId.from_ordinal(quarter_to)})")
-    return (quarter, state_of(s_from), state_of(s_to), age_of(age), sex_of(sex),
-            citizen_of(cit), region_of(region), weight_of(weight))
-
-
-def _wave_fields(row, quarter_of, state_of, age_of, sex_of, citizen_of, region_of,
-                 weight_of) -> tuple:
-    """Values of the wave columns after ``person`` from one wave_rows row."""
-    _, quarter, state, age, sex, cit, region, weight = row
-    return (quarter_of(quarter), state_of(state), age_of(age), sex_of(sex),
-            citizen_of(cit), region_of(region), weight_of(weight))
-
-
 class _Columns:
     """The columns of the admitted rows of a panel file, filled a batch of records at a time.
 
     A field's tokens are looked up in a table of the tokens met so far, and
     a token new to it is parsed then, once; weights are mostly decoded
     directly (``csvblocks.DecimalField``), and person ids are numbered in
-    ``result``. A record whose token fails, or whose quarters are not
-    adjacent, is parsed again by ``parse_fields`` (which returns a row's
-    values after the person in order, or raises ValueError), so its
-    rejection text is that function's.
+    ``result``. A record is rejected for its first failing field in header
+    order, the quarters' adjacency checked right after ``quarter_to``; the
+    reason is the error text the field's table kept for the failed token.
     """
 
-    def __init__(self, header, names, parse_fields):
-        self.header, self.names, self.parse_fields = header, tuple(names), parse_fields
-        self.parsers = _field_parsers()
+    def __init__(self, header, names):
+        self.header, self.names = header, tuple(names)
         self.fields = []
         rest = iter(self.names[1:])  # the column each field after person_id fills
         for field in header[1:]:
             name = field if field == "quarter_to" else next(rest)  # quarter_to is only checked
-            parse = self.parsers[_FIELD_PARSER[field]]
             table = csvblocks.DecimalField if field == "weight" else csvblocks.FieldTable
-            self.fields.append((name, table(parse, _DTYPES[name])))
+            self.fields.append((name, table(_PARSERS[field], _DTYPES[name])))
         self.persons = csvblocks.PersonTable()
         self.parts = {name: [] for name in (*self.names[1:], "line")}
         self.rejections = []
@@ -484,20 +452,21 @@ class _Columns:
                                     else f"wrong field count (expected {k}, got {count})"))
         at = rec.first[ok][:, None] + np.arange(k)
         start, end, line = rec.start[at], rec.end[at], rec.line[ok]
-        failed = np.zeros(len(line), dtype=bool)
+        keep = np.ones(len(line), dtype=bool)  # rows with no failed field so far
         values = {}
         for j, (name, table) in enumerate(self.fields, start=1):
-            values[name], bad = table.decode(rec, start[:, j], end[:, j])
-            failed |= bad
-        if "quarter_to" in values:
-            failed |= values.pop("quarter_to") != values["quarter"] + 1
-        for r in np.flatnonzero(failed).tolist():
-            row = [rec.data[s:e].decode() for s, e in zip(start[r].tolist(), end[r].tolist())]
-            try:
-                self.parse_fields(row, *self.parsers)
-            except ValueError as exc:
-                self.rejections.append((int(line[r]), str(exc)))
-        keep = ~failed
+            values[name], failed = table.decode(rec, start[:, j], end[:, j])
+            bad = np.flatnonzero(keep & failed).tolist()
+            self.rejections += [(int(line[r]), table.errors[rec.data[start[r, j]:end[r, j]]])
+                                for r in bad]
+            keep[bad] = False
+            if name == "quarter_to":  # both quarters parsed: are they adjacent?
+                q_from, q_to = values["quarter"], values.pop(name)
+                bad = np.flatnonzero(keep & (q_to != q_from + 1)).tolist()
+                self.rejections += [(int(line[r]), "quarters not adjacent ({} -> {})".format(
+                    QuarterId.from_ordinal(q_from[r]), QuarterId.from_ordinal(q_to[r])))
+                    for r in bad]
+                keep[bad] = False
         self.persons.add(rec, start[keep, 0], end[keep, 0])
         for name in self.names[1:]:
             self.parts[name].append(values[name][keep])
@@ -514,13 +483,13 @@ class _Columns:
                 sorted(self.rejections, key=lambda item: item[0]), self.n_rows)
 
 
-def _read_rows(batches, header, names, parse_fields):
+def _read_rows(batches, header, names):
     """Parse every data record into the columns ``names``, the person's code first.
 
     Returns (person_ids, columns as arrays, line numbers of the admitted
     rows, rejections, rows read); see _Columns.
     """
-    columns = _Columns(header, names, parse_fields)
+    columns = _Columns(header, names)
     for rec in batches:
         columns.add(rec)
         del rec  # not kept while the next batch is read
@@ -540,15 +509,13 @@ def _in_scope(admitted: PanelDataset, rejections, n_rows) -> tuple[PanelDataset,
 
 
 def _parse_pair_rows(batches, src: str) -> tuple[PanelDataset, ParseReport]:
-    person_ids, columns, _, rejections, n_rows = _read_rows(
-        batches, PAIR_HEADER, _COLUMNS, _pair_fields)
+    person_ids, columns, _, rejections, n_rows = _read_rows(batches, PAIR_HEADER, _COLUMNS)
     admitted = PanelDataset(person_ids=person_ids, provenance=f"pair_rows:{src}", **columns)
     return _in_scope(admitted, rejections, n_rows)
 
 
 def _parse_wave_rows(batches, src: str) -> tuple[PanelDataset, ParseReport]:
-    person_ids, waves, lines, rejections, n_rows = _read_rows(
-        batches, WAVE_HEADER, _WAVE_COLUMNS, _wave_fields)
+    person_ids, waves, lines, rejections, n_rows = _read_rows(batches, WAVE_HEADER, _WAVE_COLUMNS)
     keep, dup_rejected = _screen_duplicates(waves, person_ids, lines)
     dup_rejected = [(int(line), reason) for line, reason in dup_rejected]
     rejections = sorted(rejections + dup_rejected, key=lambda item: item[0])
@@ -687,7 +654,7 @@ def generate_synthetic_panel(
     shares = np.asarray(initial_shares, dtype=float)
     if shares.shape != (N_STATES,):
         raise ValueError(f"initial_shares must have length {N_STATES}")
-    if shares.min() < 0 or abs(float(shares.sum()) - 1.0) > 1e-9:
+    if not (shares.min() >= 0 and abs(float(shares.sum()) - 1.0) <= 1e-9):  # NaN fails too
         raise ValueError("initial_shares must be nonnegative and sum to 1 within 1e-9")
     if n_individuals < 1:
         raise ValueError("n_individuals must be >= 1")

@@ -117,14 +117,6 @@ AGE_MIN = AgeBand.TEENS.lo
 AGE_MAX = AgeBand.PRE_ADULTS.hi
 
 
-def age_band_of(age: int) -> AgeBand | None:
-    """Band containing ``age``, or None outside 15-34. Total on all integers."""
-    for band in AgeBand:
-        if band.contains(age):
-            return band
-    return None
-
-
 # ASCII digits only: ``\d`` would also admit other scripts' digits (``２０１９``).
 _QUARTER_RE = re.compile(r"^([0-9]{4})\.([1-4])$")
 
@@ -165,11 +157,6 @@ class QuarterId:
 
     def __str__(self) -> str:
         return f"{self.year}.{self.quarter}"
-
-
-def quarter_successor(q: QuarterId) -> QuarterId:
-    """The next calendar quarter; (y, 4) rolls over to (y+1, 1)."""
-    return q.plus(1)
 
 
 @dataclasses.dataclass(frozen=True)

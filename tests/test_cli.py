@@ -373,6 +373,15 @@ class TestSimulateCommand:
         assert "initial-shares" in err
 
 
+    def test_nan_initial_share_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "simulate", "--fixture", "early_2019Q3", "--n", "50",
+                                "--out", str(out), "--initial-shares", "nan,0,0,0,0,0,1")
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: initial_shares must be nonnegative and sum to 1 within 1e-9\n"
+        assert not out.exists()
+
     def test_format_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:
@@ -452,6 +461,17 @@ class TestConfigFile:
         cfg.write_text("format=csv\nepsilon=#1\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:2: "):
             RunConfig.read_file(cfg)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nan_min_support_is_usage_error(self, tmp_path, capsys, source):
+        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1"])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min_support=nan\n")
+        given = ["--min-support", "nan"] if source == "flag" else ["--config", str(cfg)]
+        code, out, err = run(capsys, "transitions", "--data", data, "--quarter", "2019.1", *given)
+        assert code == 2
+        assert out == ""
+        assert err == "error: min_support must be >= 0, got nan\n"
 
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

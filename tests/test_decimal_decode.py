@@ -2,8 +2,8 @@
 
 A token of 1 to 15 ASCII digits with at most one point and a nonzero
 mantissa is decoded by numpy as mantissa / 10**k and must equal
-``float(text)`` bit for bit; every other token must fall back to the row
-parser, so that its value or its rejection text is the row parser's.
+``float(text)`` bit for bit; every other token must fall back to the token
+parser, so that its value or its rejection text is the token parser's.
 """
 
 import numpy as np

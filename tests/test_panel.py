@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from lmflows import panel
 from lmflows.errors import PanelFormatError
 from lmflows.panel import (
     PAIR_HEADER,
@@ -271,6 +272,46 @@ class TestWaveRowsParsing:
         assert all("conflicting" in r for _, r in report.rejections)
 
 
+class TestRejectionReason:
+    """A row is rejected for its first failing field in header order, the
+    quarters' adjacency counting as a field right after quarter_to."""
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["byte-split", "csv-reader"])
+    @pytest.mark.parametrize("head,row,reason", [
+        (PAIR_HEAD, "2019.1,2019.3,XX,TE,21,F,1,SOUTH,1",
+         "quarters not adjacent (2019.1 -> 2019.3)"),
+        (PAIR_HEAD, "2019.1,2019.9,XX,TE,21,F,1,SOUTH,1",
+         "invalid quarter '2019.9' (expected YYYY.Q)"),
+        (PAIR_HEAD, "2019.0,2019.9,XX,TE,21,F,1,SOUTH,1",
+         "invalid quarter '2019.0' (expected YYYY.Q)"),
+        (PAIR_HEAD, "2019.1,2019.2,EDU,TE,21,F,1,EAST,0",
+         "invalid region 'EAST' (expected NORTH, CENTRE or SOUTH)"),
+        (WAVE_HEAD, "2019.1,XX,old,F,1,SOUTH,1", "unknown state code 'XX'"),
+    ], ids=["not-adjacent", "bad-quarter-to", "bad-quarter-from", "region-before-weight",
+            "wave-state-before-age"])
+    def test_first_failing_field_gives_the_reason(self, tmp_path, head, row, reason, quoted):
+        person = '"P1"' if quoted else "P1"  # a quote sends the block to csv.reader
+        path = write(tmp_path, "p.csv", f"{head}\n{person},{row}\n")
+        data, report = parse_panel_file(path)
+        assert len(data) == 0
+        assert report.rejections == ((2, reason),)
+
+    def test_failing_token_parsed_once_per_file(self, tmp_path, monkeypatch):
+        calls = []
+
+        def parse_age(text):
+            calls.append(text)
+            return panel._parse_age(text)
+
+        monkeypatch.setitem(panel._PARSERS, "age", parse_age)
+        path = write(tmp_path, "p.csv", PAIR_HEAD + "\n"
+                     + "P1,2019.1,2019.2,EDU,TE,old,F,1,SOUTH,1\n" * 500)
+        data, report = parse_panel_file(path)
+        assert len(data) == 0
+        assert report.rejections == tuple((line, "invalid age 'old'") for line in range(2, 502))
+        assert calls == ["old"]
+
+
 class TestLinkWaves:
     def test_demographics_come_from_first_wave(self):
         waves = [
@@ -366,7 +407,8 @@ class TestGenerator:
         ages = {p.demographics.age_at_first_wave for p in data.pairs}
         assert min(ages) >= 15 and max(ages) <= 34
 
-    @pytest.mark.parametrize("shares", [np.full(7, 0.2), -np.full(7, 1.0 / 7), np.full(6, 1.0 / 6)])
+    @pytest.mark.parametrize("shares", [np.full(7, 0.2), -np.full(7, 1.0 / 7), np.full(6, 1.0 / 6),
+                                        np.array([np.nan, 0, 0, 0, 0, 0, 1])])
     def test_rejects_bad_initial_shares(self, shares):
         with pytest.raises(ValueError):
             generate_synthetic_panel(np.eye(7), shares, 10, QuarterId(2019, 1), 2, seed=0)
