@@ -55,11 +55,17 @@ _AGE_CHOICES = {
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int >= ``low``; argparse names the flag in its errors."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _cohort_parent() -> argparse.ArgumentParser:
@@ -130,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quarter", help="departure quarter when estimating from --data")
     p.add_argument("--from", dest="from_state", required=True, metavar="STATE", help="source state")
     p.add_argument("--to", dest="to_state", required=True, metavar="STATE", help="target state")
-    p.add_argument("--horizon", type=_positive_int, default=40, help="quarters to tabulate (default 40)")
+    p.add_argument("--horizon", type=_int_at_least(1), default=40, help="quarters to tabulate (default 40)")
     p.add_argument("--epsilon", type=float, help="series truncation tolerance")
-    p.add_argument("--max-horizon", type=_positive_int, help="series term cap")
+    p.add_argument("--max-horizon", type=_int_at_least(1), help="series term cap")
     p.add_argument("--fallback-policy", choices=FALLBACK_POLICIES, help="treatment of imputed rows")
     p.add_argument("--min-support", type=float, help="warn on rows thinner than this weight")
     p.add_argument(
@@ -142,10 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[file_output], help="write a synthetic panel CSV")
     p.add_argument("--fixture", choices=fixture_names(), required=True, help="truth chain")
-    p.add_argument("--n", type=_positive_int, required=True, help="number of individuals")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="number of individuals")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed (default 0)")
     p.add_argument("--start", default="2019.1", help="first quarter of the window (default 2019.1)")
-    p.add_argument("--quarters", type=_positive_int, default=2, help="window length (default 2)")
+    p.add_argument("--quarters", type=_int_at_least(1), default=2, help="window length (default 2)")
     p.add_argument(
         "--initial-shares",
         metavar="P0,...,P6",

@@ -49,6 +49,9 @@ class ThinRowWarning(UserWarning):
 class TransitionMatrix:
     """A row-stochastic matrix over labelled states, with estimation metadata.
 
+    The one chain type the package reads, validated once, when built, and
+    read-only after; ``TransitionMatrix.of`` validates a bare array into one.
+
     Attributes
     ----------
     entries : (K, K) ndarray
@@ -92,20 +95,20 @@ class TransitionMatrix:
         if self.row_counts is not None:
             object.__setattr__(self, "row_counts", tuple(float(c) for c in self.row_counts))
         object.__setattr__(self, "fallback_rows", frozenset(int(r) for r in self.fallback_rows))
-        # fpt's passage engines by target index: the entries never change, so
-        # every passage report on this matrix shares one taboo recursion per target.
-        object.__setattr__(self, "_passage_engines", {})
-
-    def __getstate__(self):
-        # A copy or a pickle starts without engines, as dataclasses.replace does.
-        state = self.__dict__.copy()
-        del state["_passage_engines"]
-        return state
 
     def __setstate__(self, state):
-        self.__dict__.update(state, _passage_engines={})
-        # Copied arrays come back writable; the engines rely on the entries never changing.
+        self.__dict__.update(state)
+        # Copied arrays come back writable; the entries must never change.
         self.entries.setflags(write=False)
+
+    @classmethod
+    def of(cls, chain) -> "TransitionMatrix":
+        """``chain`` as a TransitionMatrix: a TransitionMatrix as it is, a square
+        array validated into one with states labelled "0".."K-1"."""
+        if isinstance(chain, cls):
+            return chain
+        entries = as_square_matrix(chain)
+        return cls(entries=entries, states=tuple(str(k) for k in range(len(entries))))
 
     @property
     def n_states(self) -> int:

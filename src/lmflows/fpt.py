@@ -18,17 +18,17 @@ so far, and keeps what the requests read as the terms pass: f(n) through
 the largest distribution horizon asked for, and for each stopping rule the
 first n at which a source meets it, with the sums of f(n) and n f(n) there.
 It never keeps the run of terms, so its memory is the kept rows plus a few
-numbers per source and rule, whatever the term cap. A ``TransitionMatrix``
-keeps its engines, so every passage on it into one target reads one shared
-run; a bare array, which may change, gets a private engine on each call.
-What a matrix keeps is bounded: a shared engine keeps rows through at most
-``Passage.SHARED_HORIZON`` terms (a longer distribution runs a private
-engine) and its latest ``_Engine.RULES`` stopping rules, and a copy or a
-pickle of the matrix starts without engines.
-Every public function below builds one ``Passage`` (a source and a target
-on a chain), and a full report (``serialize.build_fpt_report``) builds one
-for all of its parts, so it validates the chain and screens the passage
-once.
+numbers per source and rule, whatever the term cap. It also works out once
+the support of :math:`\tilde P` and the states that can reach :math:`j`,
+which screen every passage into :math:`j`. Chains are read as
+``TransitionMatrix`` objects, validated when built (a bare array is
+validated into one for the call), and this module keeps each matrix's
+engines, so every passage on it into one target reads one shared run.
+They keep rows through at most ``Passage.SHARED_HORIZON`` terms (a longer
+distribution runs a private engine) and the latest ``_Engine.RULES``
+stopping rules; a copy or a pickle of the matrix starts without engines.
+Every public function below builds one ``Passage``, and a full report
+(``serialize.build_fpt_report``) builds one for all of its parts.
 
 The expected first passage time is :math:`\mu_{ij} = \sum_n n f_{ij}(n)`,
 finite exactly when the passage probabilities sum to one. Whether they do
@@ -55,12 +55,13 @@ import collections
 import dataclasses
 import numbers
 import threading
+import weakref
 
 import numpy as np
 
 from .errors import InfiniteEfptError
+from .estimation import TransitionMatrix
 from .states import resolve_state
-from .stochastic import ensure_row_stochastic
 
 VERDICT_WELL_DEFINED = "well_defined"
 VERDICT_SUSPECT = "suspect"
@@ -76,20 +77,6 @@ _MASS_OK = 1e-6
 _SINGULAR_FLOOR = 1e-12
 
 
-def _read_chain(m, source, target) -> tuple[np.ndarray, tuple[str, ...], int, int]:
-    """Validate a TransitionMatrix or bare array; return (P, labels, source, target index)."""
-    entries = getattr(m, "entries", m)
-    labels = getattr(m, "states", None)
-    P = ensure_row_stochastic(entries)
-    if labels is None:
-        labels = tuple(str(k) for k in range(P.shape[0]))
-    else:
-        labels = tuple(labels)
-        if len(labels) != P.shape[0]:
-            raise ValueError(f"{len(labels)} labels for a {P.shape[0]}-state chain")
-    return P, labels, resolve_state(source, labels), resolve_state(target, labels)
-
-
 def _closure(adjacency: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Mask of the states reachable from the ``seeds`` mask in zero or more steps."""
     seen = seeds.copy()
@@ -100,8 +87,8 @@ def _closure(adjacency: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return seen
 
 
-def _screen(P: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Structural screen of the passage i -> j over the support of P.
+def _screen(engine: "_Engine", i: int, j: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Structural screen of the passage i -> j, from what j's ``engine`` keeps.
 
     Returns (region, trapped, reachable). ``region`` holds the states the
     chain can visit before its first entry to j, starting from i, or for a
@@ -111,11 +98,8 @@ def _screen(P: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray, bool
     certain exactly when it is empty. ``reachable`` says whether j can be
     reached from i in one or more steps.
     """
-    support = P > 0.0
-    reaches_j = _closure(support.T, support[:, j])
-    taboo = support.copy()
-    taboo[:, j] = False
-    start = taboo[j] if i == j else np.arange(len(P)) == i
+    taboo, reaches_j = engine.support, engine.reaches
+    start = taboo[j] if i == j else np.arange(len(taboo)) == i
     region = _closure(taboo, start)
     trapped = np.flatnonzero(start & ~reaches_j)
     if not len(trapped):
@@ -257,6 +241,10 @@ class _Engine:
         self._taboo = P.copy()
         self._taboo[:, j] = 0.0
         self._first = P[:, j].copy()
+        # What the screen reads: the support of P~ and the states that can reach
+        # j (a route ends with a step into j; the steps before it avoid j).
+        self.support = self._taboo > 0.0
+        self.reaches = _closure(self.support.T, self._first > 0.0)
         self._rows = np.empty((0, len(P)))
         self._stops = {}
         # The sources whose stopping rules the stream records: none, one, or all.
@@ -391,36 +379,40 @@ class _Engine:
             return stop.answers[i]
 
 
+# Each TransitionMatrix's engines by target index; a copy is another key.
+_ENGINES = weakref.WeakKeyDictionary()
+
+
 class Passage:
     """The passage from ``source`` to ``target`` on one chain, shared by every route.
 
-    Construction validates the chain, resolves both ends and screens the
-    passage. The distribution and the stopping rules read the target's
-    engine, which runs the taboo recursion for all sources as far as they
-    ask; the linear route reads the screened region alone. The engine is
-    the one the TransitionMatrix keeps for the target, unless the chain is
-    a bare array or a distribution asks for more than ``SHARED_HORIZON``
-    terms: then the passage runs one of its own, which goes when it does.
+    Construction reads the chain through ``TransitionMatrix.of``, resolves
+    both ends and screens the passage from the target's engine. The
+    distribution and the stopping rules read that engine, which runs the
+    taboo recursion for all sources as far as they ask; the linear route
+    reads the screened region alone. The engine is the one this module
+    keeps for the matrix and target, unless a distribution asks for more
+    than ``SHARED_HORIZON`` terms: then the passage runs one of its own.
     """
 
     # Longest distribution a matrix's shared engine keeps rows for.
     SHARED_HORIZON = 1024
 
     def __init__(self, m, source, target):
-        self.P, self.labels, self.i, self.j = _read_chain(m, source, target)
+        m = TransitionMatrix.of(m)
+        self.P, self.labels = m.entries, m.states
+        self.i, self.j = resolve_state(source, self.labels), resolve_state(target, self.labels)
         self.source, self.target = self.labels[self.i], self.labels[self.j]
-        self.region, self.trapped, self.reachable = _screen(self.P, self.i, self.j)
-        self._shared = getattr(m, "_passage_engines", None)
+        engines = _ENGINES.setdefault(m, {})
+        self._shared = engines.get(self.j) or engines.setdefault(self.j, _Engine(self.P, self.j))
+        self.region, self.trapped, self.reachable = _screen(self._shared, self.i, self.j)
         self._own = None
 
     def _engine(self, horizon: int = 0) -> _Engine:
         """The engine to read for rows through ``horizon``; once the passage has its own,
         every later read is from it."""
-        if self._own is None and self._shared is not None and horizon <= self.SHARED_HORIZON:
-            engine = self._shared.get(self.j)
-            if engine is None:
-                engine = self._shared.setdefault(self.j, _Engine(self.P, self.j))
-            return engine
+        if self._own is None and horizon <= self.SHARED_HORIZON:
+            return self._shared
         if self._own is None:
             self._own = _Engine(self.P, self.j)
         return self._own

@@ -63,6 +63,7 @@ import numpy as np
 
 from . import csvblocks
 from .errors import PanelFormatError
+from .estimation import TransitionMatrix
 from .states import (
     AGE_MAX,
     AGE_MIN,
@@ -76,7 +77,6 @@ from .states import (
     QuarterId,
     Sex,
 )
-from .stochastic import ensure_row_stochastic
 
 PAIR_HEADER = (
     "person_id", "quarter_from", "quarter_to", "state_from", "state_to",
@@ -647,8 +647,7 @@ def generate_synthetic_panel(
     PanelDataset
         Linked pairs, at most two per individual, sorted by person then quarter.
     """
-    entries = getattr(truth, "entries", truth)
-    P = ensure_row_stochastic(entries)
+    P = TransitionMatrix.of(truth).entries
     if P.shape[0] != N_STATES:
         raise ValueError(f"truth matrix must be {N_STATES}x{N_STATES}, got {P.shape}")
     shares = np.asarray(initial_shares, dtype=float)

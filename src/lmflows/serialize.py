@@ -13,6 +13,7 @@ import io
 import json
 
 from .errors import InfiniteEfptError
+from .estimation import TransitionMatrix
 from .fpt import Passage
 
 
@@ -186,14 +187,15 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
     Contains the distribution f(n) with its cdf and survival companions up
     to ``horizon``, the expectation by both routes (series and linear
     system, each reported even when the other is infinite), and the
-    well-definedness diagnosis at ``max_horizon``. One Passage serves all
-    four, so the chain is validated and screened once, and the target's
-    taboo recursion, told up front what the distribution, the verdict and
-    the series read, runs once for all three; on a TransitionMatrix it is
-    shared with every other report into the same target. The results and
-    the errors, in their order, are those of fpt_distribution,
-    check_well_defined, efpt_series and efpt_linear called one by one.
+    well-definedness diagnosis at ``max_horizon``. ``m`` is read through
+    ``TransitionMatrix.of``, and one Passage serves all four parts, so the
+    passage is screened once and the target's taboo recursion, told up
+    front what the parts read, runs once, shared with every other report on
+    the matrix into that target. The results and the errors, in their
+    order, are those of fpt_distribution, check_well_defined, efpt_series
+    and efpt_linear called one by one.
     """
+    m = TransitionMatrix.of(m)
     passage = Passage(m, source, target)
     passage.expect_report(horizon, epsilon, max_horizon)
     dist = passage.distribution(horizon)
@@ -203,9 +205,9 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
         "source": dist.source,
         "target": dist.target,
         "horizon": int(horizon),
-        "from_quarter": str(m.from_quarter) if getattr(m, "from_quarter", None) is not None else None,
-        "to_quarter": str(m.to_quarter) if getattr(m, "to_quarter", None) is not None else None,
-        "cohort": _cohort_doc(getattr(m, "cohort", None)),
+        "from_quarter": str(m.from_quarter) if m.from_quarter is not None else None,
+        "to_quarter": str(m.to_quarter) if m.to_quarter is not None else None,
+        "cohort": _cohort_doc(m.cohort),
         "well_defined": {
             "verdict": wd.verdict,
             "mass_at_horizon": float(wd.mass_at_horizon),

@@ -16,7 +16,7 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
-def ensure_row_stochastic(m, tol: float = ROW_SUM_TOL) -> np.ndarray:
+def ensure_row_stochastic(m) -> np.ndarray:
     """Validate that every row of ``m`` is a probability distribution.
 
     Returns the validated float copy. Raises NonStochasticError naming the
@@ -27,7 +27,7 @@ def ensure_row_stochastic(m, tol: float = ROW_SUM_TOL) -> np.ndarray:
     lowest = a.min(axis=1, initial=np.inf)
     with np.errstate(invalid="ignore", over="ignore"):  # rows with inf are named as non-finite
         sums = a.sum(axis=1)
-    bad = nonfinite | (lowest < -_NEG_TOL) | (np.abs(sums - 1.0) > tol)
+    bad = nonfinite | (lowest < -_NEG_TOL) | (np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.any():
         # Within the first bad row: non-finite, then negative, then the sum.
         i = int(bad.argmax())

@@ -321,6 +321,14 @@ class TestFptCommand:
         assert code == 2
         assert "unknown state" in err
 
+    def test_non_integer_horizon_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fpt", "--fixture", "early_2019Q3", "--from", "EDU", "--to", "PE",
+                  "--horizon", "2.5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --horizon: expected an integer, got '2.5'")
+
     def test_pretty_report(self, capsys):
         code, out, _ = run(capsys, "fpt", "--fixture", "early_2019Q3",
                            "--from", "EDU", "--to", "PE", "--horizon", "4", "--pretty")
@@ -359,6 +367,15 @@ class TestSimulateCommand:
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--fixture", "early_2019Q3", "--n", "5",
+                  "--out", str(tmp_path / "x.csv"), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --seed: must be >= 0, got -1")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_out_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--fixture", "early_2019Q3", "--n", "5")

@@ -194,9 +194,13 @@ def test_one_validation_per_report(monkeypatch):
         if getattr(module, "ensure_row_stochastic", None) is real:
             monkeypatch.setattr(module, "ensure_row_stochastic", counted)
     m = get_fixture("early_2020Q3").matrix()
+    bare = np.array(m.entries)
     for source, target in [("EDU", "PE"), ("EDU", "FS"), ("PE", "PE"), ("FS", "EDU")]:
         calls.clear()
         build_fpt_report(m, source, target, HORIZON, DEFAULT_EPSILON, DEFAULT_MAX_HORIZON)
+        assert len(calls) == 0, (source, target)
+        i, j = m.state_index(source), m.state_index(target)
+        build_fpt_report(bare, i, j, HORIZON, DEFAULT_EPSILON, DEFAULT_MAX_HORIZON)
         assert len(calls) == 1, (source, target)
 
 

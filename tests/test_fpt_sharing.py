@@ -1,7 +1,7 @@
 """One engine per (chain, target): reports that share a run read what they would read alone.
 
-A ``TransitionMatrix`` keeps one engine per target, and every report on
-the matrix into that target reads it, whatever came before: other sources,
+fpt keeps one engine per target of a ``TransitionMatrix``, and every report
+on the matrix into that target reads it, whatever came before: other sources,
 other targets, other horizons and stopping rules, other threads. Each
 document must be the one a fresh matrix, or the bare array, gives. The
 engine keeps no run of terms, so a long divergent check stays small, and
@@ -9,6 +9,8 @@ what a matrix keeps is bounded whatever it was asked.
 """
 
 import copy
+import dataclasses
+import gc
 import json
 import pickle
 import sys
@@ -165,10 +167,34 @@ def test_a_matrix_with_engines_pickles_and_copies_without_them():
     assert report(m, "EDU", "PE") == want["PE"]
     assert pickle.dumps(m) == pickle.dumps(fresh)
     for other in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
-        assert other._passage_engines == {}
+        assert other not in fpt._ENGINES
         assert not other.entries.flags.writeable
         for target in ("PE", "FS"):
             assert report(other, "EDU", target) == want[target]
+
+
+@pytest.mark.parametrize("fixture", ["early_2019Q3", "early_2020Q3"])
+def test_a_bare_array_reports_as_its_labelled_matrix(fixture):
+    bare = np.array(get_fixture(fixture).matrix().entries)
+    labelled = TransitionMatrix(entries=bare, states=tuple(str(k) for k in range(7)))
+    gc.collect()
+    for source in range(7):
+        for target in range(7):
+            want = report(labelled, source, target)
+            size = len(fpt._ENGINES)
+            assert report(bare, source, target) == want
+            assert len(fpt._ENGINES) == size, (source, target)
+
+
+def test_reports_leave_no_fpt_state_on_the_matrix():
+    m = get_fixture("early_2020Q3").matrix()
+    before = dict(vars(m))
+    for target in ("PE", "FS"):
+        report(m, "EDU", target)
+        fpt_distribution(m, "EDU", target, fpt.Passage.SHARED_HORIZON + 1)
+    assert m in fpt._ENGINES
+    assert set(vars(m)) == {field.name for field in dataclasses.fields(m)}
+    assert all(vars(m)[name] is value for name, value in before.items())
 
 
 def test_a_long_distribution_leaves_little_on_the_matrix():
@@ -194,7 +220,7 @@ def test_an_engine_keeps_its_latest_rules():
     want = [efpt_series(get_fixture("early_2019Q3").matrix(), "EDU", "PE", epsilon=10.0 ** -e)
             for e in range(3, 15)]
     assert [efpt_series(m, "EDU", "PE", epsilon=10.0 ** -e) for e in range(3, 15)] == want
-    engine = m._passage_engines[m.state_index("PE")]
+    engine = fpt._ENGINES[m][m.state_index("PE")]
     assert list(engine._stops) == [(10.0 ** -e, DEFAULT_MAX_HORIZON) for e in range(7, 15)]
     assert efpt_series(m, "EDU", "PE", epsilon=1e-3) == want[0]
 

@@ -5,6 +5,7 @@ import pytest
 
 from lmflows import panel
 from lmflows.errors import PanelFormatError
+from lmflows.fixtures import get_fixture
 from lmflows.panel import (
     PAIR_HEADER,
     WAVE_HEADER,
@@ -400,6 +401,15 @@ class TestGenerator:
         data = generate_synthetic_panel(P, UNIFORM7, 400, QuarterId(2020, 2), 2, seed=3)
         assert len(data) == 400
         assert all(p.quarter_from == QuarterId(2020, 2) for p in data.pairs)
+
+    def test_bare_entries_simulate_as_their_matrix(self):
+        m = get_fixture("early_2020Q3").matrix()
+        args = (UNIFORM7, 300, QuarterId(2019, 1), 8)
+        a = generate_synthetic_panel(m, *args, seed=7)
+        b = generate_synthetic_panel(np.array(m.entries), *args, seed=7)
+        assert a.person_ids == b.person_ids
+        for name in panel._COLUMNS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_ages_within_scope(self):
         P = np.full((7, 7), 1.0 / 7)
