@@ -19,8 +19,10 @@ the largest distribution horizon asked for, and for each stopping rule the
 first n at which a source meets it, with the sums of f(n) and n f(n) there.
 It never keeps the run of terms, so its memory is the kept rows plus a few
 numbers per source and rule, whatever the term cap. It also works out once
-the support of :math:`\tilde P` and the states that can reach :math:`j`,
-which screen every passage into :math:`j`. Chains are read as
+the closure of the support of :math:`\tilde P` (which states each state can
+visit before entering :math:`j`) and the states that can reach :math:`j`,
+which screen every passage into :math:`j`, and it keeps the linear route's
+solve of each region it is asked about. Chains are read as
 ``TransitionMatrix`` objects, validated when built (a bare array is
 validated into one for the call), and this module keeps each matrix's
 engines, so every passage on it into one target reads one shared run.
@@ -77,30 +79,20 @@ _MASS_OK = 1e-6
 _SINGULAR_FLOOR = 1e-12
 
 
-def _closure(adjacency: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Mask of the states reachable from the ``seeds`` mask in zero or more steps."""
-    seen = seeds.copy()
-    frontier = seeds
-    while frontier.any():
-        frontier = adjacency[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return seen
-
-
 def _screen(engine: "_Engine", i: int, j: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Structural screen of the passage i -> j, from what j's ``engine`` keeps.
+    """Structural screen of the passage i -> j, read from j's ``engine`` closure.
 
     Returns (region, trapped, reachable). ``region`` holds the states the
     chain can visit before its first entry to j, starting from i, or for a
-    return time (i == j) from the states one step out of j. ``trapped``
-    holds the starting states from which j cannot be reached, or when there
-    are none, the region states from which it cannot; the passage is
-    certain exactly when it is empty. ``reachable`` says whether j can be
-    reached from i in one or more steps.
+    return time (i == j) from the states one step out of j: the closure's
+    rows for those states, joined. ``trapped`` holds the starting states
+    from which j cannot be reached, or when there are none, the region
+    states from which it cannot; the passage is certain exactly when it is
+    empty. ``reachable`` says whether j can be reached from i in one or more steps.
     """
-    taboo, reaches_j = engine.support, engine.reaches
-    start = taboo[j] if i == j else np.arange(len(taboo)) == i
-    region = _closure(taboo, start)
+    ahead, reaches_j = engine.ahead, engine.reaches
+    start = engine.support[j] if i == j else np.arange(len(ahead)) == i
+    region = ahead[start].any(axis=0)
     trapped = np.flatnonzero(start & ~reaches_j)
     if not len(trapped):
         trapped = np.flatnonzero(region & ~reaches_j)
@@ -227,7 +219,9 @@ class _Engine:
     term-by-term loop adds them. A request for rows, a rule or a source
     that the stream has already passed unrecorded sends it back to n = 0;
     answers recorded so far are kept. One lock guards the whole state:
-    reports in several threads may share an engine.
+    reports in several threads may share an engine. Beside the recursion,
+    and never reading it, the engine holds what the screen reads (``ahead``,
+    ``reaches``) and the linear route's solves by region (``solve``).
     """
 
     # Most terms a block of the stream holds.
@@ -241,10 +235,16 @@ class _Engine:
         self._taboo = P.copy()
         self._taboo[:, j] = 0.0
         self._first = P[:, j].copy()
-        # What the screen reads: the support of P~ and the states that can reach
-        # j (a route ends with a step into j; the steps before it avoid j).
+        # What the screen reads: the support of P~, its reflexive-transitive
+        # closure (Warshall), and the states that can reach j (a route ends
+        # with a step into j; the steps before it avoid j).
         self.support = self._taboo > 0.0
-        self.reaches = _closure(self.support.T, self._first > 0.0)
+        self.ahead = self.support | np.eye(len(P), dtype=bool)
+        for k in range(len(P)):
+            self.ahead |= self.ahead[:, k:k + 1] & self.ahead[k]
+        self.reaches = self.ahead[:, self._first > 0.0].any(axis=1)
+        # The linear route's mu by region (None where singular), never the recursion's.
+        self._solves = {}
         self._rows = np.empty((0, len(P)))
         self._stops = {}
         # The sources whose stopping rules the stream records: none, one, or all.
@@ -378,6 +378,27 @@ class _Engine:
                 self._run(min(cap, self._n + max(self._GROW, self._n // 4)))
             return stop.answers[i]
 
+    def solve(self, P: np.ndarray, region: np.ndarray) -> np.ndarray | None:
+        """The first-step solve on ``region`` of P, run once per region (``_first_step_solve``)."""
+        key = region.tobytes()
+        with self._lock:
+            if key not in self._solves:
+                self._solves[key] = _first_step_solve(P, region)
+            return self._solves[key]
+
+
+def _first_step_solve(P: np.ndarray, region: np.ndarray) -> np.ndarray | None:
+    """mu of (I - Q) mu = 1, Q being P on ``region``; None if I - Q is numerically singular."""
+    A = np.eye(len(region)) - P[np.ix_(region, region)]
+    try:
+        # Cannot trip once the screen passed; kept as a guard against
+        # degenerate numerics.
+        if np.linalg.svd(A, compute_uv=False).min(initial=np.inf) <= _SINGULAR_FLOOR:
+            return None
+        return np.linalg.solve(A, np.ones(len(region)))
+    except np.linalg.LinAlgError:
+        return None
+
 
 # Each TransitionMatrix's engines by target index; a copy is another key.
 _ENGINES = weakref.WeakKeyDictionary()
@@ -462,17 +483,11 @@ class Passage:
     def linear(self) -> EfptResult:
         P, i, j = self.P, self.i, self.j
         region = self._certain_region()
-        A = np.eye(len(region)) - P[np.ix_(region, region)]
-        try:
-            # Cannot trip once the screen passed; kept as a guard against
-            # degenerate numerics.
-            if np.linalg.svd(A, compute_uv=False).min(initial=np.inf) <= _SINGULAR_FLOOR:
-                raise np.linalg.LinAlgError("smallest singular value below the floor")
-            mu = np.linalg.solve(A, np.ones(len(region)))
-        except np.linalg.LinAlgError:
+        mu = self._shared.solve(P, region)
+        if mu is None:
             raise InfiniteEfptError(
                 self.source, self.target, detail="first-step system is numerically singular"
-            ) from None
+            )
         if i == j:
             quarters = 1.0 + P[j, region] @ mu
         else:
@@ -558,7 +573,8 @@ def efpt_linear(m, source, target) -> EfptResult:
     InfiniteEfptError is raised, naming the trapped states.
 
     Independent of efpt_series by construction; the two share only the
-    structural screen, no numbers.
+    structural screen, no numbers. Each region's system is solved once per
+    matrix and target; every source whose passage has that region reads it.
     """
     return Passage(m, source, target).linear()
 

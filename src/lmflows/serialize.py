@@ -218,9 +218,9 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
             "series": _efpt_series_doc(passage, epsilon, max_horizon),
             "linear_system": _efpt_linear_doc(passage),
         },
-        "distribution": [float(v) for v in dist.probabilities],
-        "cdf": [float(v) for v in cdf],
-        "survival": [float(1.0 - v) for v in cdf],
+        "distribution": dist.probabilities.tolist(),
+        "cdf": cdf.tolist(),
+        "survival": (1.0 - cdf).tolist(),
     }
     return doc
 
@@ -247,12 +247,10 @@ def fpt_report_to_csv(doc: dict) -> str:
             )
         )
     )
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "f", "cdf", "survival"])
-    for k in range(doc["horizon"]):
-        w.writerow(
-            [k + 1, _fmt(doc["distribution"][k]), _fmt(doc["cdf"][k]), _fmt(doc["survival"][k])]
-        )
+    # Ints and floats only, which csv.writer would never quote: one join, each as _fmt writes it.
+    columns = (map(repr, map(float, doc[name])) for name in ("distribution", "cdf", "survival"))
+    buf.write("n,f,cdf,survival\n")
+    buf.write("".join(map("{},{},{},{}\n".format, range(1, doc["horizon"] + 1), *columns)))
     return buf.getvalue()
 
 

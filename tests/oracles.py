@@ -8,6 +8,7 @@ the package's own token parsers (what each token means is theirs to say).
 """
 
 import csv
+import io
 import itertools
 
 import numpy as np
@@ -50,6 +51,70 @@ def reachable_by_powers(P, i, j, via_at_least_one_step=True):
     if via_at_least_one_step:
         return bool(acc[i, j])
     return i == j or bool(acc[i, j])
+
+
+def taboo_region(P, i, j):
+    """The structural screen of the passage i -> j, by a breadth-first search per state.
+
+    A step from a to b counts when P[a, b] > 0 and b != j. The region is
+    every state such steps reach from i (i itself included), or for i == j
+    from the states one step out of j. A state can reach j when some state
+    such steps reach from it steps into j. ``trapped`` lists the starting
+    states that cannot reach j, or if none, the region states that cannot.
+    Returns (region, trapped, reachable) as sorted lists and a bool, where
+    ``reachable`` says whether i can reach j.
+    """
+    P = np.asarray(P, dtype=float)
+    K = P.shape[0]
+
+    def visits(starts):
+        seen, queue = set(starts), list(starts)
+        while queue:
+            a = queue.pop()
+            for b in range(K):
+                if b != j and P[a, b] > 0 and b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+        return seen
+
+    def can_reach(s):
+        return any(P[t, j] > 0 for t in visits([s]))
+
+    starts = [b for b in range(K) if b != j and P[j, b] > 0] if i == j else [i]
+    region = sorted(visits(starts))
+    trapped = [s for s in starts if not can_reach(s)]
+    if not trapped:
+        trapped = [s for s in region if not can_reach(s)]
+    return region, sorted(trapped), can_reach(i)
+
+
+def report_csv_by_writer(doc) -> str:
+    """A passage report as CSV, one ``csv.writer`` row per horizon n, each float as ``repr``."""
+    def fmt(x):
+        return repr(float(x))
+
+    series = doc["efpt"]["series"]
+    linear = doc["efpt"]["linear_system"]
+    meta = (
+        ("source", doc["source"]),
+        ("target", doc["target"]),
+        ("from_quarter", doc["from_quarter"]),
+        ("to_quarter", doc["to_quarter"]),
+        ("verdict", doc["well_defined"]["verdict"]),
+        ("efpt_series_quarters", "inf" if series["infinite"] else fmt(series["quarters"])),
+        ("efpt_linear_quarters", "inf" if linear["infinite"] else fmt(linear["quarters"])),
+        ("trapped_states",
+         ";".join(linear["trapped_states"]) if linear["trapped_states"] else None),
+    )
+    buf = io.StringIO()
+    buf.write("".join(f"# {key}={value}\n" for key, value in meta if value is not None))
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["n", "f", "cdf", "survival"])
+    for k in range(doc["horizon"]):
+        w.writerow(
+            [k + 1, fmt(doc["distribution"][k]), fmt(doc["cdf"][k]), fmt(doc["survival"][k])]
+        )
+    return buf.getvalue()
 
 
 def cohort_matches(cohort, demo) -> bool:

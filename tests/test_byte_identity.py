@@ -42,6 +42,8 @@ EXPECTED = {
     "shares_csv": "ca1ffc797f720353e80f034c9ca04e81fa2054cadcc2a1fab580fd94f391c094",
     "shares_json": "d9081d8c3e5973ccd9195609e18a0ff4fe23712003d157339ef3efb01907007d",
     "fpt_csv": "5ad9140f7370e82c537ccb7af17d5d906f82bee68a1c82171d90469218e6dcc6",
+    "fpt_json": "0e85113ae6d53b1f446c061273fc38ea46aa523790aa3c3267b4abb6865a238c",
+    "fpt_return_csv": "ae027bd63ee19292f44c853939519c3502289fdbe96feb0f885d95885a35710c",
     "rejects": "1162e0cbedbea4346aed23f29d0c2b8f4c1dac925d139994081a0671b5339d7c",
 }
 
@@ -94,6 +96,10 @@ def output_digests(workdir) -> dict[str, str]:
                                "--format", "json"),
             "fpt_csv": run("fpt", "--data", "weighted.csv", "--quarter", "2019.3",
                            "--from", "EDU", "--to", "PE"),
+            "fpt_json": run("fpt", "--data", "weighted.csv", "--quarter", "2019.3",
+                            "--from", "EDU", "--to", "PE", "--format", "json"),
+            "fpt_return_csv": run("fpt", "--data", "weighted.csv", "--quarter", "2019.3",
+                                  "--from", "EDU", "--to", "EDU"),
         }
         files = {"simulate": Path("sim.csv").read_bytes(), "rejects": Path("rejects.csv").read_bytes()}
     finally:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lmflows import fpt
 from lmflows.errors import InfiniteEfptError, NonStochasticError
 from lmflows.estimation import TransitionMatrix
 from lmflows.fpt import (
@@ -15,7 +18,7 @@ from lmflows.fpt import (
 )
 
 from conftest import random_stochastic
-from oracles import geometric_fpt, path_sum_fpt, reachable_by_powers
+from oracles import geometric_fpt, path_sum_fpt, reachable_by_powers, taboo_region
 
 
 def two_state(a, b):
@@ -245,6 +248,32 @@ class TestDegenerateChains:
                     assert (verdict == VERDICT_DIVERGENT) == raised
                     if i != j and not expected:
                         assert raised_unreachable
+
+
+@st.composite
+def sparse_supports(draw):
+    """Chains of up to 8 states that matter only by their support: sparse,
+    with absorbing rows and all-zero columns (and so all-zero rows)."""
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 0.7))
+    P = np.where(rng.random((k, k)) < density, rng.uniform(0.1, 1.0, (k, k)), 0.0)
+    for s in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        P[s] = 0.0
+        P[s, s] = 1.0
+    for c in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        P[:, c] = 0.0
+    return P
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=sparse_supports())
+def test_screen_matches_the_search_oracle(P):
+    for j in range(len(P)):
+        engine = fpt._Engine(P, j)
+        for i in range(len(P)):
+            region, trapped, reachable = fpt._screen(engine, i, j)
+            assert (region.tolist(), trapped.tolist(), reachable) == taboo_region(P, i, j), (i, j)
 
 
 class TestWellDefinedVerdicts:

@@ -5,9 +5,12 @@ on the matrix into that target reads it, whatever came before: other sources,
 other targets, other horizons and stopping rules, other threads. Each
 document must be the one a fresh matrix, or the bare array, gives. The
 engine keeps no run of terms, so a long divergent check stays small, and
-what a matrix keeps is bounded whatever it was asked.
+what a matrix keeps is bounded whatever it was asked. The linear route
+solves once per region of an engine, and every source whose passage has
+that region reads the one solve.
 """
 
+import collections
 import copy
 import dataclasses
 import gc
@@ -24,18 +27,19 @@ from hypothesis import strategies as st
 
 from lmflows import fpt
 from lmflows.estimation import TransitionMatrix
-from lmflows.fixtures import get_fixture
+from lmflows.fixtures import fixture_names, get_fixture
 from lmflows.fpt import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_HORIZON,
     VERDICT_DIVERGENT,
     check_well_defined,
+    efpt_linear,
     efpt_series,
     fpt_distribution,
 )
 from lmflows.serialize import build_fpt_report
 
-from oracles import series_by_loop
+from oracles import series_by_loop, taboo_region
 from test_fpt_engine import chains
 
 HORIZON = 40
@@ -265,3 +269,91 @@ def test_a_falling_mass_stops_where_it_first_meets_tol():
     assert n == 1
     series = build_fpt_report(P, 0, 1, 2, 1e-12, 50)["efpt"]["series"]
     assert (series["n_terms"], series["quarters"]) == (n, mean)
+
+
+def count_linalg(monkeypatch) -> collections.Counter:
+    """Count calls of np.linalg.svd and np.linalg.solve from here on."""
+    calls = collections.Counter()
+    for name in ("svd", "solve"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", fixture_names())
+def test_a_sweep_solves_once_per_certain_region(fixture, monkeypatch):
+    m = get_fixture(fixture).matrix()
+    pairs = [(i, j) for i in range(len(m.states)) for j in range(len(m.states))]
+    regions = set()
+    for i, j in pairs:
+        region, trapped, _ = taboo_region(m.entries, i, j)
+        if not trapped:
+            regions.add((j, tuple(region)))
+    calls = count_linalg(monkeypatch)
+    for _ in range(2):  # cold engines, then warm ones
+        for i, j in pairs:
+            report(m, i, j)
+        assert (calls["svd"], calls["solve"]) == (len(regions), len(regions))
+
+
+@pytest.mark.parametrize("fixture", fixture_names())
+def test_a_warm_sweep_equals_cold_engines_and_the_bare_array(fixture):
+    m = get_fixture(fixture).matrix()
+    k = len(m.states)
+    labelled = TransitionMatrix(entries=np.array(m.entries), states=tuple(str(s) for s in range(k)))
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    for i, j in pairs:
+        report(m, i, j)
+        report(labelled, i, j)
+    for i, j in pairs:
+        assert report(m, i, j) == report(copy.copy(m), i, j), (i, j)
+        assert report(labelled, i, j) == report(np.array(m.entries), i, j), (i, j)
+
+
+def test_threads_solve_each_region_once(monkeypatch):
+    m = get_fixture("early_2020Q3").matrix()
+    k = len(m.states)
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    screens = {(i, j): taboo_region(m.entries, i, j) for i, j in pairs}
+    regions = {(j, tuple(region)) for (i, j), (region, trapped, _) in screens.items() if not trapped}
+
+    def linear(m, i, j):
+        try:
+            return repr(efpt_linear(m, i, j))
+        except fpt.InfiniteEfptError as exc:
+            return str(exc)
+
+    want = [linear(get_fixture("early_2020Q3").matrix(), i, j) for i, j in pairs]
+    solved = []  # list.append is atomic; a Counter's += is not
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **kw: solved.append(1) or real(*a, **kw))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(linear, m, i, j) for _ in range(3) for i, j in pairs]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == want * 3
+    assert len(solved) == len(regions)
+
+
+def test_a_singular_region_fails_once_for_each_source(monkeypatch):
+    # A and B reach each other and leak into T: both passages into T have the region {A, B}.
+    m = TransitionMatrix(entries=np.array([[0.5, 0.4, 0.1], [0.3, 0.5, 0.2], [0.0, 0.0, 1.0]]),
+                         states=("A", "B", "T"))
+    monkeypatch.setattr(fpt, "_SINGULAR_FLOOR", 10.0)
+    calls = count_linalg(monkeypatch)
+    for source in ("A", "B"):
+        text = (f"expected first passage time from {source} to T is infinite or undefined: "
+                "first-step system is numerically singular")
+        with pytest.raises(fpt.InfiniteEfptError) as err:
+            efpt_linear(m, source, "T")
+        assert (str(err.value), err.value.source, err.value.trapped) == (text, source, ())
+        linear = build_fpt_report(m, source, "T", HORIZON, DEFAULT_EPSILON,
+                                  DEFAULT_MAX_HORIZON)["efpt"]["linear_system"]
+        assert (linear["infinite"], linear["detail"]) == (True, text)
+    assert (calls["svd"], calls["solve"]) == (1, 0)
