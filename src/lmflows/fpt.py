@@ -12,24 +12,15 @@ the probability of hitting :math:`j` for the first time after exactly
 :math:`n` steps. Writing :math:`\tilde P` for :math:`P` with column
 :math:`j` zeroed, the vector of horizon-:math:`n` probabilities over all
 sources is :math:`F(1) = P_{\cdot j}`, :math:`F(n) = \tilde P F(n-1)`,
-which is how this module computes it. One engine per (chain, target) runs
-that recursion for all sources at once, only as far as the furthest request
-so far, and keeps what the requests read as the terms pass: f(n) through
-the largest distribution horizon asked for, and for each stopping rule the
-first n at which a source meets it, with the sums of f(n) and n f(n) there.
-It never keeps the run of terms, so its memory is the kept rows plus a few
-numbers per source and rule, whatever the term cap. It also works out once
-the closure of the support of :math:`\tilde P` (which states each state can
-visit before entering :math:`j`) and the states that can reach :math:`j`,
-which screen every passage into :math:`j`, and it keeps the linear route's
-solve of each region it is asked about. Chains are read as
-``TransitionMatrix`` objects, validated when built (a bare array is
+which is how this module computes it: one engine per (chain, target),
+``_Engine``, runs that recursion for all sources at once, as far as the
+requests ask, and also works out the closure of the support of
+:math:`\tilde P` that screens every passage into :math:`j`. Chains are read
+as ``TransitionMatrix`` objects, validated when built (a bare array is
 validated into one for the call), and this module keeps each matrix's
-engines, so every passage on it into one target reads one shared run.
-They keep rows through at most ``Passage.SHARED_HORIZON`` terms (a longer
-distribution runs a private engine) and the latest ``_Engine.RULES``
-stopping rules; a copy or a pickle of the matrix starts without engines.
-Every public function below builds one ``Passage``, and a full report
+engines, so every passage on it into one target reads one shared run; a
+copy or a pickle of the matrix starts without engines. Every public
+function below builds one ``Passage``, and a full report
 (``serialize.build_fpt_report``) builds one for all of its parts.
 
 The expected first passage time is :math:`\mu_{ij} = \sum_n n f_{ij}(n)`,
@@ -44,8 +35,9 @@ expectation with them at once.
 For a passage the screen finds certain, two independent routes compute
 the expectation and share no numbers:
 
-* ``efpt_series`` accumulates the truncated series until the mass left in
-  the tail is negligible, up to a cap on the number of terms;
+* ``efpt_series`` accumulates the truncated series until a proven bound on
+  its tail (``_Engine``) is within ``epsilon`` of the partial sum, with a
+  ceiling on the number of terms;
 * ``efpt_linear`` solves the first-step equations
   :math:`(I - Q)\mu = \mathbf 1`, where :math:`Q` is :math:`P` restricted
   to the states visited before the first entry to :math:`j`.
@@ -55,6 +47,7 @@ Agreement between the two is a cross-check on both.
 
 import collections
 import dataclasses
+import math
 import numbers
 import threading
 import weakref
@@ -70,10 +63,10 @@ VERDICT_SUSPECT = "suspect"
 VERDICT_DIVERGENT = "divergent"
 
 DEFAULT_EPSILON = 1e-9
-DEFAULT_MAX_HORIZON = 4000
+DEFAULT_MAX_HORIZON = 20000
 
-# Largest unpassed mass with which check_well_defined calls a certain passage well defined.
-_MASS_OK = 1e-6
+# Largest unpassed mass the tail bound must certify for a certain passage to be well defined.
+_CERTIFIED_MASS = 1e-6
 
 # Smallest singular value of I - Q that efpt_linear will solve with.
 _SINGULAR_FLOOR = 1e-12
@@ -161,11 +154,9 @@ def _term_count(value, name: str) -> int:
     return int(value)
 
 
-def _series_cap(epsilon, max_horizon) -> int:
-    """Check the series arguments; return ``max_horizon`` as an int."""
+def _check_epsilon(epsilon) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    return _term_count(max_horizon, "max_horizon")
 
 
 class _Scratch(threading.local):
@@ -183,93 +174,102 @@ class _Scratch(threading.local):
         buffers = self.by_size.get(k)
         if buffers is None:
             block = np.empty((_Engine.BLOCK + 1, k))
-            buffers = self.by_size[k] = (block, list(block), np.empty((_Engine.BLOCK + 1, 2, k)))
+            buffers = self.by_size[k] = (block, list(block), np.empty((_Engine.BLOCK + 1, k), complex))
         return buffers
 
 
 _SCRATCH = _Scratch()
 
 
-class _Stop:
-    """What a stopping rule (tol, cap) reads, for each source the engine records.
+def _tail_constants(taboo: np.ndarray, regions: list) -> np.ndarray:
+    """C1 and C2 of each region's tail bound, a row each, and a last row of NaN.
 
-    ``answers[s]`` is (n, sum of f, sum of n f) through the first n <= cap
-    at which the unpassed mass 1 - sum f from source s is at most tol, or
-    through cap if there is none. ``unmet`` lists the recorded sources the
-    stream has not yet taken that far.
+    Q = P~ on a certain region of m states (closed under its steps) has theta =
+    ||Q^m||, the largest entry on the region of |P~|^m 1, below 1. As ||Q^k|| <=
+    theta^(k // m) (Kemeny & Snell, 1960), sum ||Q^k|| <= C1 = m / (1 - theta) and
+    sum k ||Q^k|| <= C2 = m^2 theta / (1 - theta)^2 + m (m - 1) / (2 (1 - theta)),
+    over k >= 1. NaN where theta rounds to 1: that bound certifies nothing.
     """
-
-    def __init__(self, tol: float, cap: int, unmet: list[int]):
-        self.tol, self.cap, self.unmet = tol, cap, unmet
-        self.answers = {}
+    out = np.full((2, len(regions) + 1, 1), np.nan)
+    step, mass = np.abs(taboo), [np.ones(len(taboo))]
+    for g, on in enumerate(regions):
+        m = int(on.sum())
+        while len(mass) <= m:
+            mass.append(step @ mass[-1])
+        theta = float(mass[m][on].max())
+        if theta < 1.0:
+            out[:, g, 0] = (m / (1.0 - theta),
+                            m * m * theta / (1.0 - theta) ** 2 + m * (m - 1) / (2.0 * (1.0 - theta)))
+    return out
 
 
 class _Engine:
     """The taboo recursion into one target, run for every source at once.
 
     The terms stream through a block of rows, one ``P~.dot(F, out=...)`` a
-    term, and are dropped once recorded. What is kept: f(n) for every source
-    through the largest distribution horizon asked for, and what each of
-    the last ``RULES`` stopping rules asked for reads (``_Stop``). Stopping
-    rules are recorded for the first source asked about alone, and for
-    every source once a second one is: a chain asked about one passage per
-    target (each cell of a cohort grid) pays for that passage only, and a
-    chain asked about many records them all in one run. The sums of f and
-    n f carry over from block to block and add in order of n, as a
-    term-by-term loop adds them. A request for rows, a rule or a source
-    that the stream has already passed unrecorded sends it back to n = 0;
-    answers recorded so far are kept. One lock guards the whole state:
-    reports in several threads may share an engine. Beside the recursion,
-    and never reading it, the engine holds what the screen reads (``ahead``,
-    ``reaches``) and the linear route's solves by region (``solve``).
+    term, and are dropped once recorded; so the memory is what is kept: f(n)
+    through the largest distribution horizon asked for, and for every source
+    the answers to the last ``RULES`` stopping rules. The sums of f and n f
+    add in order of n, as a term-by-term loop adds them. A request for rows
+    or a rule that the stream has already passed sends it back to n = 0. One
+    lock guards the whole state: reports in several threads may share it.
+
+    Every rule stops on one tail bound. A certain passage's F, read on its
+    region R (closed under steps that avoid the target; a return time adds
+    the target itself), follows F_R(n + 1) = Q F_R(n) with Q the taboo chain
+    on R. So past n the unpassed mass is at most C1 max|F_R(n)| and the rest
+    of the mean at most (n C1 + C2) max|F_R(n)| (``_tail_constants``, once
+    per region). A passage that is not certain meets a rule only at its cap.
+    How far a request streams is guessed (``_more``); no answer depends on
+    it. Beside the recursion, and never reading it, are what the screen reads
+    (``ahead``, ``reaches``) and the linear route's solves by region.
     """
 
     # Most terms a block of the stream holds.
-    BLOCK = 256
-    # Fewest terms a stopping rule adds to the stream when it needs more.
-    _GROW = 128
+    BLOCK = 512
     # Most stopping rules an engine keeps; a new one past these drops the oldest.
     RULES = 8
 
     def __init__(self, P: np.ndarray, j: int):
+        k = len(P)
         self._taboo = P.copy()
         self._taboo[:, j] = 0.0
         self._first = P[:, j].copy()
         # What the screen reads: the support of P~, its reflexive-transitive
-        # closure (Warshall), and the states that can reach j (a route ends
-        # with a step into j; the steps before it avoid j).
+        # closure (by squaring: routes of up to 2^r steps after r squarings),
+        # and the states that can reach j (a route ends with a step into j;
+        # the steps before it avoid j).
         self.support = self._taboo > 0.0
-        self.ahead = self.support | np.eye(len(P), dtype=bool)
-        for k in range(len(P)):
-            self.ahead |= self.ahead[:, k:k + 1] & self.ahead[k]
+        self.ahead = self.support | np.eye(k, dtype=bool)
+        for _ in range((k - 1).bit_length()):
+            self.ahead = self.ahead @ self.ahead
         self.reaches = self.ahead[:, self._first > 0.0].any(axis=1)
+        # A certain source s bounds its tail on ahead[s] (its region; for j, the
+        # return time's and j). Sources share a region's C1 and C2; one that is
+        # not certain reads the last row of those, NaN, which certifies nothing.
+        regions = {}
+        certain = ~(self.ahead & ~self.reaches).any(axis=1)
+        self._region_of = np.array([regions.setdefault(self.ahead[s].tobytes(), len(regions))
+                                    if certain[s] else -1 for s in range(k)])
+        self._regions = [np.frombuffer(key, dtype=bool) for key in regions]
+        self._c1, self._c2 = _tail_constants(self._taboo, self._regions)
         # The linear route's mu by region (None where singular), never the recursion's.
         self._solves = {}
-        self._rows = np.empty((0, len(P)))
+        self._rows = np.empty((0, k))
+        # Each rule (epsilon, cap)'s answers by source: (n, sum of f, sum of n f,
+        # met) through the first n <= cap where the bounds hold for the mean
+        # (to epsilon) and the mass (_CERTIFIED_MASS), or else through cap.
         self._stops = {}
-        # The sources whose stopping rules the stream records: none, one, or all.
-        self._cols = slice(0, 0)
         self._lock = threading.Lock()
         self._rewind()
 
     def _rewind(self) -> None:
         self._n = 0
         self._last = self._first
-        # Sums of f and of n f through n; -0.0 leaves the first term's bits as they are.
-        self._carry = np.full((2, len(self._first)), -0.0)
-
-    def _recorded(self) -> range:
-        return range(len(self._first))[self._cols]
-
-    def _record_source(self, i: int) -> None:
-        recorded = self._recorded()
-        if i in recorded:
-            return
-        self._cols = slice(None) if recorded else slice(i, i + 1)
-        if self._n:
-            self._rewind()
-        for stop in self._stops.values():
-            stop.unmet = [s for s in self._recorded() if s not in stop.answers]
+        # Sums of f (real part) and of n f (imaginary part) through n: numpy adds
+        # the parts apart, as two float sums, in one pass; -0.0 keeps the first
+        # term's bits.
+        self._carry = np.full(len(self._first), complex(-0.0, -0.0))
 
     def _keep_rows(self, horizon: int) -> None:
         kept = len(self._rows)
@@ -280,22 +280,22 @@ class _Engine:
             rows[:kept] = self._rows
             self._rows = rows
 
-    def _stop(self, tol: float, cap: int) -> _Stop:
-        stop = self._stops.get((tol, cap))
-        if stop is None:
+    def _stop(self, epsilon: float, cap: int) -> dict:
+        answers = self._stops.get((epsilon, cap))
+        if answers is None:
             if self._n:
                 self._rewind()
             if len(self._stops) >= self.RULES:
                 del self._stops[next(iter(self._stops))]
-            stop = self._stops[tol, cap] = _Stop(tol, cap, list(self._recorded()))
-        return stop
+            answers = self._stops[epsilon, cap] = {}
+        return answers
 
     def _run(self, n: int) -> None:
         """Stream the recursion on to ``n`` terms, recording what the requests read."""
         if n <= self._n:
             return
         block, rows, run = _SCRATCH.get(len(self._first))
-        advance, cols = self._taboo.dot, self._cols
+        advance = self._taboo.dot
         block[0] = self._last
         run[0] = self._carry
         while self._n < n:
@@ -311,56 +311,50 @@ class _Engine:
             keep = min(step, len(self._rows) - n0)
             if keep > 0:
                 self._rows[n0:n0 + keep] = f[:keep]
-            # The sums are read only while a rule has an unmet source, and
-            # whatever adds one (a new rule or source) rewinds the stream.
-            stops = [stop for stop in self._stops.values() if stop.unmet]
+            # The sums are read only while a rule is open; a new rule rewinds the stream.
+            stops = [(rule, answers) for rule, answers in self._stops.items()
+                     if len(answers) < len(self._first)]
             if stops:
-                sums = run[:step + 1, :, cols]
-                sums[1:, 0] = f[:, cols]
-                np.multiply(np.arange(n0 + 1.0, n0 + step + 1.0)[:, None], f[:, cols],
-                            out=sums[1:, 1])
+                sums = run[:step + 1]
+                sums.real[1:] = f
+                n_col = np.arange(n0 + 1.0, n0 + step + 1.0)[:, None]
+                np.multiply(n_col, f, out=sums.imag[1:])
                 np.add.accumulate(sums, axis=0, out=sums)
-                self._scan(n0, sums, stops)
+                self._scan(n0, n_col, f, sums, stops)
             block[0] = block[step]
             run[0] = run[step]
             self._n = n0 + step
         self._last = block[0].copy()
         self._carry = run[0].copy()
 
-    def _scan(self, n0: int, sums: np.ndarray, stops: list[_Stop]) -> None:
-        """Record the sources that meet each of ``stops`` among the block's terms.
+    def _scan(self, n0: int, n_col: np.ndarray, f: np.ndarray, sums: np.ndarray,
+              stops: list) -> None:
+        """Record, for each of ``stops``, the sources that meet it among the block's terms:
+        ``f[r]`` is F(n) for n = ``n_col[r]`` = n0 + r + 1, and ``sums[r]`` holds the sums
+        of f and of n f (``_carry``) through n0 + r, a column per source."""
+        # Each region's largest |F(n)|, a row per region and a column per term;
+        # then the bounds past n on the mass and on the mean, a row per source.
+        by_state = np.abs(f.T, order="C")
+        top = np.zeros((len(self._regions) + 1, len(f)))
+        for g, on in enumerate(self._regions):
+            np.maximum.reduce(by_state[on], axis=0, out=top[g])
+        self._fall = (len(f) - 1, top[:, 0].tolist(), top[:, -1].tolist())
+        certified = (self._c1 * top <= _CERTIFIED_MASS)[self._region_of]
+        tail = ((n_col.T * self._c1 + self._c2) * top)[self._region_of]
+        for (epsilon, cap), answers in stops:
+            k = min(len(f), cap - n0)
+            met = certified[:, :k] & (tail[:, :k] <= epsilon * sums.imag[1:k + 1].T)
+            hit = met.any(axis=1)
+            for s, r in enumerate(np.where(hit, met.argmax(axis=1), k - 1).tolist()):
+                if s not in answers and (hit[s] or n0 + k == cap):
+                    total = sums[r + 1, s]
+                    answers[s] = (n0 + r + 1, float(total.real), float(total.imag), bool(hit[s]))
 
-        ``sums[r]`` holds the sums of f and of n f through n0 + r, a column
-        per recorded source.
-        """
-        base = self._cols.start or 0
-        mass = sums[1:, 0]
-        # Each recorded source's least unpassed mass in the block (f(n) < 0
-        # can occur, so the mass may fall within a block).
-        least = (1.0 - mass.max(axis=0)).tolist()
-        for stop in stops:
-            k = min(len(mass), stop.cap - n0)
-            if n0 + k == stop.cap:
-                new = stop.unmet
-            else:
-                new = [s for s in stop.unmet if least[s - base] <= stop.tol]
-            if not new:
-                continue
-            met = 1.0 - mass[:k, [s - base for s in new]] <= stop.tol
-            met[k - 1] = True  # the cap, where no earlier n meets tol
-            for s, r in zip(new, met.argmax(axis=0).tolist()):
-                stop.answers[s] = (n0 + r + 1, float(sums[r + 1, 0, s - base]),
-                                   float(sums[r + 1, 1, s - base]))
-            stop.unmet = [s for s in stop.unmet if s not in stop.answers]
-
-    def expect(self, i: int, horizon: int, stops) -> None:
-        """Get ready to serve source ``i`` rows through ``horizon`` and each (tol, cap) in
-        ``stops``, running nothing yet."""
+    def expect(self, horizon: int, epsilon: float, cap: int) -> None:
+        """Keep rows through ``horizon`` and open the rule (epsilon, cap), running nothing."""
         with self._lock:
-            self._record_source(i)
             self._keep_rows(horizon)
-            for tol, cap in stops:
-                self._stop(tol, cap)
+            self._stop(epsilon, cap)
 
     def distribution(self, i: int, horizon: int) -> np.ndarray:
         """f(1..horizon) from source ``i``."""
@@ -369,14 +363,26 @@ class _Engine:
             self._run(horizon)
             return self._rows[:horizon, i].copy()
 
-    def sums(self, i: int, tol: float, cap: int) -> tuple[int, float, float]:
-        """(n, sum of f, sum of n f) from source ``i`` through the n where it meets (tol, cap)."""
+    def answer(self, i: int, epsilon: float, cap: int) -> tuple[int, float, float, bool]:
+        """Source ``i``'s answer to the rule (epsilon, cap) (see ``_stops``)."""
         with self._lock:
-            self._record_source(i)
-            stop = self._stop(tol, cap)
-            while i not in stop.answers:
-                self._run(min(cap, self._n + max(self._GROW, self._n // 4)))
-            return stop.answers[i]
+            answers = self._stop(epsilon, cap)
+            more = self.BLOCK
+            while i not in answers:
+                self._run(min(cap, self._n + more))
+                more = self._more(i, epsilon)
+            return answers[i]
+
+    def _more(self, i: int, epsilon: float) -> int:
+        """A guess at how many more terms source ``i`` needs for ``epsilon``, from how its
+        bound fell over the last block scanned (``BLOCK`` where that gives none)."""
+        g, (rows, first, last) = self._region_of[i], self._fall
+        c1, c2, mean = self._c1[g, 0], self._c2[g, 0], self._carry[i].imag
+        if not (0.0 < last[g] < first[g] and mean > 0.0 and c1 < np.inf):
+            return self.BLOCK
+        short = max(c1 * last[g] / _CERTIFIED_MASS, (self._n * c1 + c2) * last[g] / (epsilon * mean))
+        guess = math.log(short) / math.log(first[g] / last[g]) * rows
+        return int(guess * 1.05) + 16 if 0.0 < guess < 1e7 else self.BLOCK
 
     def solve(self, P: np.ndarray, region: np.ndarray) -> np.ndarray | None:
         """The first-step solve on ``region`` of P, run once per region (``_first_step_solve``)."""
@@ -450,11 +456,9 @@ class Passage:
         """Check a full report's arguments as its parts do, in their order, and tell the
         engine everything the parts will read, so that one run serves them all."""
         horizon = _term_count(horizon, "horizon")
-        _term_count(max_horizon, "horizon")  # the verdict's horizon, checked before epsilon
-        max_horizon = _series_cap(epsilon, max_horizon)
-        self._engine(horizon).expect(
-            self.i, horizon, ((_MASS_OK, max_horizon), (epsilon, max_horizon))
-        )
+        max_horizon = _term_count(max_horizon, "horizon")  # the verdict's, checked before epsilon
+        _check_epsilon(epsilon)
+        self._engine(horizon).expect(horizon, epsilon, max_horizon)
 
     def distribution(self, horizon: int) -> FptDistribution:
         horizon = _term_count(horizon, "horizon")
@@ -464,18 +468,14 @@ class Passage:
         )
 
     def series(self, epsilon: float, max_horizon: int) -> EfptResult:
-        max_horizon = _series_cap(epsilon, max_horizon)
+        _check_epsilon(epsilon)
+        max_horizon = _term_count(max_horizon, "max_horizon")
         self._certain_region()
-        n, total, mean = self._engine().sums(self.i, epsilon, max_horizon)
-        if 1.0 - total > epsilon:
-            raise InfiniteEfptError(
-                self.source,
-                self.target,
-                detail=(
-                    f"series residual {1.0 - total:.3e} exceeds epsilon {epsilon:g} "
-                    f"after {max_horizon} terms"
-                ),
-            )
+        n, total, mean, met = self._engine().answer(self.i, epsilon, max_horizon)
+        if not met:
+            raise InfiniteEfptError(self.source, self.target, detail=(
+                f"series tail bound exceeds epsilon {epsilon:g} of the mean after "
+                f"{max_horizon} terms (residual {1.0 - total:.3e})"))
         return EfptResult(
             source=self.source, target=self.target, quarters=mean, method="series", n_terms=n
         )
@@ -497,21 +497,14 @@ class Passage:
             method="linear_system",
         )
 
-    def well_defined(self, horizon: int) -> WellDefinedness:
+    def well_defined(self, horizon: int, epsilon: float = DEFAULT_EPSILON) -> WellDefinedness:
         horizon = _term_count(horizon, "horizon")
-        if self.i != self.j and not self.reachable:
-            return WellDefinedness(
-                source=self.source, target=self.target,
-                mass_at_horizon=0.0, reachable=False,
-                verdict=VERDICT_DIVERGENT, horizon=0,
-            )
-        n, total, _ = self._engine().sums(self.i, _MASS_OK, horizon)
-        if len(self.trapped):
-            verdict = VERDICT_DIVERGENT
-        elif 1.0 - total <= _MASS_OK:
-            verdict = VERDICT_WELL_DEFINED
-        else:
-            verdict = VERDICT_SUSPECT
+        _check_epsilon(epsilon)
+        n, total, met = 0, 0.0, False  # a target the source cannot reach: nothing to stream
+        if self.i == self.j or self.reachable:
+            n, total, _, met = self._engine().answer(self.i, epsilon, horizon)
+        verdict = (VERDICT_DIVERGENT if len(self.trapped)
+                   else VERDICT_WELL_DEFINED if met else VERDICT_SUSPECT)
         return WellDefinedness(
             source=self.source, target=self.target,
             mass_at_horizon=min(total, 1.0), reachable=self.reachable,
@@ -553,11 +546,12 @@ def efpt_series(
     """Expected first passage time by direct series summation.
 
     Raises InfiniteEfptError naming the trapped states at once when the
-    structural screen finds the passage uncertain. Otherwise accumulates
-    sum(n * f(n)) until the unpassed mass 1 - sum(f(n)) drops below
-    ``epsilon``, then stops; raises InfiniteEfptError if the residual is
-    still above ``epsilon`` at ``max_horizon``, a horizon too short for the
-    chain's mixing (efpt_linear is immune to truncation).
+    structural screen finds the passage uncertain. Otherwise sums n * f(n)
+    up to the first n where the tail bound proves the rest at most
+    ``epsilon`` times the sum so far and the unpassed mass at most 1e-6, so
+    the result is within ``epsilon`` of the expectation, relative. Raises
+    InfiniteEfptError if no n up to ``max_horizon`` meets the bound, a
+    ceiling too low for the chain's mixing (efpt_linear has none).
     """
     return Passage(m, source, target).series(epsilon, max_horizon)
 
@@ -579,13 +573,16 @@ def efpt_linear(m, source, target) -> EfptResult:
     return Passage(m, source, target).linear()
 
 
-def check_well_defined(m, source, target, horizon: int = DEFAULT_MAX_HORIZON) -> WellDefinedness:
+def check_well_defined(
+    m, source, target, horizon: int = DEFAULT_MAX_HORIZON, epsilon: float = DEFAULT_EPSILON
+) -> WellDefinedness:
     """Diagnose whether the EFPT series from ``source`` to ``target`` converges.
 
     "divergent" when the structural screen finds trapped states (the target
-    unreachable included), whatever mass the series gathers. Otherwise the
-    passage is certain, and the verdict is "well_defined" when the tail
-    1 - sum(f(n)) is at most 1e-6 by ``horizon`` and "suspect" when the
-    horizon is too short to show it.
+    unreachable included), whatever mass the series gathers. Otherwise it
+    reads the stop of efpt_series with these arguments: "well_defined" when
+    the series is finite, its bound met within ``horizon`` terms, and
+    "suspect" when ``horizon`` is below the n the bound needs. The result's
+    ``horizon`` is that n (or ``horizon``), with the mass gathered by then.
     """
-    return Passage(m, source, target).well_defined(horizon)
+    return Passage(m, source, target).well_defined(horizon, epsilon)

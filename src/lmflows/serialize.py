@@ -187,7 +187,8 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
     Contains the distribution f(n) with its cdf and survival companions up
     to ``horizon``, the expectation by both routes (series and linear
     system, each reported even when the other is infinite), and the
-    well-definedness diagnosis at ``max_horizon``. ``m`` is read through
+    well-definedness diagnosis, which reads the series' stop for
+    (``epsilon``, ``max_horizon``). ``m`` is read through
     ``TransitionMatrix.of``, and one Passage serves all four parts, so the
     passage is screened once and the target's taboo recursion, told up
     front what the parts read, runs once, shared with every other report on
@@ -198,9 +199,9 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
     m = TransitionMatrix.of(m)
     passage = Passage(m, source, target)
     passage.expect_report(horizon, epsilon, max_horizon)
+    wd = passage.well_defined(max_horizon, epsilon)
     dist = passage.distribution(horizon)
     cdf = dist.cdf()
-    wd = passage.well_defined(max_horizon)
     doc = {
         "source": dist.source,
         "target": dist.target,

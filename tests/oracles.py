@@ -154,25 +154,49 @@ def geometric_fpt(q, horizon):
     return q * (1.0 - q) ** (n - 1)
 
 
-def series_by_loop(P, i, j, tol, cap):
-    """The passage i -> j summed one term at a time in plain Python floats.
+def series_by_loop(P, i, j, epsilon, cap):
+    """The passage i -> j summed one term at a time in plain Python floats, stopped by its tail bound.
 
     Steps the vector recursion F(n) = P~ F(n-1) (P with column j zeroed)
-    and adds f(n) and n f(n) in order of n, while n < cap and the unpassed
-    mass 1 - sum f exceeds tol. Returns (n, sum of f, sum of n f, [f(1)..f(n)]).
+    and adds f(n) and n f(n) in order of n. The bound reads F on the
+    passage's region B (``taboo_region``, with j added for a return time),
+    where F(n+1) = Q F(n) for Q = P~ on B. With m = |B|, theta the largest
+    absolute row sum of Q^m (by ``np.linalg.matrix_power``), C1 = m/(1-theta)
+    and C2 = m^2 theta/(1-theta)^2 + m(m-1)/(2(1-theta)), the mass left past
+    n is at most C1 max|F_B(n)| and the rest of the mean at most
+    (n C1 + C2) max|F_B(n)|. Stops at the first n <= cap where the mean's
+    bound is at most epsilon times the sum of n f and the mass's at most
+    1e-6, or at cap. A passage with trapped states, or with theta = 1 in
+    floating point, has no bound.
+    Returns (n, sum of f, sum of n f, whether the bound was met, [f(1)..f(n)]).
     """
     P = np.asarray(P, dtype=float)
     taboo = P.copy()
     taboo[:, j] = 0.0
+    region, trapped, _ = taboo_region(P, i, j)
+    bound = sorted(set(region) | {j}) if i == j else region
+    c1 = c2 = None
+    if not trapped:
+        m = len(bound)
+        power = np.linalg.matrix_power(taboo[np.ix_(bound, bound)], m)
+        theta = max(sum(abs(float(v)) for v in row) for row in power)
+        if theta < 1.0:
+            c1 = m / (1.0 - theta)
+            c2 = m * m * theta / (1.0 - theta) ** 2 + m * (m - 1) / (2.0 * (1.0 - theta))
     fvec = P[:, j].copy()
-    terms = [float(fvec[i])]
-    total = mean = terms[0]
-    while len(terms) < cap and 1.0 - total > tol:
-        fvec = taboo @ fvec
+    terms, total, mean = [], 0.0, 0.0
+    while True:
         terms.append(float(fvec[i]))
-        total += terms[-1]
-        mean += len(terms) * terms[-1]
-    return len(terms), total, mean, terms
+        n = len(terms)
+        total = terms[0] if n == 1 else total + terms[-1]
+        mean = terms[0] if n == 1 else mean + n * terms[-1]
+        met = False
+        if c1 is not None:
+            top = max(abs(float(fvec[s])) for s in bound)
+            met = c1 * top <= 1e-6 and (n * c1 + c2) * top <= epsilon * mean
+        if met or n >= cap:
+            return n, total, mean, met, terms
+        fvec = taboo @ fvec
 
 
 def _weight(text):

@@ -41,9 +41,9 @@ EXPECTED = {
     "transitions_json": "41691cc0c3ff086d202ad5910246c44c8b0a0c70321e24a6df131a4aa093a86a",
     "shares_csv": "ca1ffc797f720353e80f034c9ca04e81fa2054cadcc2a1fab580fd94f391c094",
     "shares_json": "d9081d8c3e5973ccd9195609e18a0ff4fe23712003d157339ef3efb01907007d",
-    "fpt_csv": "5ad9140f7370e82c537ccb7af17d5d906f82bee68a1c82171d90469218e6dcc6",
-    "fpt_json": "0e85113ae6d53b1f446c061273fc38ea46aa523790aa3c3267b4abb6865a238c",
-    "fpt_return_csv": "ae027bd63ee19292f44c853939519c3502289fdbe96feb0f885d95885a35710c",
+    "fpt_csv": "54c879403a3da65c3d849d87ad549a094f2d8cd32f5b26ff89630bd18bb30088",
+    "fpt_json": "93a0dc1e604ebc0b59c717cf9f3b91d2a043714d24d6a00f0547fe059906bb6a",
+    "fpt_return_csv": "019d43afb85608eb833e126b44eaa5999c1cccbfdc9b38c4e2080e8a39199658",
     "rejects": "1162e0cbedbea4346aed23f29d0c2b8f4c1dac925d139994081a0671b5339d7c",
 }
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -10,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lmflows
 from lmflows.cli import main
 from lmflows.config import RunConfig
+from lmflows.fixtures import fixture_names, get_fixture
 from lmflows.panel import PAIR_HEADER, replacing_file
 
 PAIR_HEAD = ",".join(PAIR_HEADER)
@@ -229,6 +233,23 @@ class TestFptCommand:
         code, _, _ = run(capsys, "fpt", "--fixture", "demo_geometric_q25",
                          "--from", "A", "--to", "B", "--strict")
         assert code == 0
+
+    def test_strict_passes_a_slow_fs_passage(self, capsys):
+        code, out, err = run(capsys, "fpt", "--fixture", "early_2020Q3",
+                             "--from", "EDU", "--to", "FS", "--strict")
+        assert (code, err) == (0, "")
+        meta, _ = parse_data_csv(out)
+        assert meta["verdict"] == "well_defined"
+        series, linear = float(meta["efpt_series_quarters"]), float(meta["efpt_linear_quarters"])
+        assert abs(series - linear) <= 1e-9 * linear
+
+    def test_strict_fails_a_ceiling_below_what_the_bound_needs(self, capsys):
+        # The bound needs 8,814 terms for this passage.
+        code, out, err = run(capsys, "fpt", "--fixture", "early_2020Q3", "--from", "EDU",
+                             "--to", "FS", "--max-horizon", "4000", "--strict")
+        assert (code, err) == (1, "strict: passage EDU -> FS is suspect\n")
+        meta, _ = parse_data_csv(out)
+        assert (meta["verdict"], meta["efpt_series_quarters"]) == ("suspect", "inf")
 
     def test_from_estimated_data(self, tmp_path, capsys):
         rows = [f"P{k},2019.1,2019.2,EDU,{'TE' if k % 2 else 'EDU'},21,F,1,SOUTH,1"
@@ -613,3 +634,36 @@ def test_cli_import_leaves_scipy_unloaded():
     probe = "import sys, lmflows.cli; sys.exit('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr or "scipy was imported"
+
+
+@st.composite
+def fpt_argvs(draw):
+    """``lmflows fpt`` on a fixture, without --strict: good and bad ends and flag values."""
+    fixture = draw(st.sampled_from(fixture_names()))
+    end = st.one_of(st.sampled_from(get_fixture(fixture).states),
+                    st.sampled_from(("edu", "NEET", "6", "XX", "9", "-1", "")))
+    argv = ["fpt", "--fixture", fixture, "--from", draw(end), "--to", draw(end)]
+    values = {
+        "--horizon": st.one_of(st.integers(-2, 1500).map(str), st.sampled_from(["2.5", "x", ""])),
+        "--epsilon": st.one_of(st.floats(0.0, 1.0).map(repr), st.floats().map(repr),
+                               st.sampled_from(["1e-300", "1", "x"])),
+        "--max-horizon": st.one_of(st.integers(-2, 30000).map(str), st.sampled_from(["1e4", ""])),
+    }
+    for flag, value in values.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(value)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=fpt_argvs())
+def test_fpt_without_strict_exits_zero_or_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from lmflows import fpt
 from lmflows.errors import InfiniteEfptError, NonStochasticError
 from lmflows.estimation import TransitionMatrix
+from lmflows.fixtures import fixture_names, get_fixture
 from lmflows.fpt import (
+    DEFAULT_EPSILON,
     VERDICT_DIVERGENT,
     VERDICT_SUSPECT,
     VERDICT_WELL_DEFINED,
@@ -298,3 +300,23 @@ class TestWellDefinedVerdicts:
         v = check_well_defined(P, 0, 1, horizon=100)
         assert v.source == "0" and v.target == "1"
         assert 1 <= v.horizon <= 100
+
+
+def test_every_certain_fixture_passage_is_well_defined_at_the_defaults():
+    # The slow passages into FS on the 2020.Q3 chains (about 9,000 terms) included.
+    checked = set()
+    for name in fixture_names():
+        m = get_fixture(name).matrix()
+        for i, source in enumerate(m.states):
+            for j, target in enumerate(m.states):
+                try:
+                    linear = efpt_linear(m, i, j).quarters
+                except InfiniteEfptError:
+                    continue
+                assert check_well_defined(m, i, j).verdict == VERDICT_WELL_DEFINED, (name, i, j)
+                series = efpt_series(m, i, j).quarters
+                assert abs(series - linear) <= DEFAULT_EPSILON * linear, (name, i, j)
+                checked.add((name, source, target))
+    assert len(checked) >= 300
+    assert {(name, source, "FS") for name in ("early_2020Q3", "late_2020Q3")
+            for source in ("SE", "TE", "PE", "U", "NLFET", "EDU")} <= checked

@@ -25,6 +25,9 @@ from lmflows.fixtures import fixture_names, get_fixture
 from lmflows.fpt import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_HORIZON,
+    VERDICT_DIVERGENT,
+    VERDICT_SUSPECT,
+    VERDICT_WELL_DEFINED,
     Passage,
     check_well_defined,
     efpt_linear,
@@ -33,7 +36,7 @@ from lmflows.fpt import (
 )
 from lmflows.serialize import build_fpt_report
 
-from oracles import series_by_loop
+from oracles import series_by_loop, taboo_region
 
 HORIZON = 40
 
@@ -42,7 +45,7 @@ def composed_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
     """The report document assembled from the four public routes, one call each."""
     dist = fpt_distribution(m, source, target, horizon)
     cdf = dist.cdf()
-    wd = check_well_defined(m, source, target, horizon=max_horizon)
+    wd = check_well_defined(m, source, target, horizon=max_horizon, epsilon=epsilon)
     try:
         r = efpt_series(m, source, target, epsilon=epsilon, max_horizon=max_horizon)
         series = {"quarters": r.quarters, "years": r.efpt_years, "n_terms": r.n_terms,
@@ -110,18 +113,25 @@ def test_running_sums_equal_a_term_by_term_loop(name):
     P = np.asarray(m.entries)
     for i in range(len(P)):
         for j in range(len(P)):
-            f = series_by_loop(P, i, j, -np.inf, HORIZON)[3]
-            assert fpt_distribution(m, i, j, HORIZON).probabilities.tolist() == f
-            wd = check_well_defined(m, i, j)
-            if wd.horizon:
-                n, total, _, _ = series_by_loop(P, i, j, 1e-6, DEFAULT_MAX_HORIZON)
-                assert (wd.horizon, wd.mass_at_horizon) == (n, min(total, 1.0))
-            try:
-                r = efpt_series(m, i, j)
-            except InfiniteEfptError:
-                continue
-            n, _, mean, _ = series_by_loop(P, i, j, DEFAULT_EPSILON, DEFAULT_MAX_HORIZON)
-            assert (r.n_terms, r.quarters) == (n, mean)
+            assert_follows_the_term_loop(m, P, i, j)
+
+
+def assert_follows_the_term_loop(m, P, i, j):
+    """Distribution, verdict and series of i -> j on ``m`` (entries ``P``) as ``series_by_loop``
+    gives them at the defaults."""
+    f = series_by_loop(P, i, j, -np.inf, HORIZON)[-1]
+    assert fpt_distribution(m, i, j, HORIZON).probabilities.tolist() == f
+    n, total, mean, met, _ = series_by_loop(P, i, j, DEFAULT_EPSILON, DEFAULT_MAX_HORIZON)
+    wd = check_well_defined(m, i, j)
+    if wd.horizon:
+        assert (wd.horizon, wd.mass_at_horizon) == (n, min(total, 1.0))
+        assert (wd.verdict == VERDICT_WELL_DEFINED) == met, (i, j)
+    try:
+        r = efpt_series(m, i, j)
+    except InfiniteEfptError:
+        assert not met, (i, j)
+        return
+    assert (r.n_terms, r.quarters, met) == (n, mean, True)
 
 
 @st.composite
@@ -154,6 +164,31 @@ def test_report_equals_composed_routes_on_generated_chains(P, data):
     epsilon = data.draw(st.sampled_from([1e-12, DEFAULT_EPSILON, 1e-6, 1e-3]))
     max_horizon = data.draw(st.sampled_from([1, 7, 500, DEFAULT_MAX_HORIZON]))
     assert_same_report(P, i, j, horizon, epsilon, max_horizon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(P=chains(), data=st.data())
+def test_a_well_defined_verdict_bounds_the_series_error(P, data):
+    # The verdict and the series read one tail bound: a certain passage is
+    # well defined exactly when its series is finite, and then the series is
+    # within epsilon of the linear route.
+    k = len(P)
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    epsilon = data.draw(st.sampled_from([DEFAULT_EPSILON, 1e-6, 1e-3]))
+    max_horizon = data.draw(st.sampled_from([50, 2000, DEFAULT_MAX_HORIZON]))
+    doc = build_fpt_report(P, i, j, 1, epsilon, max_horizon)
+    verdict = doc["well_defined"]["verdict"]
+    series, linear = doc["efpt"]["series"], doc["efpt"]["linear_system"]
+    if taboo_region(P, i, j)[1]:
+        assert (verdict, series["infinite"], linear["infinite"]) == (VERDICT_DIVERGENT, True, True)
+        return
+    assert verdict in (VERDICT_WELL_DEFINED, VERDICT_SUSPECT)
+    assert (verdict == VERDICT_WELL_DEFINED) == (not series["infinite"])
+    if verdict == VERDICT_WELL_DEFINED:
+        assert abs(series["quarters"] - linear["quarters"]) <= epsilon * linear["quarters"]
+        assert doc["well_defined"]["horizon"] == series["n_terms"] <= max_horizon
+        # The bound certifies an unpassed mass of at most 1e-6; the sum adds its rounding.
+        assert 1.0 - doc["well_defined"]["mass_at_horizon"] <= 1e-6 + 1e-11
 
 
 @settings(max_examples=40, deadline=None)

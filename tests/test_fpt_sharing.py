@@ -40,7 +40,7 @@ from lmflows.fpt import (
 from lmflows.serialize import build_fpt_report
 
 from oracles import series_by_loop, taboo_region
-from test_fpt_engine import chains
+from test_fpt_engine import assert_follows_the_term_loop, chains
 
 HORIZON = 40
 # (horizon, epsilon, max_horizon) of a report.
@@ -68,7 +68,7 @@ def ask(kind, m, source, target, signature) -> str:
             return repr(fpt_distribution(m, source, target, 11 * horizon).probabilities.tolist())
         if kind == "series":
             return repr(efpt_series(m, source, target, epsilon=epsilon, max_horizon=max_horizon))
-        return repr(check_well_defined(m, source, target, horizon=max_horizon))
+        return repr(check_well_defined(m, source, target, horizon=max_horizon, epsilon=epsilon))
     except fpt.InfiniteEfptError as exc:
         return str(exc)
 
@@ -224,6 +224,9 @@ def test_an_engine_keeps_its_latest_rules():
     want = [efpt_series(get_fixture("early_2019Q3").matrix(), "EDU", "PE", epsilon=10.0 ** -e)
             for e in range(3, 15)]
     assert [efpt_series(m, "EDU", "PE", epsilon=10.0 ** -e) for e in range(3, 15)] == want
+    edu, pe = m.state_index("EDU"), m.state_index("PE")
+    loops = [series_by_loop(m.entries, edu, pe, 10.0 ** -e, DEFAULT_MAX_HORIZON) for e in range(3, 15)]
+    assert [(r.n_terms, r.quarters) for r in want] == [(n, mean) for n, _, mean, _, _ in loops]
     engine = fpt._ENGINES[m][m.state_index("PE")]
     assert list(engine._stops) == [(10.0 ** -e, DEFAULT_MAX_HORIZON) for e in range(7, 15)]
     assert efpt_series(m, "EDU", "PE", epsilon=1e-3) == want[0]
@@ -241,34 +244,33 @@ def test_negative_rounding_in_the_chain_follows_the_term_loop():
     assert (P < 0).any()
     for i in range(len(P)):
         for j in range(len(P)):
-            f = series_by_loop(P, i, j, -np.inf, HORIZON)[3]
-            assert fpt_distribution(P, i, j, HORIZON).probabilities.tolist() == f
-            wd = check_well_defined(P, i, j)
-            if wd.horizon:
-                n, total, _, _ = series_by_loop(P, i, j, 1e-6, DEFAULT_MAX_HORIZON)
-                assert (wd.horizon, wd.mass_at_horizon) == (n, min(total, 1.0))
-            try:
-                r = efpt_series(P, i, j)
-            except fpt.InfiniteEfptError:
-                continue
-            n, _, mean, _ = series_by_loop(P, i, j, DEFAULT_EPSILON, DEFAULT_MAX_HORIZON)
-            assert (r.n_terms, r.quarters) == (n, mean)
+            assert_follows_the_term_loop(P, P, i, j)
 
 
 def test_a_falling_mass_stops_where_it_first_meets_tol():
-    # f(2) = -1e-12: the mass meets tol = 1e-12 at n = 1, falls short of it at
-    # n = 2, where the first block of a horizon-2 report ends, and meets it again at n = 3.
-    x = 1.0 - 5e-13
+    # P[0, 2] = -1e-12 lies outside the support, so it feeds F on the region
+    # {0} from outside it: F(2) is 0 there and the bound is met at n = 2;
+    # F(3) = -1e-12 (the mass falls) and the bound fails at n = 3, where the
+    # first block of a horizon-3 report ends; F(4) is 0 and it is met again.
     P = np.array([
-        [0.0, x, 1.0 - x + 1e-12, -1e-12],
+        [0.0, 1.0 + 1e-12, -1e-12, 0.0],
         [0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
         [0.0, 1.0, 0.0, 0.0],
     ])
-    n, total, mean, _ = series_by_loop(P, 0, 1, 1e-12, 50)
-    assert n == 1
-    series = build_fpt_report(P, 0, 1, 2, 1e-12, 50)["efpt"]["series"]
+    # The region is {0} with Q = [[0]]: C1 = 1 and C2 = 0, so after n the
+    # bound on the mass is |f(n)| and on the rest of the mean n |f(n)|.
+    f = series_by_loop(P, 0, 1, -np.inf, 4)[-1]
+    means = np.cumsum(np.arange(1, 5) * f)
+    assert [abs(v) <= 1e-6 and n * abs(v) <= 1e-12 * mu
+            for n, v, mu in zip(range(1, 5), f, means)] == [False, True, False, True]
+    n, total, mean, met, _ = series_by_loop(P, 0, 1, 1e-12, 50)
+    assert (n, met) == (2, True)
+    doc = build_fpt_report(P, 0, 1, 3, 1e-12, 50)
+    series = doc["efpt"]["series"]
     assert (series["n_terms"], series["quarters"]) == (n, mean)
+    assert (doc["well_defined"]["horizon"], doc["well_defined"]["mass_at_horizon"]) \
+        == (2, min(total, 1.0))
 
 
 def count_linalg(monkeypatch) -> collections.Counter:
