@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_state", required=True, metavar="STATE", help="target state")
     p.add_argument("--horizon", type=_int_at_least(1), default=40, help="quarters to tabulate (default 40)")
     p.add_argument("--epsilon", type=float, help="relative error the series must prove")
-    p.add_argument("--max-horizon", type=_int_at_least(1), help="most series terms (default 20000)")
+    p.add_argument("--max-horizon", type=_int_at_least(1), help="most series terms (default 8000)")
     p.add_argument("--fallback-policy", choices=FALLBACK_POLICIES, help="treatment of imputed rows")
     p.add_argument("--min-support", type=float, help="warn on rows thinner than this weight")
     p.add_argument(

@@ -63,7 +63,7 @@ VERDICT_SUSPECT = "suspect"
 VERDICT_DIVERGENT = "divergent"
 
 DEFAULT_EPSILON = 1e-9
-DEFAULT_MAX_HORIZON = 20000
+DEFAULT_MAX_HORIZON = 8000
 
 # Largest unpassed mass the tail bound must certify for a certain passage to be well defined.
 _CERTIFIED_MASS = 1e-6

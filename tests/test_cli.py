@@ -235,18 +235,19 @@ class TestFptCommand:
         assert code == 0
 
     def test_strict_passes_a_slow_fs_passage(self, capsys):
-        code, out, err = run(capsys, "fpt", "--fixture", "early_2020Q3",
-                             "--from", "EDU", "--to", "FS", "--strict")
+        code, out, err = run(capsys, "fpt", "--fixture", "early_2020Q3", "--from", "EDU",
+                             "--to", "FS", "--max-horizon", "10000", "--strict")
         assert (code, err) == (0, "")
         meta, _ = parse_data_csv(out)
         assert meta["verdict"] == "well_defined"
         series, linear = float(meta["efpt_series_quarters"]), float(meta["efpt_linear_quarters"])
         assert abs(series - linear) <= 1e-9 * linear
 
-    def test_strict_fails_a_ceiling_below_what_the_bound_needs(self, capsys):
-        # The bound needs 8,814 terms for this passage.
+    @pytest.mark.parametrize("ceiling", [[], ["--max-horizon", "4000"]])
+    def test_strict_fails_a_ceiling_below_what_the_bound_needs(self, capsys, ceiling):
+        # The bound needs 8,814 terms for this passage; the default ceiling is 8000.
         code, out, err = run(capsys, "fpt", "--fixture", "early_2020Q3", "--from", "EDU",
-                             "--to", "FS", "--max-horizon", "4000", "--strict")
+                             "--to", "FS", *ceiling, "--strict")
         assert (code, err) == (1, "strict: passage EDU -> FS is suspect\n")
         meta, _ = parse_data_csv(out)
         assert (meta["verdict"], meta["efpt_series_quarters"]) == ("suspect", "inf")

@@ -302,9 +302,10 @@ class TestWellDefinedVerdicts:
         assert 1 <= v.horizon <= 100
 
 
-def test_every_certain_fixture_passage_is_well_defined_at_the_defaults():
-    # The slow passages into FS on the 2020.Q3 chains (about 9,000 terms) included.
-    checked = set()
+def test_every_certain_fixture_passage_is_well_defined_under_a_raised_ceiling():
+    # The slow passages into FS on the 2020.Q3 chains need about 9,000 terms:
+    # suspect under the default ceiling, well defined under 20000.
+    checked, suspect = set(), set()
     for name in fixture_names():
         m = get_fixture(name).matrix()
         for i, source in enumerate(m.states):
@@ -313,10 +314,17 @@ def test_every_certain_fixture_passage_is_well_defined_at_the_defaults():
                     linear = efpt_linear(m, i, j).quarters
                 except InfiniteEfptError:
                     continue
-                assert check_well_defined(m, i, j).verdict == VERDICT_WELL_DEFINED, (name, i, j)
-                series = efpt_series(m, i, j).quarters
+                if check_well_defined(m, i, j).verdict != VERDICT_WELL_DEFINED:
+                    suspect.add((name, source, target))
+                    with pytest.raises(InfiniteEfptError):
+                        efpt_series(m, i, j)
+                assert check_well_defined(m, i, j, horizon=20000).verdict == VERDICT_WELL_DEFINED, \
+                    (name, i, j)
+                series = efpt_series(m, i, j, max_horizon=20000).quarters
                 assert abs(series - linear) <= DEFAULT_EPSILON * linear, (name, i, j)
                 checked.add((name, source, target))
     assert len(checked) >= 300
+    assert suspect == {(name, source, "FS") for name in ("early_2020Q3", "late_2020Q3")
+                       for source in ("SE", "TE", "PE", "U", "NLFET", "EDU", "FS")}
     assert {(name, source, "FS") for name in ("early_2020Q3", "late_2020Q3")
             for source in ("SE", "TE", "PE", "U", "NLFET", "EDU")} <= checked
