@@ -29,7 +29,7 @@ from .estimation import (
     estimate_transition_matrix,
 )
 from .fixtures import fixture_names, get_fixture
-from .fpt import VERDICT_WELL_DEFINED
+from .fpt import DEFAULT_HORIZON, VERDICT_WELL_DEFINED
 from .panel import generate_synthetic_panel, parse_panel_file, replacing_file, write_pairs_csv
 from .serialize import (
     build_fpt_report,
@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quarter", help="departure quarter when estimating from --data")
     p.add_argument("--from", dest="from_state", required=True, metavar="STATE", help="source state")
     p.add_argument("--to", dest="to_state", required=True, metavar="STATE", help="target state")
-    p.add_argument("--horizon", type=_int_at_least(1), default=40, help="quarters to tabulate (default 40)")
+    p.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON,
+                   help=f"quarters to tabulate (default {DEFAULT_HORIZON})")
     p.add_argument("--epsilon", type=float, help="relative error the series must prove")
     p.add_argument("--max-horizon", type=_int_at_least(1), help="most series terms (default 8000)")
     p.add_argument("--fallback-policy", choices=FALLBACK_POLICIES, help="treatment of imputed rows")
@@ -210,8 +211,10 @@ def _load_dataset(args):
 
 
 def _render(args, cfg, value, pretty, to_doc, to_csv) -> None:
-    """Write ``value`` as --pretty text, or as json or csv by the configured format."""
-    if args.pretty:
+    """Write ``value`` as --pretty text, or as json or csv by the configured format.
+
+    ``pretty`` is None for a command with no --pretty flag."""
+    if getattr(args, "pretty", False):
         text = pretty(value)
     elif cfg.output_format == "json":
         text = to_json(to_doc(value))
@@ -315,11 +318,7 @@ def cmd_simulate(args) -> int:
 def cmd_fixtures(args) -> int:
     cfg = _load_config(args)
     fixtures = [get_fixture(name) for name in fixture_names()]
-    if cfg.output_format == "json":
-        text = to_json(fixtures_to_doc(fixtures))
-    else:
-        text = fixtures_to_csv(fixtures)
-    _emit(text, args.out)
+    _render(args, cfg, fixtures, None, fixtures_to_doc, fixtures_to_csv)
     return 0
 
 

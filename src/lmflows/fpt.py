@@ -18,7 +18,8 @@ requests ask, and also works out the closure of the support of
 :math:`\tilde P` that screens every passage into :math:`j`. Chains are read
 as ``TransitionMatrix`` objects, validated when built (a bare array is
 validated into one for the call), and this module keeps each matrix's
-engines, so every passage on it into one target reads one shared run; a
+engines, so every passage on it into one target reads one shared run (a
+distribution longer than ``DEFAULT_HORIZON`` terms runs one of its own); a
 copy or a pickle of the matrix starts without engines. Every public
 function below builds one ``Passage``, and a full report
 (``serialize.build_fpt_report``) builds one for all of its parts.
@@ -62,6 +63,7 @@ VERDICT_WELL_DEFINED = "well_defined"
 VERDICT_SUSPECT = "suspect"
 VERDICT_DIVERGENT = "divergent"
 
+DEFAULT_HORIZON = 40
 DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_HORIZON = 8000
 
@@ -208,11 +210,12 @@ class _Engine:
 
     The terms stream through a block of rows, one ``P~.dot(F, out=...)`` a
     term, and are dropped once recorded; so the memory is what is kept: f(n)
-    through the largest distribution horizon asked for, and for every source
-    the answers to the last ``RULES`` stopping rules. The sums of f and n f
-    add in order of n, as a term-by-term loop adds them. A request for rows
-    or a rule that the stream has already passed sends it back to n = 0. One
-    lock guards the whole state: reports in several threads may share it.
+    for its first ``rows`` terms (``DEFAULT_HORIZON`` unless asked for more),
+    which every stream from n = 0 records as it passes them, and for every
+    source the answer to one stopping rule. The sums of f and n f add in
+    order of n, as a term-by-term loop adds them. A new rule sends the
+    stream back to n = 0. One lock guards the whole state: reports in
+    several threads may share it.
 
     Every rule stops on one tail bound. A certain passage's F, read on its
     region R (closed under steps that avoid the target; a return time adds
@@ -227,10 +230,8 @@ class _Engine:
 
     # Most terms a block of the stream holds.
     BLOCK = 512
-    # Most stopping rules an engine keeps; a new one past these drops the oldest.
-    RULES = 8
 
-    def __init__(self, P: np.ndarray, j: int):
+    def __init__(self, P: np.ndarray, j: int, rows: int = DEFAULT_HORIZON):
         k = len(P)
         self._taboo = P.copy()
         self._taboo[:, j] = 0.0
@@ -255,11 +256,11 @@ class _Engine:
         self._c1, self._c2 = _tail_constants(self._taboo, self._regions)
         # The linear route's mu by region (None where singular), never the recursion's.
         self._solves = {}
-        self._rows = np.empty((0, k))
-        # Each rule (epsilon, cap)'s answers by source: (n, sum of f, sum of n f,
-        # met) through the first n <= cap where the bounds hold for the mean
+        self._rows = np.empty((rows, k))
+        # The rule (epsilon, cap) and its answers by source: (n, sum of f, sum of
+        # n f, met) through the first n <= cap where the bounds hold for the mean
         # (to epsilon) and the mass (_CERTIFIED_MASS), or else through cap.
-        self._stops = {}
+        self._rule, self._answers = None, {}
         self._lock = threading.Lock()
         self._rewind()
 
@@ -270,25 +271,6 @@ class _Engine:
         # the parts apart, as two float sums, in one pass; -0.0 keeps the first
         # term's bits.
         self._carry = np.full(len(self._first), complex(-0.0, -0.0))
-
-    def _keep_rows(self, horizon: int) -> None:
-        kept = len(self._rows)
-        if horizon > kept:
-            if self._n > kept:
-                self._rewind()
-            rows = np.empty((horizon, len(self._first)))
-            rows[:kept] = self._rows
-            self._rows = rows
-
-    def _stop(self, epsilon: float, cap: int) -> dict:
-        answers = self._stops.get((epsilon, cap))
-        if answers is None:
-            if self._n:
-                self._rewind()
-            if len(self._stops) >= self.RULES:
-                del self._stops[next(iter(self._stops))]
-            answers = self._stops[epsilon, cap] = {}
-        return answers
 
     def _run(self, n: int) -> None:
         """Stream the recursion on to ``n`` terms, recording what the requests read."""
@@ -311,27 +293,24 @@ class _Engine:
             keep = min(step, len(self._rows) - n0)
             if keep > 0:
                 self._rows[n0:n0 + keep] = f[:keep]
-            # The sums are read only while a rule is open; a new rule rewinds the stream.
-            stops = [(rule, answers) for rule, answers in self._stops.items()
-                     if len(answers) < len(self._first)]
-            if stops:
+            # The sums are read only while the rule is open; a new rule rewinds the stream.
+            if self._rule is not None and len(self._answers) < len(self._first):
                 sums = run[:step + 1]
                 sums.real[1:] = f
                 n_col = np.arange(n0 + 1.0, n0 + step + 1.0)[:, None]
                 np.multiply(n_col, f, out=sums.imag[1:])
                 np.add.accumulate(sums, axis=0, out=sums)
-                self._scan(n0, n_col, f, sums, stops)
+                self._scan(n0, n_col, f, sums)
             block[0] = block[step]
             run[0] = run[step]
             self._n = n0 + step
         self._last = block[0].copy()
         self._carry = run[0].copy()
 
-    def _scan(self, n0: int, n_col: np.ndarray, f: np.ndarray, sums: np.ndarray,
-              stops: list) -> None:
-        """Record, for each of ``stops``, the sources that meet it among the block's terms:
-        ``f[r]`` is F(n) for n = ``n_col[r]`` = n0 + r + 1, and ``sums[r]`` holds the sums
-        of f and of n f (``_carry``) through n0 + r, a column per source."""
+    def _scan(self, n0: int, n_col: np.ndarray, f: np.ndarray, sums: np.ndarray) -> None:
+        """Record the sources that meet the rule among the block's terms: ``f[r]`` is
+        F(n) for n = ``n_col[r]`` = n0 + r + 1, and ``sums[r]`` holds the sums of f and
+        of n f (``_carry``) through n0 + r, a column per source."""
         # Each region's largest |F(n)|, a row per region and a column per term;
         # then the bounds past n on the mass and on the mean, a row per source.
         by_state = np.abs(f.T, order="C")
@@ -341,37 +320,32 @@ class _Engine:
         self._fall = (len(f) - 1, top[:, 0].tolist(), top[:, -1].tolist())
         certified = (self._c1 * top <= _CERTIFIED_MASS)[self._region_of]
         tail = ((n_col.T * self._c1 + self._c2) * top)[self._region_of]
-        for (epsilon, cap), answers in stops:
-            k = min(len(f), cap - n0)
-            met = certified[:, :k] & (tail[:, :k] <= epsilon * sums.imag[1:k + 1].T)
-            hit = met.any(axis=1)
-            for s, r in enumerate(np.where(hit, met.argmax(axis=1), k - 1).tolist()):
-                if s not in answers and (hit[s] or n0 + k == cap):
-                    total = sums[r + 1, s]
-                    answers[s] = (n0 + r + 1, float(total.real), float(total.imag), bool(hit[s]))
-
-    def expect(self, horizon: int, epsilon: float, cap: int) -> None:
-        """Keep rows through ``horizon`` and open the rule (epsilon, cap), running nothing."""
-        with self._lock:
-            self._keep_rows(horizon)
-            self._stop(epsilon, cap)
+        (epsilon, cap), answers = self._rule, self._answers
+        k = min(len(f), cap - n0)
+        met = certified[:, :k] & (tail[:, :k] <= epsilon * sums.imag[1:k + 1].T)
+        hit = met.any(axis=1)
+        for s, r in enumerate(np.where(hit, met.argmax(axis=1), k - 1).tolist()):
+            if s not in answers and (hit[s] or n0 + k == cap):
+                total = sums[r + 1, s]
+                answers[s] = (n0 + r + 1, float(total.real), float(total.imag), bool(hit[s]))
 
     def distribution(self, i: int, horizon: int) -> np.ndarray:
-        """f(1..horizon) from source ``i``."""
+        """f(1..horizon) from source ``i``; ``horizon`` is at most the engine's ``rows``."""
         with self._lock:
-            self._keep_rows(horizon)
             self._run(horizon)
             return self._rows[:horizon, i].copy()
 
     def answer(self, i: int, epsilon: float, cap: int) -> tuple[int, float, float, bool]:
-        """Source ``i``'s answer to the rule (epsilon, cap) (see ``_stops``)."""
+        """Source ``i``'s answer to the rule (epsilon, cap) (see ``_answers``)."""
         with self._lock:
-            answers = self._stop(epsilon, cap)
+            if self._rule != (epsilon, cap):
+                self._rule, self._answers = (epsilon, cap), {}
+                self._rewind()
             more = self.BLOCK
-            while i not in answers:
+            while i not in self._answers:
                 self._run(min(cap, self._n + more))
                 more = self._more(i, epsilon)
-            return answers[i]
+            return self._answers[i]
 
     def _more(self, i: int, epsilon: float) -> int:
         """A guess at how many more terms source ``i`` needs for ``epsilon``, from how its
@@ -414,16 +388,13 @@ class Passage:
     """The passage from ``source`` to ``target`` on one chain, shared by every route.
 
     Construction reads the chain through ``TransitionMatrix.of``, resolves
-    both ends and screens the passage from the target's engine. The
-    distribution and the stopping rules read that engine, which runs the
-    taboo recursion for all sources as far as they ask; the linear route
-    reads the screened region alone. The engine is the one this module
-    keeps for the matrix and target, unless a distribution asks for more
-    than ``SHARED_HORIZON`` terms: then the passage runs one of its own.
+    both ends and screens the passage from the target's engine, the one this
+    module keeps for the matrix and target. The series, the verdict and a
+    distribution of up to ``DEFAULT_HORIZON`` terms read that engine, which
+    runs the taboo recursion for all sources as far as they ask; a longer
+    distribution runs a throwaway engine of its own. The linear route reads
+    the screened region alone.
     """
-
-    # Longest distribution a matrix's shared engine keeps rows for.
-    SHARED_HORIZON = 1024
 
     def __init__(self, m, source, target):
         m = TransitionMatrix.of(m)
@@ -433,16 +404,6 @@ class Passage:
         engines = _ENGINES.setdefault(m, {})
         self._shared = engines.get(self.j) or engines.setdefault(self.j, _Engine(self.P, self.j))
         self.region, self.trapped, self.reachable = _screen(self._shared, self.i, self.j)
-        self._own = None
-
-    def _engine(self, horizon: int = 0) -> _Engine:
-        """The engine to read for rows through ``horizon``; once the passage has its own,
-        every later read is from it."""
-        if self._own is None and horizon <= self.SHARED_HORIZON:
-            return self._shared
-        if self._own is None:
-            self._own = _Engine(self.P, self.j)
-        return self._own
 
     def _certain_region(self) -> np.ndarray:
         """The screened region; raise InfiniteEfptError if any state is trapped."""
@@ -452,26 +413,19 @@ class Passage:
             )
         return self.region
 
-    def expect_report(self, horizon: int, epsilon: float, max_horizon: int) -> None:
-        """Check a full report's arguments as its parts do, in their order, and tell the
-        engine everything the parts will read, so that one run serves them all."""
-        horizon = _term_count(horizon, "horizon")
-        max_horizon = _term_count(max_horizon, "horizon")  # the verdict's, checked before epsilon
-        _check_epsilon(epsilon)
-        self._engine(horizon).expect(horizon, epsilon, max_horizon)
-
     def distribution(self, horizon: int) -> FptDistribution:
         horizon = _term_count(horizon, "horizon")
+        engine = self._shared if horizon <= DEFAULT_HORIZON else _Engine(self.P, self.j, rows=horizon)
         return FptDistribution(
             source=self.source, target=self.target,
-            probabilities=self._engine(horizon).distribution(self.i, horizon), horizon=horizon,
+            probabilities=engine.distribution(self.i, horizon), horizon=horizon,
         )
 
     def series(self, epsilon: float, max_horizon: int) -> EfptResult:
         _check_epsilon(epsilon)
         max_horizon = _term_count(max_horizon, "max_horizon")
         self._certain_region()
-        n, total, mean, met = self._engine().answer(self.i, epsilon, max_horizon)
+        n, total, mean, met = self._shared.answer(self.i, epsilon, max_horizon)
         if not met:
             raise InfiniteEfptError(self.source, self.target, detail=(
                 f"series tail bound exceeds epsilon {epsilon:g} of the mean after "
@@ -502,7 +456,7 @@ class Passage:
         _check_epsilon(epsilon)
         n, total, met = 0, 0.0, False  # a target the source cannot reach: nothing to stream
         if self.i == self.j or self.reachable:
-            n, total, _, met = self._engine().answer(self.i, epsilon, horizon)
+            n, total, _, met = self._shared.answer(self.i, epsilon, horizon)
         verdict = (VERDICT_DIVERGENT if len(self.trapped)
                    else VERDICT_WELL_DEFINED if met else VERDICT_SUSPECT)
         return WellDefinedness(

@@ -87,6 +87,9 @@ WAVE_HEADER = ("person_id", "quarter", "state", "age", "sex", "citizen", "region
 # Interview offsets of the 2-in/2-out/2-in rotation, relative to entry.
 ROTATION_OFFSETS = (0, 1, 4, 5)
 
+# The last quarter QuarterId.parse reads, and so the last a panel file can hold.
+_LAST_QUARTER = QuarterId(9999, 4)
+
 
 @dataclasses.dataclass(frozen=True)
 class WaveRow:
@@ -252,12 +255,12 @@ class PanelDataset:
         """
         n = len(self)
         low = int(self.quarter.min()) if n else 0
-        if n and int(self.quarter.max()) - low <= np.iinfo(np.uint16).max:
-            # A stable sort of 16-bit keys is numpy's O(n) radix sort: about 2 ms on
-            # 286k rows, where the stable sort of the int64 ordinals takes about 14 ms.
-            order = np.argsort((self.quarter - low).astype(np.uint16), kind="stable")
-        else:
-            order = np.argsort(self.quarter, kind="stable")
+        span = int(self.quarter.max()) - low if n else 0
+        # A stable sort orders by key value alone, so the offsets sort in the
+        # narrowest type that holds them: for 8- and 16-bit keys that is numpy's
+        # O(n) radix sort, 3.5 ms (uint8) and 3.9 ms (uint16) on 286k rows of 8
+        # quarters on one 2-CPU host, where 64-bit keys take 15.6 ms.
+        order = np.argsort((self.quarter - low).astype(np.min_scalar_type(span)), kind="stable")
         quarter = self.quarter[order]
         starts = np.flatnonzero(np.diff(quarter, prepend=low - 1)).tolist()
         bounds = dict(zip(quarter[starts].tolist(), zip(starts, starts[1:] + [n])))
@@ -638,7 +641,8 @@ def generate_synthetic_panel(
     start_quarter : QuarterId
         First quarter of the observation window.
     n_quarters : int
-        Window length in quarters (>= 1).
+        Window length in quarters (>= 1). The window may not run past
+        9999.4, the last quarter a panel file can hold.
     seed : int
         Output is a deterministic function of the arguments and this seed.
 
@@ -659,6 +663,9 @@ def generate_synthetic_panel(
         raise ValueError("n_individuals must be >= 1")
     if n_quarters < 1:
         raise ValueError("n_quarters must be >= 1")
+    if start_quarter.ordinal + n_quarters - 1 > _LAST_QUARTER.ordinal:
+        raise ValueError(f"a window of {n_quarters} quarters from {start_quarter} runs past "
+                         f"{_LAST_QUARTER}, the last quarter a panel file can hold")
 
     rng = np.random.default_rng(seed)
     n = n_individuals

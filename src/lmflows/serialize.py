@@ -14,7 +14,7 @@ import json
 
 from .errors import InfiniteEfptError
 from .estimation import TransitionMatrix
-from .fpt import Passage
+from .fpt import Passage, _term_count
 
 
 def _fmt(x) -> str:
@@ -190,15 +190,17 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
     well-definedness diagnosis, which reads the series' stop for
     (``epsilon``, ``max_horizon``). ``m`` is read through
     ``TransitionMatrix.of``, and one Passage serves all four parts, so the
-    passage is screened once and the target's taboo recursion, told up
-    front what the parts read, runs once, shared with every other report on
-    the matrix into that target. The results and the errors, in their
-    order, are those of fpt_distribution, check_well_defined, efpt_series
-    and efpt_linear called one by one.
+    passage is screened once and the target's taboo recursion runs once,
+    shared with every other report on the matrix into that target: the
+    verdict streams it under its stopping rule, the series reads the same
+    rule's answer, and a distribution of up to ``DEFAULT_HORIZON`` terms
+    reads the rows the stream kept on its way. The results and the errors,
+    in their order, are those of fpt_distribution, check_well_defined,
+    efpt_series and efpt_linear called one by one.
     """
     m = TransitionMatrix.of(m)
     passage = Passage(m, source, target)
-    passage.expect_report(horizon, epsilon, max_horizon)
+    _term_count(horizon, "horizon")  # the distribution's, checked before the verdict's
     wd = passage.well_defined(max_horizon, epsilon)
     dist = passage.distribution(horizon)
     cdf = dist.cdf()

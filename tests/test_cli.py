@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -421,6 +422,16 @@ class TestSimulateCommand:
         assert err == "error: initial_shares must be nonnegative and sum to 1 within 1e-9\n"
         assert not out.exists()
 
+    def test_window_past_the_last_readable_quarter_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code, stdout, err = run(capsys, "simulate", "--fixture", "early_2019Q3", "--n", "50",
+                                "--seed", "1", "--start", "9999.3", "--quarters", "6",
+                                "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == ("error: a window of 6 quarters from 9999.3 runs past 9999.4, "
+                       "the last quarter a panel file can hold\n")
+        assert not out.exists()
+
     def test_format_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:
@@ -668,3 +679,98 @@ def test_fpt_without_strict_exits_zero_or_two(argv):
     assert code in (0, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
+
+
+QUARTERS = (st.sampled_from(["2019.1", "2019.2", "2019.3", "2018.4", "9999.3", "9999.4"]),
+            st.sampled_from(["2019.5", "1899.4", "19.1", "2019", "x", ""]))
+
+
+def good_or_bad(draw, good, bad):
+    """A value drawn from ``good``, or one time in five from ``bad``."""
+    return draw(bad if draw(st.integers(0, 4)) == 4 else good)
+
+
+@st.composite
+def data_command_argvs(draw):
+    """``shares``, ``transitions``, ``fixtures`` or ``simulate`` with good and bad flag values.
+
+    Each optional flag is absent or has a good or a bad value; a required one has a good or
+    a bad value. ``{data}``, ``{dirty}``, ``{missing}`` and ``{out}`` stand for paths.
+    ``--n`` stays at or below 10^4: a simulated panel is held in memory whole.
+    """
+    command = draw(st.sampled_from(["shares", "transitions", "fixtures", "simulate"]))
+    argv = [command]
+    flags = {"--format": (st.sampled_from(["csv", "json"]), st.sampled_from(["xml", ""]))}
+    if command in ("shares", "transitions"):
+        argv += ["--data", draw(st.sampled_from(["{data}", "{data}", "{dirty}", "{missing}"])),
+                 "--quarter", good_or_bad(draw, *QUARTERS)]
+        flags.update({
+            "--age": (st.sampled_from(["teens", "early", "late", "preadult"]),
+                      st.sampled_from(["old", ""])),
+            "--sex": (st.sampled_from(["M", "F"]), st.just("X")),
+            "--citizen": (st.sampled_from(["0", "1"]), st.just("2")),
+            "--region": (st.sampled_from(["north", "SOUTH"]), st.just("EAST")),
+        })
+        if command == "transitions":
+            flags.update({
+                "--min-support": (st.floats(0, 100).map(repr),
+                                  st.one_of(st.floats().map(repr), st.sampled_from(["x", ""]))),
+                "--fallback-policy": (st.sampled_from(["uniform", "absorbing_fs"]),
+                                      st.just("none")),
+            })
+        if draw(st.booleans()):
+            argv.append("--pretty")
+    elif command == "simulate":
+        del flags["--format"]
+        argv += ["--fixture", good_or_bad(draw, st.sampled_from(["early_2019Q3", "late_2020Q3"]),
+                                          st.just("nope")),
+                 "--n", good_or_bad(draw, st.integers(1, 10_000).map(str),
+                                    st.sampled_from(["0", "-1", "1e3", "x", ""])),
+                 "--out", "{out}"]
+        flags.update({
+            "--seed": (st.integers(0, 2**70).map(str), st.sampled_from(["-2", "x"])),
+            "--start": QUARTERS,
+            "--quarters": (st.integers(1, 400).map(str), st.sampled_from(["0", "2.5"])),
+            "--initial-shares": (
+                st.sampled_from(["1,0,0,0,0,0,0", "0.1,0.2,0.1,0.1,0.1,0.3,0.1"]),
+                st.sampled_from(["0.5,0.5", "nan,0,0,0,0,0,1", "-1,1,0,0,0,0,1", "x,,,,,,"])),
+        })
+    for flag, (good, bad) in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, good_or_bad(draw, good, bad)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """A simulated panel of 2019.1-2019.4 and a copy with dirty lines spliced in."""
+    root = tmp_path_factory.mktemp("corpus")
+    data = root / "data.csv"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["simulate", "--fixture", "early_2019Q3", "--n", "300", "--seed", "4",
+                     "--start", "2019.1", "--quarters", "4", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    lines[3:3] = ["D1,2019.5,2019.6,EDU,TE,21,F,1,SOUTH,1", "D2,2019.1,2019.2,EDU,TE,21,F,1",
+                  "D3,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,nan", "D4,2019.1,2019.2,XX,TE,40,F,1,SOUTH,1"]
+    dirty = root / "dirty.csv"
+    dirty.write_text("\n".join(lines) + "\n")
+    return {"data": data, "dirty": dirty, "missing": root / "missing.csv"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=data_command_argvs())
+def test_data_commands_exit_zero_or_two_without_a_traceback(argv, small_corpus):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {**small_corpus, "out": Path(scratch) / "sim.csv"}
+        argv = [paths[arg[1:-1]].as_posix() if arg[:1] == "{" and arg[-1:] == "}" else arg
+                for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error: " in err.getvalue().splitlines()[-1], (argv, err.getvalue())

@@ -49,8 +49,8 @@ SIGNATURES = [
     (7, 1e-6, 500),
     (90, 1e-12, 300),
     (1, 1e-3, 1),
-    # Longer than a shared engine keeps rows for: served by the passage's own engine.
-    (fpt.Passage.SHARED_HORIZON + 76, 1e-10, 1500),
+    # Far longer than an engine keeps rows for: served by a throwaway engine.
+    (fpt.DEFAULT_HORIZON + 1060, 1e-10, 1500),
 ]
 
 
@@ -195,7 +195,7 @@ def test_reports_leave_no_fpt_state_on_the_matrix():
     before = dict(vars(m))
     for target in ("PE", "FS"):
         report(m, "EDU", target)
-        fpt_distribution(m, "EDU", target, fpt.Passage.SHARED_HORIZON + 1)
+        fpt_distribution(m, "EDU", target, fpt.DEFAULT_HORIZON + 1)
     assert m in fpt._ENGINES
     assert set(vars(m)) == {field.name for field in dataclasses.fields(m)}
     assert all(vars(m)[name] is value for name, value in before.items())
@@ -228,7 +228,7 @@ def test_an_engine_keeps_its_latest_rules():
     loops = [series_by_loop(m.entries, edu, pe, 10.0 ** -e, DEFAULT_MAX_HORIZON) for e in range(3, 15)]
     assert [(r.n_terms, r.quarters) for r in want] == [(n, mean) for n, _, mean, _, _ in loops]
     engine = fpt._ENGINES[m][m.state_index("PE")]
-    assert list(engine._stops) == [(10.0 ** -e, DEFAULT_MAX_HORIZON) for e in range(7, 15)]
+    assert engine._rule == (1e-14, DEFAULT_MAX_HORIZON)
     assert efpt_series(m, "EDU", "PE", epsilon=1e-3) == want[0]
 
 

@@ -423,6 +423,19 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_synthetic_panel(np.eye(7), shares, 10, QuarterId(2019, 1), 2, seed=0)
 
+    def test_rejects_a_window_past_the_last_readable_quarter(self, tmp_path):
+        with pytest.raises(ValueError, match="runs past 9999.4"):
+            generate_synthetic_panel(np.eye(7), UNIFORM7, 50, QuarterId(9999, 3), 6, seed=1)
+        with pytest.raises(ValueError, match="runs past 9999.4"):
+            generate_synthetic_panel(np.eye(7), UNIFORM7, 50, QuarterId(9999, 4), 2, seed=1)
+        # A window that ends on 9999.4 writes a file that parses back whole.
+        data = generate_synthetic_panel(np.eye(7), UNIFORM7, 50, QuarterId(9999, 3), 2, seed=1)
+        path = tmp_path / "last.csv"
+        write_pairs_csv(data, path)
+        back, report = parse_panel_file(path)
+        assert (len(back), report.rejections) == (len(data), ())
+        assert back.quarter_range == (QuarterId(9999, 3), QuarterId(9999, 4))
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             generate_synthetic_panel(np.eye(7), UNIFORM7, 0, QuarterId(2019, 1), 2, seed=0)
