@@ -3,7 +3,8 @@
 Both tables are tabulated from a PanelDataset's columns grouped by departure
 quarter: a cell reads only its quarter's rows, a slice of each column,
 masks its cohort on that slice and gathers the matching rows by their
-indices. ``np.bincount`` then adds the weights per state or per move. The
+indices, once for its shares and matrix both (``_cohort_rows``).
+``np.bincount`` then adds the weights per state or per move. The
 rows keep their order within a quarter, and ``np.bincount`` adds each bin's
 weights one by one in that order, as a loop over the pairs would, so the
 figures are the same to the last bit.
@@ -27,6 +28,7 @@ from .states import (
     REGION_ORDER,
     SEX_ORDER,
     STATE_CODES,
+    STATE_ORDER,
     CohortFilter,
     LaborState,
     QuarterId,
@@ -133,11 +135,18 @@ class StateShareTable:
     total_weight: float
 
 
-def _cohort_rows(data, quarter: QuarterId, cohort: CohortFilter) -> dict[str, np.ndarray]:
-    """The columns state_from, state_to and weight of the pairs departing ``quarter``
-    whose demographics ``cohort`` matches, in row order."""
+def _cohort_rows(data, quarter: QuarterId, cohort: CohortFilter) -> tuple[np.ndarray, ...]:
+    """(state_from, state_to, weight) of the pairs departing ``quarter`` whose
+    demographics ``cohort`` matches, in row order, read-only.
+
+    The dataset keeps the last selection, keyed by quarter and cohort, as it
+    keeps its quarter groups: a cell's shares and matrix select its rows once.
+    """
+    key = (quarter.ordinal, cohort)
+    last = getattr(data, "_last_cell", None)
+    if last is not None and last[0] == key:
+        return last[1]
     cell = data._quarter_columns(quarter.ordinal)
-    names = ("state_from", "state_to", "weight")
     mask = np.ones(len(cell["weight"]), dtype=bool)
     if cohort.age_band is not None:
         mask &= (cell["age"] >= cohort.age_band.lo) & (cell["age"] <= cohort.age_band.hi)
@@ -148,7 +157,12 @@ def _cohort_rows(data, quarter: QuarterId, cohort: CohortFilter) -> dict[str, np
     if cohort.region is not None:
         mask &= cell["region"] == REGION_ORDER.index(cohort.region)
     rows = np.flatnonzero(mask)
-    return {name: cell[name][rows] for name in names}
+    picked = tuple(cell[name][rows] for name in ("state_from", "state_to", "weight"))
+    for column in picked:
+        column.setflags(write=False)
+    # One tuple, replaced whole: a thread reads the old selection or the new one.
+    object.__setattr__(data, "_last_cell", (key, picked))
+    return picked
 
 
 def compute_shares(data, quarter: QuarterId, cohort: CohortFilter | None = None) -> StateShareTable:
@@ -157,8 +171,7 @@ def compute_shares(data, quarter: QuarterId, cohort: CohortFilter | None = None)
     Raises EmptyCohortError when no pair matches.
     """
     cohort = cohort or CohortFilter()
-    rows = _cohort_rows(data, quarter, cohort)
-    state, weight = rows["state_from"], rows["weight"]
+    state, _, weight = _cohort_rows(data, quarter, cohort)
     weight_by_state = np.bincount(state, weights=weight, minlength=N_STATES).tolist()
     count_by_state = np.bincount(state, minlength=N_STATES).tolist()
     # One bin, not np.sum: np.sum adds pairwise, which can change the last bits.
@@ -168,8 +181,8 @@ def compute_shares(data, quarter: QuarterId, cohort: CohortFilter | None = None)
     return StateShareTable(
         quarter=quarter,
         cohort=cohort,
-        shares={s: weight_by_state[s.index] / total for s in LaborState},
-        n_obs={s: count_by_state[s.index] for s in LaborState},
+        shares=dict(zip(STATE_ORDER, [w / total for w in weight_by_state])),
+        n_obs=dict(zip(STATE_ORDER, count_by_state)),
         total_weight=total,
     )
 
@@ -192,26 +205,17 @@ def estimate_transition_matrix(
     """
     cohort = cohort or CohortFilter()
     k = N_STATES
-    rows = _cohort_rows(data, from_quarter, cohort)
-    if not len(rows["weight"]):
+    state_from, state_to, weight = _cohort_rows(data, from_quarter, cohort)
+    if not len(weight):
         raise EmptyCohortError(from_quarter, cohort)
-    moves = rows["state_from"].astype(np.intp) * k + rows["state_to"]
-    flows = np.bincount(moves, weights=rows["weight"], minlength=k * k).reshape(k, k)
+    moves = state_from.astype(np.intp) * k + state_to
+    flows = np.bincount(moves, weights=weight, minlength=k * k).reshape(k, k)
 
     row_weight = flows.sum(axis=1)
-    entries = np.empty_like(flows)
-    fallback = []
-    for i in range(k):
-        if row_weight[i] > 0:
-            entries[i] = flows[i] / row_weight[i]
-        else:
-            entries[i] = 1.0 / k
-            fallback.append(i)
-    thin = [
-        STATE_CODES[i]
-        for i in range(k)
-        if 0 < row_weight[i] < min_support
-    ]
+    observed = row_weight > 0
+    entries = np.divide(flows, row_weight[:, None], out=np.full_like(flows, 1.0 / k),
+                        where=observed[:, None])
+    thin = [STATE_CODES[i] for i in np.flatnonzero(observed & (row_weight < min_support)).tolist()]
     if thin:
         warnings.warn(
             f"thin transition rows departing {from_quarter} ({cohort.describe()}): "
@@ -223,11 +227,11 @@ def estimate_transition_matrix(
     return TransitionMatrix(
         entries=entries,
         states=STATE_CODES,
-        row_counts=tuple(row_weight),
+        row_counts=row_weight.tolist(),
         from_quarter=from_quarter,
         to_quarter=from_quarter.plus(1),
         cohort=cohort,
-        fallback_rows=frozenset(fallback),
+        fallback_rows=frozenset(np.flatnonzero(~observed).tolist()),
         provenance=f"estimated from {getattr(data, 'provenance', 'panel data')}",
     )
 

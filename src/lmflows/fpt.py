@@ -48,6 +48,7 @@ Agreement between the two is a cross-check on both.
 
 import collections
 import dataclasses
+import functools
 import math
 import numbers
 import threading
@@ -86,11 +87,16 @@ def _screen(engine: "_Engine", i: int, j: int) -> tuple[np.ndarray, np.ndarray, 
     empty. ``reachable`` says whether j can be reached from i in one or more steps.
     """
     ahead, reaches_j = engine.ahead, engine.reaches
-    start = engine.support[j] if i == j else np.arange(len(ahead)) == i
-    region = ahead[start].any(axis=0)
-    trapped = np.flatnonzero(start & ~reaches_j)
-    if not len(trapped):
-        trapped = np.flatnonzero(region & ~reaches_j)
+    if i != j:
+        # The closure row of i is its region, i included.
+        region = ahead[i]
+        trapped = np.flatnonzero(region & ~reaches_j) if reaches_j[i] else np.array([i], np.intp)
+    else:
+        start = engine.support[j]
+        region = ahead[start].any(axis=0)
+        trapped = np.flatnonzero(start & ~reaches_j)
+        if not len(trapped):
+            trapped = np.flatnonzero(region & ~reaches_j)
     return np.flatnonzero(region), trapped, bool(reaches_j[i])
 
 
@@ -225,7 +231,9 @@ class _Engine:
     per region). A passage that is not certain meets a rule only at its cap.
     How far a request streams is guessed (``_more``); no answer depends on
     it. Beside the recursion, and never reading it, are what the screen reads
-    (``ahead``, ``reaches``) and the linear route's solves by region.
+    (``ahead``, ``reaches``) and the linear route's solves by region. The
+    closure and the rule's regions and constants are worked out on first
+    use, so an engine that only records rows never pays for them.
     """
 
     # Most terms a block of the stream holds.
@@ -236,33 +244,52 @@ class _Engine:
         self._taboo = P.copy()
         self._taboo[:, j] = 0.0
         self._first = P[:, j].copy()
-        # What the screen reads: the support of P~, its reflexive-transitive
-        # closure (by squaring: routes of up to 2^r steps after r squarings),
-        # and the states that can reach j (a route ends with a step into j;
-        # the steps before it avoid j).
+        # What the screen reads: the support of P~ and, on first use, its closure.
         self.support = self._taboo > 0.0
-        self.ahead = self.support | np.eye(k, dtype=bool)
-        for _ in range((k - 1).bit_length()):
-            self.ahead = self.ahead @ self.ahead
-        self.reaches = self.ahead[:, self._first > 0.0].any(axis=1)
-        # A certain source s bounds its tail on ahead[s] (its region; for j, the
-        # return time's and j). Sources share a region's C1 and C2; one that is
-        # not certain reads the last row of those, NaN, which certifies nothing.
-        regions = {}
-        certain = ~(self.ahead & ~self.reaches).any(axis=1)
-        self._region_of = np.array([regions.setdefault(self.ahead[s].tobytes(), len(regions))
-                                    if certain[s] else -1 for s in range(k)])
-        self._regions = [np.frombuffer(key, dtype=bool) for key in regions]
-        self._c1, self._c2 = _tail_constants(self._taboo, self._regions)
         # The linear route's mu by region (None where singular), never the recursion's.
         self._solves = {}
-        self._rows = np.empty((rows, k))
+        try:
+            self._rows = np.empty((rows, k))
+        except MemoryError:
+            raise ValueError(f"horizon {rows} is too long: its {rows} x {k} passage probabilities "
+                             f"({rows * k * 8 / 2**30:.2f} GiB) cannot be allocated") from None
         # The rule (epsilon, cap) and its answers by source: (n, sum of f, sum of
         # n f, met) through the first n <= cap where the bounds hold for the mean
         # (to epsilon) and the mass (_CERTIFIED_MASS), or else through cap.
         self._rule, self._answers = None, {}
         self._lock = threading.Lock()
         self._rewind()
+
+    @functools.cached_property
+    def ahead(self) -> np.ndarray:
+        """The reflexive-transitive closure of ``support``, by squaring (routes of up
+        to 2^r steps after r squarings)."""
+        ahead = self.support | np.eye(len(self.support), dtype=bool)
+        for _ in range((len(ahead) - 1).bit_length()):
+            ahead = ahead @ ahead
+        return ahead
+
+    @functools.cached_property
+    def reaches(self) -> np.ndarray:
+        """The states that can reach j: a route ends with a step into j; the steps
+        before it avoid j."""
+        return self.ahead[:, self._first > 0.0].any(axis=1)
+
+    @functools.cached_property
+    def _bounds(self) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+        """What the stopping rule reads: (region of each source, regions, C1, C2).
+
+        A certain source s bounds its tail on ahead[s] (its region; for j, the
+        return time's and j). Sources share a region's C1 and C2; one that is
+        not certain is in region -1, the last row of those, NaN, which certifies
+        nothing.
+        """
+        regions = {}
+        certain = ~(self.ahead & ~self.reaches).any(axis=1)
+        region_of = np.array([regions.setdefault(self.ahead[s].tobytes(), len(regions))
+                              if certain[s] else -1 for s in range(len(certain))])
+        regions = [np.frombuffer(key, dtype=bool) for key in regions]
+        return (region_of, regions, *_tail_constants(self._taboo, regions))
 
     def _rewind(self) -> None:
         self._n = 0
@@ -313,16 +340,21 @@ class _Engine:
         of n f (``_carry``) through n0 + r, a column per source."""
         # Each region's largest |F(n)|, a row per region and a column per term;
         # then the bounds past n on the mass and on the mean, a row per source.
+        region_of, regions, c1, c2 = self._bounds
         by_state = np.abs(f.T, order="C")
-        top = np.zeros((len(self._regions) + 1, len(f)))
-        for g, on in enumerate(self._regions):
+        top = np.zeros((len(regions) + 1, len(f)))
+        for g, on in enumerate(regions):
             np.maximum.reduce(by_state[on], axis=0, out=top[g])
         self._fall = (len(f) - 1, top[:, 0].tolist(), top[:, -1].tolist())
-        certified = (self._c1 * top <= _CERTIFIED_MASS)[self._region_of]
-        tail = ((n_col.T * self._c1 + self._c2) * top)[self._region_of]
         (epsilon, cap), answers = self._rule, self._answers
         k = min(len(f), cap - n0)
-        met = certified[:, :k] & (tail[:, :k] <= epsilon * sums.imag[1:k + 1].T)
+        certified = c1 * top <= _CERTIFIED_MASS
+        # No source can meet the rule in a block where no region's mass is
+        # certified, unless the block ends at the cap.
+        if n0 + k < cap and not certified.any():
+            return
+        tail = ((n_col.T * c1 + c2) * top)[region_of]
+        met = certified[region_of, :k] & (tail[:, :k] <= epsilon * sums.imag[1:k + 1].T)
         hit = met.any(axis=1)
         for s, r in enumerate(np.where(hit, met.argmax(axis=1), k - 1).tolist()):
             if s not in answers and (hit[s] or n0 + k == cap):
@@ -350,8 +382,9 @@ class _Engine:
     def _more(self, i: int, epsilon: float) -> int:
         """A guess at how many more terms source ``i`` needs for ``epsilon``, from how its
         bound fell over the last block scanned (``BLOCK`` where that gives none)."""
-        g, (rows, first, last) = self._region_of[i], self._fall
-        c1, c2, mean = self._c1[g, 0], self._c2[g, 0], self._carry[i].imag
+        region_of, _, c1, c2 = self._bounds
+        g, (rows, first, last) = region_of[i], self._fall
+        c1, c2, mean = c1[g, 0], c2[g, 0], self._carry[i].imag
         if not (0.0 < last[g] < first[g] and mean > 0.0 and c1 < np.inf):
             return self.BLOCK
         short = max(c1 * last[g] / _CERTIFIED_MASS, (self._n * c1 + c2) * last[g] / (epsilon * mean))
@@ -369,7 +402,7 @@ class _Engine:
 
 def _first_step_solve(P: np.ndarray, region: np.ndarray) -> np.ndarray | None:
     """mu of (I - Q) mu = 1, Q being P on ``region``; None if I - Q is numerically singular."""
-    A = np.eye(len(region)) - P[np.ix_(region, region)]
+    A = np.eye(len(region)) - P[region][:, region]
     try:
         # Cannot trip once the screen passed; kept as a guard against
         # degenerate numerics.

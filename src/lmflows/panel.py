@@ -174,6 +174,8 @@ class PanelDataset:
     Cohort selection reads a copy of the columns it needs grouped by
     departure quarter, built on its first use and kept with the dataset
     (about 21 bytes a row); the columns above keep their own row order.
+    The dataset also keeps the last cell that selection picked
+    (``estimation._cohort_rows``).
     """
 
     person_ids: tuple[str, ...]

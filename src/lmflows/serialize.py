@@ -9,6 +9,7 @@ such tables are usually published, with fallback rows starred.
 """
 
 import csv
+import functools
 import io
 import json
 
@@ -56,26 +57,29 @@ def matrix_to_doc(m) -> dict:
     }
 
 
-def matrix_to_csv(m) -> str:
-    doc = matrix_to_doc(m)
+@functools.lru_cache(maxsize=256)
+def _csv_field(label) -> str:
+    """``label`` as csv.writer writes it among the other fields of a row."""
     buf = io.StringIO()
-    buf.write(
-        _meta_block(
-            (
-                ("from_quarter", doc["from_quarter"]),
-                ("to_quarter", doc["to_quarter"]),
-                ("cohort", m.cohort.describe() if m.cohort is not None else None),
-                ("provenance", doc["provenance"] or None),
-            )
+    csv.writer(buf, lineterminator="\n").writerow([label, ""])
+    return buf.getvalue()[:-2]
+
+
+def matrix_to_csv(m) -> str:
+    meta = _meta_block(
+        (
+            ("from_quarter", str(m.from_quarter) if m.from_quarter is not None else None),
+            ("to_quarter", str(m.to_quarter) if m.to_quarter is not None else None),
+            ("cohort", m.cohort.describe() if m.cohort is not None else None),
+            ("provenance", m.provenance or None),
         )
     )
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["state", *doc["states"], "row_count", "fallback"])
-    fallback = set(doc["fallback_rows"])
-    for i, name in enumerate(doc["states"]):
-        count = "" if doc["row_counts"] is None else _fmt(doc["row_counts"][i])
-        w.writerow([name, *(_fmt(v) for v in doc["entries"][i]), count, int(i in fallback)])
-    return buf.getvalue()
+    labels = list(map(_csv_field, m.states))
+    counts = [""] * len(labels) if m.row_counts is None else map(_fmt, m.row_counts)
+    # Floats and ints, which csv.writer would never quote: one join a row, each as _fmt writes it.
+    rows = (f"{label},{','.join(map(repr, entries))},{count},{int(i in m.fallback_rows)}\n"
+            for i, (label, entries, count) in enumerate(zip(labels, m.entries.tolist(), counts)))
+    return "".join((meta, ",".join(("state", *labels, "row_count", "fallback")), "\n", *rows))
 
 
 def matrix_pretty(m) -> str:
@@ -112,22 +116,17 @@ def shares_to_doc(table) -> dict:
 
 
 def shares_to_csv(table) -> str:
-    doc = shares_to_doc(table)
-    buf = io.StringIO()
-    buf.write(
-        _meta_block(
-            (
-                ("quarter", doc["quarter"]),
-                ("cohort", table.cohort.describe()),
-                ("total_weight", _fmt(doc["total_weight"])),
-            )
+    meta = _meta_block(
+        (
+            ("quarter", str(table.quarter)),
+            ("cohort", table.cohort.describe()),
+            ("total_weight", _fmt(table.total_weight)),
         )
     )
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["state", "share", "n_obs"])
-    for name, share in doc["shares"].items():
-        w.writerow([name, _fmt(share), doc["n_obs"][name]])
-    return buf.getvalue()
+    # State names and numbers, which csv.writer would never quote: one join.
+    rows = "".join(f"{s.name},{_fmt(share)},{int(table.n_obs[s])}\n"
+                   for s, share in table.shares.items())
+    return f"{meta}state,share,n_obs\n{rows}"
 
 
 def shares_pretty(table) -> str:

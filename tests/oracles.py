@@ -117,6 +117,40 @@ def report_csv_by_writer(doc) -> str:
     return buf.getvalue()
 
 
+def matrix_csv_by_writer(m) -> str:
+    """A TransitionMatrix as CSV, one ``csv.writer`` row per state, each float as ``repr``."""
+    def fmt(x):
+        return repr(float(x))
+
+    meta = (
+        ("from_quarter", str(m.from_quarter) if m.from_quarter is not None else None),
+        ("to_quarter", str(m.to_quarter) if m.to_quarter is not None else None),
+        ("cohort", m.cohort.describe() if m.cohort is not None else None),
+        ("provenance", m.provenance or None),
+    )
+    buf = io.StringIO()
+    buf.write("".join(f"# {key}={value}\n" for key, value in meta if value is not None))
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["state", *m.states, "row_count", "fallback"])
+    for i, name in enumerate(m.states):
+        count = "" if m.row_counts is None else fmt(m.row_counts[i])
+        w.writerow([name, *(fmt(v) for v in m.entries[i]), count, int(i in m.fallback_rows)])
+    return buf.getvalue()
+
+
+def shares_csv_by_writer(table) -> str:
+    """A StateShareTable as CSV, one ``csv.writer`` row per state, each float as ``repr``."""
+    meta = (("quarter", str(table.quarter)), ("cohort", table.cohort.describe()),
+            ("total_weight", repr(float(table.total_weight))))
+    buf = io.StringIO()
+    buf.write("".join(f"# {key}={value}\n" for key, value in meta))
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["state", "share", "n_obs"])
+    for s, share in table.shares.items():
+        w.writerow([s.name, repr(float(share)), int(table.n_obs[s])])
+    return buf.getvalue()
+
+
 def cohort_matches(cohort, demo) -> bool:
     """Whether the Demographics ``demo`` fall in ``cohort``: each field the filter sets agrees."""
     if cohort.age_band is not None and not cohort.age_band.contains(demo.age_at_first_wave):

@@ -3,19 +3,33 @@
 The corpus is ``lmflows simulate`` output; a second file re-weights its rows
 with fractional weights (so that summation order shows in the last bits)
 and adds dirty and out-of-scope lines (so that rejection texts and line
-numbers show). Any change to these bytes is a change of behaviour and must
-be deliberate.
+numbers show). A last digest covers a cohort grid swept in one process over
+the second file, the path a grid of cells takes through the library. Any
+change to these bytes is a change of behaviour and must be deliberate.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import warnings
 from pathlib import Path
 
 import pytest
 
 from lmflows.cli import main
+from lmflows.errors import EmptyCohortError
+from lmflows.estimation import (
+    FALLBACK_UNIFORM,
+    ThinRowWarning,
+    apply_fallback_policy,
+    compute_shares,
+    estimate_transition_matrix,
+)
+from lmflows.fpt import DEFAULT_EPSILON, DEFAULT_HORIZON, DEFAULT_MAX_HORIZON
+from lmflows.panel import parse_panel_file
+from lmflows.serialize import build_fpt_report, fpt_report_to_csv, matrix_to_csv, shares_to_csv
+from lmflows.states import AgeBand, CohortFilter, QuarterId, Sex
 
 SIM_ARGS = ("simulate", "--fixture", "early_2020Q3", "--n", "3000", "--seed", "11",
             "--start", "2019.3", "--quarters", "6")
@@ -45,7 +59,11 @@ EXPECTED = {
     "fpt_json": "93a0dc1e604ebc0b59c717cf9f3b91d2a043714d24d6a00f0547fe059906bb6a",
     "fpt_return_csv": "019d43afb85608eb833e126b44eaa5999c1cccbfdc9b38c4e2080e8a39199658",
     "rejects": "1162e0cbedbea4346aed23f29d0c2b8f4c1dac925d139994081a0671b5339d7c",
+    "grid_cells": "46d3f2427e0f3e60dce99a338122f5a4587f1b17c4c97666b21a7fee1a9eebe1",
 }
+
+# The grid's departure quarters: the corpus's five, and one past its last arrival.
+GRID_QUARTERS = ("2019.3", "2019.4", "2020.1", "2020.2", "2020.3", "2020.4")
 
 
 def _sha(data) -> str:
@@ -65,6 +83,35 @@ def _weighted(sim_text: str) -> str:
         fields[-1] = f"{0.5 + (i * 37 % 101) / 97:.6f}"
         out.append(",".join(fields))
     return "\n".join(out) + "\n"
+
+
+def grid_cells(path) -> str:
+    """Every cell of a departure quarter x age band x sex sweep of ``path``, in one process.
+
+    A cell gives its shares_to_csv, its matrix_to_csv (uniform fallback) and
+    the fpt_report_to_csv of EDU -> PE and EDU -> TE at the defaults, one
+    after another; an empty cell gives one line naming it.
+    """
+    dataset, _ = parse_panel_file(path)
+    parts = []
+    for quarter in map(QuarterId.parse, GRID_QUARTERS):
+        for band in AgeBand:
+            for sex in Sex:
+                cohort = CohortFilter(age_band=band, sex=sex)
+                try:
+                    table = compute_shares(dataset, quarter, cohort)
+                except EmptyCohortError:
+                    parts.append(f"empty {quarter} {cohort.describe()}\n")
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ThinRowWarning)
+                    matrix = estimate_transition_matrix(dataset, quarter, cohort)
+                matrix = apply_fallback_policy(matrix, FALLBACK_UNIFORM)
+                parts += [shares_to_csv(table), matrix_to_csv(matrix)]
+                parts += [fpt_report_to_csv(build_fpt_report(
+                    matrix, "EDU", target, DEFAULT_HORIZON, DEFAULT_EPSILON, DEFAULT_MAX_HORIZON))
+                    for target in ("PE", "TE")]
+    return "".join(parts)
 
 
 def output_digests(workdir) -> dict[str, str]:
@@ -100,6 +147,7 @@ def output_digests(workdir) -> dict[str, str]:
                             "--from", "EDU", "--to", "PE", "--format", "json"),
             "fpt_return_csv": run("fpt", "--data", "weighted.csv", "--quarter", "2019.3",
                                   "--from", "EDU", "--to", "EDU"),
+            "grid_cells": grid_cells("weighted.csv"),
         }
         files = {"simulate": Path("sim.csv").read_bytes(), "rejects": Path("rejects.csv").read_bytes()}
     finally:

@@ -352,6 +352,22 @@ class TestFptCommand:
         assert capsys.readouterr().err.splitlines()[-1].endswith(
             "error: argument --horizon: expected an integer, got '2.5'")
 
+    def test_horizon_whose_rows_cannot_be_allocated_is_usage_error(self, capsys, monkeypatch):
+        # 10^8 terms of 7 sources are 5.22 GiB of rows; their allocation is made to fail here.
+        real = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape[:1] == (100_000_000,):
+                raise MemoryError
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        code, out, err = run(capsys, "fpt", "--fixture", "early_2019Q3", "--from", "EDU",
+                             "--to", "PE", "--horizon", "100000000")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: horizon 100000000 is too long: its 100000000 x 7 "
+                                    "passage probabilities (5.22 GiB) cannot be allocated"]
+
     def test_pretty_report(self, capsys):
         code, out, _ = run(capsys, "fpt", "--fixture", "early_2019Q3",
                            "--from", "EDU", "--to", "PE", "--horizon", "4", "--pretty")
@@ -690,20 +706,36 @@ def good_or_bad(draw, good, bad):
     return draw(bad if draw(st.integers(0, 4)) == 4 else good)
 
 
+STATE_ENDS = (st.sampled_from(["EDU", "PE", "TE", "SE", "U", "NLFET", "FS", "edu", "0", "6"]),
+              st.sampled_from(["XX", "9", "-1", ""]))
+
+# Two valid configs (the first sets format, which simulate refuses), then an unknown key,
+# a bad value, bytes that are not UTF-8, a directory and a missing file.
+CONFIGS = (st.sampled_from(["{config}", "{config_plain}"]),
+           st.sampled_from(["{config_unknown}", "{config_bad}", "{config_binary}",
+                            "{config_unreadable}", "{missing}"]))
+
+
 @st.composite
 def data_command_argvs(draw):
-    """``shares``, ``transitions``, ``fixtures`` or ``simulate`` with good and bad flag values.
+    """``shares``, ``transitions``, ``fpt --data``, ``fixtures`` or ``simulate`` with good and
+    bad flag values.
 
     Each optional flag is absent or has a good or a bad value; a required one has a good or
-    a bad value. ``{data}``, ``{dirty}``, ``{missing}`` and ``{out}`` stand for paths.
-    ``--n`` stays at or below 10^4: a simulated panel is held in memory whole.
+    a bad value (``fpt --quarter`` is sometimes left out, though ``--data`` requires it).
+    ``{data}``, ``{dirty}``, ``{missing}``, ``{out}`` and the ``{config...}`` names stand for
+    paths. ``--n`` stays at or below 10^4: a simulated panel is held in memory whole. A term
+    cap stays at or below 5000, and ``--strict`` is never given: a passage's verdict may
+    rightly exit 1 with it.
     """
-    command = draw(st.sampled_from(["shares", "transitions", "fixtures", "simulate"]))
+    command = draw(st.sampled_from(["shares", "transitions", "fpt", "fixtures", "simulate"]))
     argv = [command]
-    flags = {"--format": (st.sampled_from(["csv", "json"]), st.sampled_from(["xml", ""]))}
-    if command in ("shares", "transitions"):
-        argv += ["--data", draw(st.sampled_from(["{data}", "{data}", "{dirty}", "{missing}"])),
-                 "--quarter", good_or_bad(draw, *QUARTERS)]
+    flags = {"--format": (st.sampled_from(["csv", "json"]), st.sampled_from(["xml", ""])),
+             "--config": CONFIGS}
+    if command in ("shares", "transitions", "fpt"):
+        argv += ["--data", draw(st.sampled_from(["{data}", "{data}", "{dirty}", "{missing}"]))]
+        if command != "fpt" or draw(st.integers(0, 9)):
+            argv += ["--quarter", good_or_bad(draw, *QUARTERS)]
         flags.update({
             "--age": (st.sampled_from(["teens", "early", "late", "preadult"]),
                       st.sampled_from(["old", ""])),
@@ -711,7 +743,15 @@ def data_command_argvs(draw):
             "--citizen": (st.sampled_from(["0", "1"]), st.just("2")),
             "--region": (st.sampled_from(["north", "SOUTH"]), st.just("EAST")),
         })
-        if command == "transitions":
+        if command == "fpt":
+            argv += ["--from", good_or_bad(draw, *STATE_ENDS),
+                     "--to", good_or_bad(draw, *STATE_ENDS)]
+            flags.update({
+                "--horizon": (st.integers(1, 120).map(str), st.sampled_from(["0", "x"])),
+                "--epsilon": (st.sampled_from(["1e-9", "0.001"]), st.sampled_from(["0", "1.5", "nan"])),
+                "--max-horizon": (st.integers(1, 5000).map(str), st.sampled_from(["0", "1e4"])),
+            })
+        if command in ("transitions", "fpt"):
             flags.update({
                 "--min-support": (st.floats(0, 100).map(repr),
                                   st.one_of(st.floats().map(repr), st.sampled_from(["x", ""]))),
@@ -754,10 +794,24 @@ def small_corpus(tmp_path_factory):
                   "D3,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,nan", "D4,2019.1,2019.2,XX,TE,40,F,1,SOUTH,1"]
     dirty = root / "dirty.csv"
     dirty.write_text("\n".join(lines) + "\n")
-    return {"data": data, "dirty": dirty, "missing": root / "missing.csv"}
+    configs = {
+        "config": "# a run\nepsilon = 1e-8\nmax_horizon = 3000\nmin_support = 5\nformat = json\n",
+        "config_plain": "fallback_policy = absorbing_fs\n\nmax_horizon=200\n",
+        "config_unknown": "epsilon = 1e-8\ncolour = blue\n",
+        "config_bad": "max_horizon = lots\n",
+    }
+    paths = {}
+    for name, text in configs.items():
+        paths[name] = root / f"{name}.cfg"
+        paths[name].write_text(text)
+    paths["config_binary"] = root / "binary.cfg"
+    paths["config_binary"].write_bytes(b"epsilon = 1e-8\n\xff\xfe\n")
+    paths["config_unreadable"] = root / "config_dir.cfg"
+    paths["config_unreadable"].mkdir()
+    return {"data": data, "dirty": dirty, "missing": root / "missing.csv", **paths}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(argv=data_command_argvs())
 def test_data_commands_exit_zero_or_two_without_a_traceback(argv, small_corpus):
     out, err = io.StringIO(), io.StringIO()

@@ -1,3 +1,6 @@
+import concurrent.futures
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from lmflows.estimation import (
     TransitionMatrix,
     apply_fallback_policy,
     compute_shares,
+    _cohort_rows,
     estimate_transition_matrix,
     renormalize_rows,
 )
@@ -290,3 +294,87 @@ class TestFallbackPolicy:
     def test_no_fallback_rows_passthrough(self):
         m = TransitionMatrix(entries=np.full((7, 7), 1.0 / 7))
         assert apply_fallback_policy(m, FALLBACK_ABSORBING) is m
+
+
+class TestCellSelectionMemo:
+    """A dataset keeps its last cell's selection; every answer is what a fresh dataset gives."""
+
+    CELLS = [(quarter, CohortFilter(age_band=band, sex=sex))
+             for quarter in (Q1, Q2, Q1.plus(2), Q1.plus(6))
+             for band in (None, AgeBand.TEENS, AgeBand.LATE_YOUNG)
+             for sex in (None, Sex.F)]
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        data = generate_synthetic_panel(
+            random_stochastic(np.random.default_rng(8), 7, floor=0.05), np.full(7, 1.0 / 7),
+            2000, Q1, 4, seed=5,
+        )
+        # Fractional weights, so that the order of the additions shows in the last bits.
+        weights = np.random.default_rng(9).uniform(0.5, 2.0, len(data)).round(6)
+        return dataclasses.replace(data, weight=weights)
+
+    @staticmethod
+    def answer(data, kind, cell):
+        """The shares or the matrix of ``cell`` on ``data``, as exact values."""
+        quarter, cohort = cell
+        try:
+            if kind == "shares":
+                t = compute_shares(data, quarter, cohort)
+                return list(t.shares.values()), list(t.n_obs.values()), t.total_weight
+            m = estimate_transition_matrix(data, quarter, cohort, min_support=0.0)
+            return m.entries.tobytes(), m.row_counts, m.fallback_rows
+        except EmptyCohortError as exc:
+            return str(exc)
+
+    @staticmethod
+    def fresh(data):
+        return data._take(slice(None))
+
+    def requests(self, seed, n):
+        rng = np.random.default_rng(seed)
+        kinds, cells = rng.integers(2, size=n).tolist(), rng.integers(len(self.CELLS), size=n).tolist()
+        return [(("shares", "matrix")[kind], self.CELLS[cell]) for kind, cell in zip(kinds, cells)]
+
+    def test_interleaved_cells_read_as_on_a_fresh_dataset(self, panel):
+        data = self.fresh(panel)
+        for kind, cell in self.requests(1, 120):
+            assert self.answer(data, kind, cell) == self.answer(self.fresh(panel), kind, cell)
+
+    def test_two_datasets_keep_their_own_cells(self, panel):
+        other = dataclasses.replace(panel, weight=panel.weight[::-1])
+        a, b = self.fresh(panel), self.fresh(other)
+        for kind, cell in self.requests(2, 60):
+            for data, source in ((a, panel), (b, other), (a, panel)):
+                assert self.answer(data, kind, cell) == self.answer(self.fresh(source), kind, cell)
+        assert self.answer(a, "matrix", self.CELLS[0]) != self.answer(b, "matrix", self.CELLS[0])
+
+    def test_a_taken_dataset_selects_its_own_rows(self, panel):
+        data = self.fresh(panel)
+        half = np.arange(len(data)) % 2 == 0
+        for kind, cell in self.requests(3, 30):
+            self.answer(data, kind, cell)
+            want = self.answer(self.fresh(panel)._take(half), kind, cell)
+            assert self.answer(data._take(half), kind, cell) == want
+        first = self.CELLS[0]
+        assert self.answer(data._take(half), "shares", first) != self.answer(data, "shares", first)
+
+    def test_threads_read_what_a_fresh_dataset_gives(self, panel):
+        data = self.fresh(panel)
+        work = [self.requests(seed, 80) for seed in range(10, 14)]
+        want = [[self.answer(self.fresh(panel), kind, cell) for kind, cell in batch] for batch in work]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda batch: [self.answer(data, kind, cell) for kind, cell in batch],
+                                work))
+        assert got == want
+
+    def test_the_kept_selection_is_read_only(self, panel):
+        data = self.fresh(panel)
+        quarter, cohort = self.CELLS[3]
+        picked = _cohort_rows(data, quarter, cohort)
+        assert _cohort_rows(data, quarter, cohort) is picked
+        assert len(picked) == 3 and len(picked[2])
+        for column in picked:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0

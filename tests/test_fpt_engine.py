@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import lmflows
 from lmflows import fpt, serialize
 from lmflows.errors import InfiniteEfptError
-from lmflows.estimation import FALLBACK_POLICIES, apply_fallback_policy
+from lmflows.estimation import FALLBACK_POLICIES, TransitionMatrix, apply_fallback_policy
 from lmflows.fixtures import fixture_names, get_fixture
 from lmflows.fpt import (
     DEFAULT_EPSILON,
@@ -282,3 +282,73 @@ def test_errors_in_the_order_of_the_composed_routes(chain, horizon, epsilon, max
         target = 9
     args = (m, source, target, horizon, epsilon, max_horizon)
     assert _outcome(build_fpt_report, *args) == _outcome(composed_report, *args)
+
+
+def assert_screen_is_the_search_oracle(P):
+    for j in range(len(P)):
+        engine = fpt._Engine(P, j)
+        for i in range(len(P)):
+            region, trapped, reachable = fpt._screen(engine, i, j)
+            assert (region.tolist(), trapped.tolist(), reachable) == taboo_region(P, i, j), (i, j)
+
+
+@pytest.mark.parametrize("name, policy", fixture_chains())
+def test_screen_equals_the_search_oracle_on_fixtures(name, policy):
+    m = apply_fallback_policy(get_fixture(name).matrix(), policy)
+    assert_screen_is_the_search_oracle(np.asarray(m.entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(P=chains())
+def test_screen_equals_the_search_oracle_on_generated_chains(P):
+    assert_screen_is_the_search_oracle(P)
+
+
+def test_a_long_distribution_skips_the_rule_set_up(monkeypatch):
+    calls = []
+    real = fpt._tail_constants
+    monkeypatch.setattr(fpt, "_tail_constants", lambda *args: calls.append(args) or real(*args))
+    P = np.array(get_fixture("early_2020Q3").matrix().entries)
+    m = TransitionMatrix.of(P)
+    for i, j in [(5, 2), (5, 1), (2, 2), (6, 0)]:
+        f = series_by_loop(P, i, j, -np.inf, 1100)[-1]
+        assert fpt_distribution(m, i, j, 1100).probabilities.tolist() == f, (i, j)
+    assert calls == []
+    check_well_defined(m, 5, 2)
+    assert len(calls) == 1
+
+
+def first_certified(P, j) -> int:
+    """The first n at which some region's mass bound holds on the engine into ``j``."""
+    engine = fpt._Engine(P, j)
+    _, regions, c1, _ = engine._bounds
+    F = P[:, j].copy()
+    for n in range(1, DEFAULT_MAX_HORIZON + 1):
+        if any(c1[g, 0] * np.abs(F[on]).max() <= 1e-6 for g, on in enumerate(regions)):
+            return n
+        F = engine._taboo @ F
+    return 0
+
+
+@pytest.mark.parametrize("block", [225, 226])
+def test_rule_answers_where_a_region_first_certifies_on_a_block_boundary(monkeypatch, block):
+    # Into TE on early_2019Q3 no region's mass bound holds before n = 226: in blocks of 225
+    # terms it first holds on a block's first term, in blocks of 226 on its last, and every
+    # scan before it returns early. At epsilon 1e-3 every source stops at 226 itself. Caps
+    # of one and two blocks end a block.
+    P = np.array(get_fixture("early_2019Q3").matrix().entries)
+    j = 1
+    assert first_certified(P, j) == 226
+    monkeypatch.setattr(fpt._Engine, "BLOCK", block)
+    monkeypatch.setattr(fpt, "_SCRATCH", fpt._Scratch())  # buffers of this block's size
+    for epsilon in (DEFAULT_EPSILON, 1e-3):
+        for cap in (block, 2 * block, DEFAULT_MAX_HORIZON):
+            m = TransitionMatrix.of(P)
+            for i in range(len(P)):
+                n, total, mean, met, _ = series_by_loop(P, i, j, epsilon, cap)
+                wd = check_well_defined(m, i, j, horizon=cap, epsilon=epsilon)
+                assert (wd.horizon, wd.mass_at_horizon) == (n, min(total, 1.0)), (epsilon, cap, i)
+                assert (wd.verdict == VERDICT_WELL_DEFINED) == met, (epsilon, cap, i)
+                if met:
+                    r = efpt_series(m, i, j, epsilon=epsilon, max_horizon=cap)
+                    assert (r.n_terms, r.quarters) == (n, mean), (epsilon, cap, i)
