@@ -45,13 +45,10 @@ from .fpt import (
     fpt_distribution,
 )
 from .panel import (
-    LinkResult,
     ObservationPair,
     PanelDataset,
     ParseReport,
-    WaveRow,
     generate_synthetic_panel,
-    link_waves,
     parse_panel_file,
     write_pairs_csv,
 )
@@ -91,7 +88,6 @@ __all__ = [
     "FptDistribution",
     "InfiniteEfptError",
     "LaborState",
-    "LinkResult",
     "LmflowsError",
     "MacroRegion",
     "N_STATES",
@@ -107,7 +103,6 @@ __all__ = [
     "StateShareTable",
     "ThinRowWarning",
     "TransitionMatrix",
-    "WaveRow",
     "WellDefinedness",
     "apply_fallback_policy",
     "check_well_defined",
@@ -121,7 +116,6 @@ __all__ = [
     "fpt_distribution",
     "generate_synthetic_panel",
     "get_fixture",
-    "link_waves",
     "parse_panel_file",
     "renormalize_rows",
     "write_pairs_csv",

@@ -19,11 +19,15 @@ files stay auditable. Rows whose first-wave age falls outside 15-34 are
 dropped from the analysis dataset and counted separately (they are valid,
 just out of scope).
 
-Wave files are linked into 3-month pairs: one pair per person per adjacent
+Wave files are linked into 3-month pairs by ``link_waves``, from one sort
+of the interviews by (person_id, quarter): one pair per person per adjacent
 quarter couple, demographics and weight taken from the first wave of the
-pair. Person identifiers are assumed stable across the two rotation spells;
-real survey extracts may not guarantee this, in which case the second spell
-simply contributes pairs under a fresh identifier.
+pair. An interview repeated with a conflicting state rejects every line of
+its (person, quarter) key; repeats that agree keep the first line and
+reject the later ones as duplicates of it. Person identifiers are assumed
+stable across the two rotation spells; real survey extracts may not
+guarantee this, in which case the second spell simply contributes pairs
+under a fresh identifier.
 
 A PanelDataset holds its pairs as columns (a struct of arrays), one entry
 per pair: the departure quarter as an ordinal (``year * 4 + quarter - 1``;
@@ -92,17 +96,6 @@ _LAST_QUARTER = QuarterId(9999, 4)
 
 
 @dataclasses.dataclass(frozen=True)
-class WaveRow:
-    """One interview: a person's state observed in one quarter."""
-
-    person_id: str
-    quarter: QuarterId
-    state: LaborState
-    demographics: Demographics
-    weight: float = 1.0
-
-
-@dataclasses.dataclass(frozen=True)
 class ObservationPair:
     """A linked 3-month observation: states in two adjacent quarters."""
 
@@ -140,17 +133,6 @@ _COLUMNS = {
 # Columns of a wave table: one entry per interview, coded as in PanelDataset.
 _WAVE_COLUMNS = ("person", "quarter", "state", "age", "sex", "citizen", "region", "weight")
 _DTYPES = {**_COLUMNS, "state": _COLUMNS["state_from"], "quarter_to": _COLUMNS["quarter"]}
-
-
-def _columns(rows, names) -> dict[str, np.ndarray]:
-    """The columns ``names`` of a list of value tuples, as arrays of their dtypes."""
-    return {name: np.array([row[i] for row in rows], dtype=_DTYPES[name])
-            for i, name in enumerate(names)}
-
-
-def _demographic_codes(d: Demographics) -> tuple:
-    return (d.age_at_first_wave, SEX_ORDER.index(d.sex), d.italian_citizen,
-            REGION_ORDER.index(d.macro_region))
 
 
 # The columns a cohort cell reads, kept grouped by departure quarter (PanelDataset._by_quarter).
@@ -204,11 +186,13 @@ class PanelDataset:
         person_codes: dict[str, int] = {}
         rows = [
             (person_codes.setdefault(p.person_id, len(person_codes)), p.quarter_from.ordinal,
-             p.state_from.index, p.state_to.index, *_demographic_codes(p.demographics), p.weight)
+             p.state_from.index, p.state_to.index, p.demographics.age_at_first_wave,
+             SEX_ORDER.index(p.demographics.sex), p.demographics.italian_citizen,
+             REGION_ORDER.index(p.demographics.macro_region), p.weight)
             for p in pairs
         ]
         return cls(person_ids=tuple(person_codes), provenance=provenance,
-                   **_columns(rows, _COLUMNS))
+                   **{name: [row[i] for row in rows] for i, name in enumerate(_COLUMNS)})
 
     def __len__(self) -> int:
         return len(self.weight)
@@ -303,14 +287,6 @@ class ParseReport:
         for line, reason in self.rejections:
             w.writerow([line, reason])
         return buf.getvalue()
-
-
-@dataclasses.dataclass(frozen=True)
-class LinkResult:
-    """Pairs produced by wave linkage plus the waves dropped on the way."""
-
-    pairs: tuple[ObservationPair, ...]
-    rejected: tuple[tuple[WaveRow, str], ...]
 
 
 _AGE_RE = re.compile(r"[+-]?[0-9]+")
@@ -415,10 +391,20 @@ def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseRep
         detected = _detect_format(first.fields(0))
         if format != "auto" and detected != format:
             raise PanelFormatError(f"{path} has a {detected} header but {format} was requested")
-        batches = itertools.chain([first.after_first()], batches)
-        if detected == "pair_rows":
-            return _parse_pair_rows(batches, str(path))
-        return _parse_wave_rows(batches, str(path))
+        waves = detected == "wave_rows"
+        table = _Columns(WAVE_HEADER, _WAVE_COLUMNS) if waves else _Columns(PAIR_HEADER, _COLUMNS)
+        for rec in itertools.chain([first.after_first()], batches):
+            table.add(rec)
+            del rec  # not kept while the next batch is read
+    person_ids, columns, lines, rejections, n_rows = table.result()
+    del table, first  # the token tables and first block are not kept while linking and copying
+    provenance = f"{detected}:{path}"
+    if waves:
+        admitted, duplicates = link_waves(columns, person_ids, lines, provenance)
+        rejections += duplicates
+    else:
+        admitted = PanelDataset(person_ids=person_ids, provenance=provenance, **columns)
+    return _in_scope(admitted, sorted(rejections), n_rows)
 
 
 class _Columns:
@@ -478,27 +464,13 @@ class _Columns:
         self.parts["line"].append(line[keep])
 
     def result(self):
-        """(person_ids, columns as arrays, line numbers of the admitted rows, rejections, rows read)."""
+        """(person_ids, columns, line numbers of admitted rows, unsorted rejections, rows read)."""
         parts = self.parts
         columns = {name: np.concatenate(parts.pop(name) or [np.empty(0, _DTYPES[name])])
                    for name in self.names[1:]}
         person_ids, columns[self.names[0]] = self.persons.codes()
         lines = np.concatenate(parts.pop("line") or [np.empty(0, dtype=np.int64)])
-        return (tuple(person_ids), columns, lines,
-                sorted(self.rejections, key=lambda item: item[0]), self.n_rows)
-
-
-def _read_rows(batches, header, names):
-    """Parse every data record into the columns ``names``, the person's code first.
-
-    Returns (person_ids, columns as arrays, line numbers of the admitted
-    rows, rejections, rows read); see _Columns.
-    """
-    columns = _Columns(header, names)
-    for rec in batches:
-        columns.add(rec)
-        del rec  # not kept while the next batch is read
-    return columns.result()
+        return tuple(person_ids), columns, lines, self.rejections, self.n_rows
 
 
 def _in_scope(admitted: PanelDataset, rejections, n_rows) -> tuple[PanelDataset, ParseReport]:
@@ -513,99 +485,51 @@ def _in_scope(admitted: PanelDataset, rejections, n_rows) -> tuple[PanelDataset,
     return dataset, report
 
 
-def _parse_pair_rows(batches, src: str) -> tuple[PanelDataset, ParseReport]:
-    person_ids, columns, _, rejections, n_rows = _read_rows(batches, PAIR_HEADER, _COLUMNS)
-    admitted = PanelDataset(person_ids=person_ids, provenance=f"pair_rows:{src}", **columns)
-    return _in_scope(admitted, rejections, n_rows)
+def link_waves(waves, person_ids, lines, provenance: str) -> tuple[PanelDataset, list]:
+    """Screen a wave table for duplicate interviews and link the rest into 3-month pairs.
 
+    ``waves`` maps each name of ``_WAVE_COLUMNS`` to a column, one entry per
+    interview, ``person`` coding into ``person_ids``; ``lines`` numbers the
+    rows in increasing order. A (person, quarter) key met more than once
+    with conflicting states rejects every row of the key; repeats that
+    agree keep the first row and reject the others. The kept rows give one
+    pair per person and couple of adjacent quarters, with demographics and
+    weight from the first wave, sorted by (person_id, quarter_from).
 
-def _parse_wave_rows(batches, src: str) -> tuple[PanelDataset, ParseReport]:
-    person_ids, waves, lines, rejections, n_rows = _read_rows(batches, WAVE_HEADER, _WAVE_COLUMNS)
-    keep, dup_rejected = _screen_duplicates(waves, person_ids, lines)
-    dup_rejected = [(int(line), reason) for line, reason in dup_rejected]
-    rejections = sorted(rejections + dup_rejected, key=lambda item: item[0])
-    linked = _link({name: column[keep] for name, column in waves.items()}, person_ids,
-                   provenance=f"wave_rows:{src}")
-    return _in_scope(linked, rejections, n_rows)
-
-
-def _screen_duplicates(waves, person_ids, lines):
-    """Rows to keep, and (line, reason) rejections, for repeated (person, quarter) keys.
-
-    A repeated key with conflicting states invalidates every row carrying
-    the key; repeats that agree keep the first row only. ``lines`` numbers
-    the rows in increasing order.
-    """
-    person, quarter, state = waves["person"], waves["quarter"], waves["state"]
-    n = len(person)
-    order = np.lexsort((quarter, person))  # stable: rows of one key stay in input order
-    p, q = person[order], quarter[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (p[1:] != p[:-1]) | (q[1:] != q[:-1])
-    keep = np.zeros(n, dtype=bool)
-    keep[order[first]] = True
-
-    rejected = []
-    starts = np.flatnonzero(first)
-    sizes = np.diff(np.append(starts, n))
-    for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
-        rows = order[start:start + size].tolist()
-        pid = person_ids[person[rows[0]]]
-        at = QuarterId.from_ordinal(quarter[rows[0]])
-        if len(set(state[rows].tolist())) > 1:
-            keep[rows[0]] = False
-            rejected += [(lines[r], f"conflicting duplicate states for person {pid!r} at {at}")
-                         for r in rows]
-        else:
-            rejected += [(lines[r], f"duplicate of line {lines[rows[0]]} (person {pid!r} at {at})")
-                         for r in rows[1:]]
-    return keep, rejected
-
-
-def _link(waves, person_ids, provenance: str) -> PanelDataset:
-    """Pairs of a duplicate-free wave table, sorted by (person_id, quarter_from).
-
-    One pair per person and couple of adjacent quarters; demographics and
-    weight come from the first wave.
+    Returns the pairs and the rejected rows' (line, reason), in line order.
     """
     by_id = sorted(range(len(person_ids)), key=person_ids.__getitem__)
     rank = np.empty(len(by_id), dtype=np.int64)
     rank[by_id] = np.arange(len(by_id))
-    order = np.lexsort((waves["quarter"], rank[waves["person"]]))
+    order = np.lexsort((waves["quarter"], rank[waves["person"]]))  # stable: a key keeps file order
     person, quarter = waves["person"][order], waves["quarter"][order]
+    keep = np.ones(len(order), dtype=bool)  # the first row of each key, in sorted position
+    keep[1:] = (person[1:] != person[:-1]) | (quarter[1:] != quarter[:-1])
+
+    lines, state, rejections = np.asarray(lines), waves["state"], []
+    starts = np.flatnonzero(keep)
+    sizes = np.diff(np.append(starts, len(order)))
+    for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        rows = order[start:start + size]
+        at = lines[rows].tolist()
+        key = f"person {person_ids[person[start]]!r} at {QuarterId.from_ordinal(quarter[start])}"
+        if len(set(state[rows].tolist())) > 1:
+            keep[start] = False
+            rejections += [(line, f"conflicting duplicate states for {key}") for line in at]
+        else:
+            rejections += [(line, f"duplicate of line {at[0]} ({key})") for line in at[1:]]
+
+    kept, person, quarter = order[keep], person[keep], quarter[keep]
     linked = (person[1:] == person[:-1]) & (quarter[1:] == quarter[:-1] + 1)
-    first, second = order[:-1][linked], order[1:][linked]
-    return PanelDataset(
+    first, second = kept[:-1][linked], kept[1:][linked]
+    dataset = PanelDataset(
         person_ids=person_ids,
         provenance=provenance,
-        state_from=waves["state"][first],
-        state_to=waves["state"][second],
+        state_from=state[first],
+        state_to=state[second],
         **{name: waves[name][first] for name in _WAVE_COLUMNS if name != "state"},
     )
-
-
-def link_waves(rows) -> LinkResult:
-    """Link per-wave observations into 3-month pairs.
-
-    Emits one pair for every (person, q, q+1) couple present in ``rows``;
-    non-adjacent observations produce no pair. Demographics and weight come
-    from the first wave of each pair. Duplicate (person, quarter) keys with
-    conflicting states drop every involved row; agreeing duplicates keep the
-    first. Pairs are sorted by (person_id, quarter_from); dropped rows come
-    in input order.
-    """
-    rows = list(rows)
-    person_codes: dict[str, int] = {}
-    waves = _columns([
-        (person_codes.setdefault(w.person_id, len(person_codes)), w.quarter.ordinal, w.state.index,
-         *_demographic_codes(w.demographics), w.weight)
-        for w in rows
-    ], _WAVE_COLUMNS)
-    person_ids = tuple(person_codes)
-    keep, dup_rejected = _screen_duplicates(waves, person_ids, range(len(rows)))
-    linked = _link({name: column[keep] for name, column in waves.items()}, person_ids, "")
-    return LinkResult(pairs=linked.pairs,
-                      rejected=tuple((rows[i], reason) for i, reason in sorted(dup_rejected)))
+    return dataset, sorted(rejections)
 
 
 def _sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Everything here is deliberately naive: exhaustive enumeration and direct
 counting, no shared code with the package beyond numpy. Slow but obviously
 correct on small inputs. The one exception is ``read_panel_by_loop``, which
 reads a panel file one row at a time with ``csv.reader`` and, by design,
-the package's own token parsers (what each token means is theirs to say).
+the package's own token parsers (what each token means is theirs to say);
+``link_by_loop`` shares the package's rejection texts.
 """
 
 import csv
@@ -343,3 +344,43 @@ def read_panel_by_loop(path):
             lines.append(reader.line_num)
     layout = "pair_rows" if pair else "wave_rows"
     return layout, tuple(person_codes), table, lines, rejections, n_rows
+
+
+def link_by_loop(waves, person_ids, lines):
+    """A wave table screened for duplicate interviews and linked into pairs, with a dict and a loop.
+
+    ``waves`` maps each name of WAVE_COLUMNS to a list, one entry per
+    interview, ``person`` coding into ``person_ids``; row i was read from
+    line ``lines[i]``. A (person, quarter) key held by rows of two or more
+    states rejects all of them; rows of one key that agree keep the one of
+    the lowest line and reject the others as its duplicates. A kept row
+    whose person also has a kept row a quarter later makes a pair, with the
+    earlier row's demographics and weight. Returns ({PAIR_COLUMNS name:
+    list}, [(line, reason)]): the pairs ordered by person id then quarter,
+    the rejections by line.
+    """
+    from lmflows.states import QuarterId
+
+    rows_of = {}
+    for i, key in enumerate(zip(waves["person"], waves["quarter"])):
+        rows_of.setdefault(key, []).append(i)
+    kept, rejections = {}, []
+    for (person, quarter), rows in rows_of.items():
+        rows.sort(key=lambda i: lines[i])
+        key = f"person {person_ids[person]!r} at {QuarterId.from_ordinal(quarter)}"
+        if len({waves["state"][i] for i in rows}) > 1:
+            rejections += [(lines[i], f"conflicting duplicate states for {key}") for i in rows]
+            continue
+        kept[person, quarter] = rows[0]
+        rejections += [(lines[i], f"duplicate of line {lines[rows[0]]} ({key})") for i in rows[1:]]
+
+    pairs = {name: [] for name in PAIR_COLUMNS}
+    for person, quarter in sorted(kept, key=lambda key: (person_ids[key[0]], key[1])):
+        if (person, quarter + 1) not in kept:
+            continue
+        pair = {name: waves[name][kept[person, quarter]] for name in WAVE_COLUMNS}
+        pair["state_from"] = pair.pop("state")
+        pair["state_to"] = waves["state"][kept[person, quarter + 1]]
+        for name in PAIR_COLUMNS:
+            pairs[name].append(pair[name])
+    return pairs, sorted(rejections)

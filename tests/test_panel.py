@@ -1,7 +1,10 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmflows import panel
 from lmflows.errors import PanelFormatError
@@ -10,13 +13,13 @@ from lmflows.panel import (
     PAIR_HEADER,
     WAVE_HEADER,
     ObservationPair,
-    WaveRow,
     generate_synthetic_panel,
-    link_waves,
     parse_panel_file,
     write_pairs_csv,
 )
 from lmflows.states import Demographics, LaborState, MacroRegion, QuarterId, Sex
+
+import oracles
 
 PAIR_HEAD = ",".join(PAIR_HEADER)
 WAVE_HEAD = ",".join(WAVE_HEADER)
@@ -272,6 +275,89 @@ class TestWaveRowsParsing:
         assert len(report.rejections) == 2
         assert all("conflicting" in r for _, r in report.rejections)
 
+    def test_demographics_come_from_first_wave(self, tmp_path):
+        path = write(tmp_path, "w.csv", WAVE_HEAD + "\n"
+                     "A,2019.4,EDU,24,M,1,NORTH,3.0\n"
+                     "A,2020.1,TE,25,M,1,NORTH,9.0\n")
+        data, _ = parse_panel_file(path)
+        assert len(data.pairs) == 1
+        pair = data.pairs[0]
+        assert pair.demographics.age_at_first_wave == 24
+        assert pair.weight == 3.0
+        assert pair.quarter_to == QuarterId(2020, 1)
+
+    def test_non_adjacent_waves_produce_no_pair(self, tmp_path):
+        path = write(tmp_path, "w.csv", WAVE_HEAD + "\n"
+                     "A,2019.1,EDU,22,M,1,NORTH,1.0\n"
+                     "A,2019.3,TE,22,M,1,NORTH,1.0\n")
+        data, _ = parse_panel_file(path)
+        assert data.pairs == ()
+
+    def test_rotation_spell_produces_two_pairs(self, tmp_path):
+        # 2-2-2 design: waves at offsets 0, 1, 4, 5.
+        q = QuarterId(2019, 1)
+        path = write(tmp_path, "w.csv", WAVE_HEAD + "\n" + "".join(
+            f"A,{q.plus(k)},U,22,M,1,NORTH,1.0\n" for k in (0, 1, 4, 5)))
+        data, _ = parse_panel_file(path)
+        froms = [str(p.quarter_from) for p in data.pairs]
+        assert froms == ["2019.1", "2020.1"]
+
+    def test_pairs_sorted_by_person_then_quarter(self, tmp_path):
+        path = write(tmp_path, "w.csv", WAVE_HEAD + "\n"
+                     "B,2019.1,U,22,M,1,NORTH,1.0\n"
+                     "B,2019.2,U,22,M,1,NORTH,1.0\n"
+                     "A,2019.2,TE,22,M,1,NORTH,1.0\n"
+                     "A,2019.3,TE,22,M,1,NORTH,1.0\n")
+        data, _ = parse_panel_file(path)
+        assert [p.person_id for p in data.pairs] == ["A", "B"]
+
+    def test_pairs_sorted_by_code_point_of_person_id(self, tmp_path):
+        path = write(tmp_path, "w.csv", WAVE_HEAD + "\n" + "".join(
+            f"{pid},{q},U,22,M,1,NORTH,1.0\n" for q in ("2019.2", "2019.1") for pid in "ÄaZ"))
+        data, _ = parse_panel_file(path)
+        assert [p.person_id for p in data.pairs] == ["Z", "a", "Ä"]
+
+
+# Person ids whose code-point order differs from their case-folded or
+# accent-folded order, blank and padded ones among them.
+LINK_IDS = ["A", "B", "a", "Z", "Ä", "Zoë", "ß", "", " A", "日本"]
+FIRST_QUARTER = QuarterId(2019, 1).ordinal
+
+
+@st.composite
+def wave_tables(draw):
+    """(wave columns as lists, person_ids, lines): shuffled interviews with
+    repeats that agree or conflict, gaps between quarters, and non-ASCII ids."""
+    person_ids = draw(st.lists(st.sampled_from(LINK_IDS), min_size=1, max_size=5, unique=True))
+    demographics = st.tuples(st.integers(14, 36), st.integers(0, 1), st.booleans(),
+                             st.integers(0, 2), st.sampled_from([0.5, 1.0, 2.25, 650.0]))
+    interview = st.tuples(st.integers(0, len(person_ids) - 1),
+                          st.integers(FIRST_QUARTER, FIRST_QUARTER + 5), st.integers(0, 2))
+    rows = [(*key, *draw(demographics)) for key in draw(st.lists(interview, max_size=25))]
+    repeats = draw(st.lists(st.integers(0, 24), max_size=5)) if rows else []
+    rows += [(*rows[i % len(rows)][:3], *draw(demographics)) for i in repeats]  # they agree
+    rows = draw(st.permutations(rows))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    lines = list(itertools.accumulate(gaps, initial=1))[1:]
+    waves = {name: [row[i] for row in rows] for i, name in enumerate(panel._WAVE_COLUMNS)}
+    return waves, tuple(person_ids), lines
+
+
+class TestLinkWavesAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(wave_tables())
+    def test_pairs_and_rejections_match_the_loop(self, table):
+        waves, person_ids, lines = table
+        columns = {name: np.array(column, dtype=panel._DTYPES[name])
+                   for name, column in waves.items()}
+        data, rejections = panel.link_waves(columns, person_ids, np.array(lines), "loop")
+        want, want_rejections = oracles.link_by_loop(waves, person_ids, lines)
+        assert data.person_ids == person_ids
+        for name, dtype in panel._COLUMNS.items():
+            assert getattr(data, name).dtype == dtype, name
+            assert getattr(data, name).tolist() == want[name], name
+        assert rejections == want_rejections
+
 
 class TestRejectionReason:
     """A row is rejected for its first failing field in header order, the
@@ -311,48 +397,6 @@ class TestRejectionReason:
         assert len(data) == 0
         assert report.rejections == tuple((line, "invalid age 'old'") for line in range(2, 502))
         assert calls == ["old"]
-
-
-class TestLinkWaves:
-    def test_demographics_come_from_first_wave(self):
-        waves = [
-            WaveRow("A", QuarterId(2019, 4), LaborState.EDU, demo(age=24), weight=3.0),
-            WaveRow("A", QuarterId(2020, 1), LaborState.TE, demo(age=25), weight=9.0),
-        ]
-        result = link_waves(waves)
-        assert len(result.pairs) == 1
-        pair = result.pairs[0]
-        assert pair.demographics.age_at_first_wave == 24
-        assert pair.weight == 3.0
-        assert pair.quarter_to == QuarterId(2020, 1)
-
-    def test_non_adjacent_waves_produce_no_pair(self):
-        waves = [
-            WaveRow("A", QuarterId(2019, 1), LaborState.EDU, demo()),
-            WaveRow("A", QuarterId(2019, 3), LaborState.TE, demo()),
-        ]
-        assert link_waves(waves).pairs == ()
-
-    def test_rotation_spell_produces_two_pairs(self):
-        # 2-2-2 design: waves at offsets 0, 1, 4, 5.
-        q = QuarterId(2019, 1)
-        waves = [
-            WaveRow("A", q.plus(k), LaborState.U, demo())
-            for k in (0, 1, 4, 5)
-        ]
-        result = link_waves(waves)
-        froms = [str(p.quarter_from) for p in result.pairs]
-        assert froms == ["2019.1", "2020.1"]
-
-    def test_pairs_sorted_by_person_then_quarter(self):
-        waves = [
-            WaveRow("B", QuarterId(2019, 1), LaborState.U, demo()),
-            WaveRow("B", QuarterId(2019, 2), LaborState.U, demo()),
-            WaveRow("A", QuarterId(2019, 2), LaborState.TE, demo()),
-            WaveRow("A", QuarterId(2019, 3), LaborState.TE, demo()),
-        ]
-        result = link_waves(waves)
-        assert [p.person_id for p in result.pairs] == ["A", "B"]
 
 
 class TestObservationPair:

@@ -116,8 +116,7 @@ def expected(path):
     if layout == "pair_rows":
         admitted = panel.PanelDataset(person_ids=person_ids, provenance="", **columns)
         return panel._in_scope(admitted, rejections, n_rows)
-    keep, duplicates = panel._screen_duplicates(columns, person_ids, lines)
-    linked = panel._link({name: column[keep] for name, column in columns.items()}, person_ids, "")
+    linked, duplicates = panel.link_waves(columns, person_ids, lines, "")
     return panel._in_scope(linked, sorted(rejections + duplicates, key=lambda item: item[0]), n_rows)
 
 
