@@ -15,6 +15,7 @@ transition rows, are printed as one ``warning:`` line each on stderr.
 """
 
 import argparse
+import dataclasses
 import sys
 import warnings
 
@@ -29,7 +30,7 @@ from .estimation import (
     estimate_transition_matrix,
 )
 from .fixtures import fixture_names, get_fixture
-from .fpt import DEFAULT_HORIZON, VERDICT_WELL_DEFINED
+from .fpt import DEFAULT_HORIZON, DEFAULT_MAX_HORIZON, VERDICT_WELL_DEFINED
 from .panel import generate_synthetic_panel, parse_panel_file, replacing_file, write_pairs_csv
 from .serialize import (
     build_fpt_report,
@@ -87,7 +88,8 @@ def _output_parent(pretty: bool, formats: bool = True) -> argparse.ArgumentParse
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("output")
     if formats:
-        g.add_argument("--format", choices=OUTPUT_FORMATS, help="output format (default csv)")
+        g.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS,
+                       help="output format (default csv)")
     g.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     if pretty:
         g.add_argument("--pretty", action="store_true", help="aligned two-decimal text instead of csv/json")
@@ -139,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON,
                    help=f"quarters to tabulate (default {DEFAULT_HORIZON})")
     p.add_argument("--epsilon", type=float, help="relative error the series must prove")
-    p.add_argument("--max-horizon", type=_int_at_least(1), help="most series terms (default 8000)")
+    p.add_argument("--max-horizon", type=_int_at_least(1),
+                   help=f"most series terms (default {DEFAULT_MAX_HORIZON})")
     p.add_argument("--fallback-policy", choices=FALLBACK_POLICIES, help="treatment of imputed rows")
     p.add_argument("--min-support", type=float, help="warn on rows thinner than this weight")
     p.add_argument(
@@ -167,16 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
+    """The config file's values, checked first, then each flag given, by its field name."""
     values = RunConfig.read_file(args.config) if getattr(args, "config", None) else {}
-    if "output_format" in values and not hasattr(args, "format"):
+    if "output_format" in values and not hasattr(args, "output_format"):
         raise ValueError(f"{args.config}: format does not apply to {args.command}")
-    return RunConfig(**values).override(
-        epsilon=getattr(args, "epsilon", None),
-        max_horizon=getattr(args, "max_horizon", None),
-        min_support=getattr(args, "min_support", None),
-        output_format=getattr(args, "format", None),
-        fallback_policy=getattr(args, "fallback_policy", None),
-    )
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    return dataclasses.replace(RunConfig(**values),
+                               **{name: value for name, value in flags.items() if value is not None})
 
 
 def _cohort_from_args(args) -> CohortFilter:
@@ -231,16 +231,17 @@ def cmd_shares(args) -> int:
     return 0
 
 
+def _data_matrix(args, cfg):
+    """The --data matrix of --quarter and the cohort, under the fallback policy."""
+    dataset = _load_dataset(args)
+    matrix = estimate_transition_matrix(dataset, QuarterId.parse(args.quarter),
+                                        _cohort_from_args(args), min_support=cfg.min_support)
+    return apply_fallback_policy(matrix, cfg.fallback_policy)
+
+
 def cmd_transitions(args) -> int:
     cfg = _load_config(args)
-    dataset = _load_dataset(args)
-    matrix = estimate_transition_matrix(
-        dataset,
-        QuarterId.parse(args.quarter),
-        _cohort_from_args(args),
-        min_support=cfg.min_support,
-    )
-    matrix = apply_fallback_policy(matrix, cfg.fallback_policy)
+    matrix = _data_matrix(args, cfg)
     _render(args, cfg, matrix, matrix_pretty, matrix_to_doc, matrix_to_csv)
     return 0
 
@@ -256,18 +257,11 @@ def cmd_fpt(args) -> int:
         if data_flags:
             raise ValueError(f"{', '.join(data_flags)} "
                              f"{'applies' if len(data_flags) == 1 else 'apply'} only with --data")
-        matrix = get_fixture(args.fixture).matrix()
+        matrix = apply_fallback_policy(get_fixture(args.fixture).matrix(), cfg.fallback_policy)
+    elif not args.quarter:
+        raise ValueError("--quarter is required with --data")
     else:
-        if not args.quarter:
-            raise ValueError("--quarter is required with --data")
-        dataset = _load_dataset(args)
-        matrix = estimate_transition_matrix(
-            dataset,
-            QuarterId.parse(args.quarter),
-            _cohort_from_args(args),
-            min_support=cfg.min_support,
-        )
-    matrix = apply_fallback_policy(matrix, cfg.fallback_policy)
+        matrix = _data_matrix(args, cfg)
     doc = build_fpt_report(
         matrix,
         args.from_state,

@@ -7,6 +7,15 @@ from .fpt import DEFAULT_EPSILON, DEFAULT_MAX_HORIZON
 
 OUTPUT_FORMATS = ("csv", "json")
 
+# Each config-file key: the RunConfig field it sets, and how its value is read.
+_FILE_KEYS = {
+    "epsilon": ("epsilon", float),
+    "max_horizon": ("max_horizon", int),
+    "min_support": ("min_support", float),
+    "format": ("output_format", str),
+    "fallback_policy": ("fallback_policy", str),
+}
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -25,22 +34,17 @@ class RunConfig:
             raise ValueError(f"max_horizon must be >= 1, got {self.max_horizon!r}")
         if not self.min_support >= 0:  # NaN too
             raise ValueError(f"min_support must be >= 0, got {self.min_support!r}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(
-                f"unknown output format {self.output_format!r}; expected one of {OUTPUT_FORMATS}"
-            )
-        if self.fallback_policy not in FALLBACK_POLICIES:
-            raise ValueError(
-                f"unknown fallback policy {self.fallback_policy!r}; "
-                f"expected one of {FALLBACK_POLICIES}"
-            )
+        for what, value, choices in (("output format", self.output_format, OUTPUT_FORMATS),
+                                     ("fallback policy", self.fallback_policy, FALLBACK_POLICIES)):
+            if value not in choices:
+                raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
 
     @staticmethod
     def read_file(path) -> dict:
         """The fields a key=value file sets; blank lines and # comments are skipped.
 
-        Keys: epsilon, max_horizon, min_support, format, fallback_policy.
-        Unknown keys and unparsable values raise ValueError naming the line.
+        ``_FILE_KEYS`` names the keys and the fields they set. Unknown keys and
+        unparsable values raise ValueError naming the line.
         """
         values = {}
         with open(path, encoding="utf-8") as fh:
@@ -50,27 +54,12 @@ class RunConfig:
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                value = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key not in _FILE_KEYS:
+                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                field, read = _FILE_KEYS[key]
                 try:
-                    if key == "epsilon":
-                        values["epsilon"] = float(value)
-                    elif key == "max_horizon":
-                        values["max_horizon"] = int(value)
-                    elif key == "min_support":
-                        values["min_support"] = float(value)
-                    elif key == "format":
-                        values["output_format"] = value
-                    elif key == "fallback_policy":
-                        values["fallback_policy"] = value
-                    else:
-                        raise ValueError(f"unknown key {key!r}")
+                    values[field] = read(value)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
         return values
-
-    def override(self, **kwargs) -> "RunConfig":
-        """Replace the given fields; None values mean 'keep as is'."""
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        return dataclasses.replace(self, **updates) if updates else self

@@ -1,13 +1,13 @@
 """Cohort state shares and quarterly transition matrices from linked pairs.
 
-Both tables are tabulated from a PanelDataset's columns grouped by departure
-quarter: a cell reads only its quarter's rows, a slice of each column,
-masks its cohort on that slice and gathers the matching rows by their
-indices, once for its shares and matrix both (``_cohort_rows``).
-``np.bincount`` then adds the weights per state or per move. The
-rows keep their order within a quarter, and ``np.bincount`` adds each bin's
-weights one by one in that order, as a loop over the pairs would, so the
-figures are the same to the last bit.
+Both tables are tabulated from the rows of one cohort cell, which
+``PanelDataset.cell`` selects once for its shares and matrix both: it reads
+only its quarter's rows, a slice of each column grouped by departure
+quarter, masks its cohort on that slice and gathers the matching rows by
+their indices. ``np.bincount`` then adds the weights per state or per
+move. The rows keep their order within a quarter, and ``np.bincount`` adds
+each bin's weights one by one in that order, as a loop over the pairs
+would, so the figures are the same to the last bit.
 
 Shares are weighted occupancy fractions in a single quarter. Transition
 matrices are weighted row-conditional frequencies over pairs departing a
@@ -25,8 +25,6 @@ import numpy as np
 from .errors import EmptyCohortError
 from .states import (
     N_STATES,
-    REGION_ORDER,
-    SEX_ORDER,
     STATE_CODES,
     STATE_ORDER,
     CohortFilter,
@@ -135,43 +133,13 @@ class StateShareTable:
     total_weight: float
 
 
-def _cohort_rows(data, quarter: QuarterId, cohort: CohortFilter) -> tuple[np.ndarray, ...]:
-    """(state_from, state_to, weight) of the pairs departing ``quarter`` whose
-    demographics ``cohort`` matches, in row order, read-only.
-
-    The dataset keeps the last selection, keyed by quarter and cohort, as it
-    keeps its quarter groups: a cell's shares and matrix select its rows once.
-    """
-    key = (quarter.ordinal, cohort)
-    last = getattr(data, "_last_cell", None)
-    if last is not None and last[0] == key:
-        return last[1]
-    cell = data._quarter_columns(quarter.ordinal)
-    mask = np.ones(len(cell["weight"]), dtype=bool)
-    if cohort.age_band is not None:
-        mask &= (cell["age"] >= cohort.age_band.lo) & (cell["age"] <= cohort.age_band.hi)
-    if cohort.sex is not None:
-        mask &= cell["sex"] == SEX_ORDER.index(cohort.sex)
-    if cohort.citizen is not None:
-        mask &= cell["citizen"] == cohort.citizen
-    if cohort.region is not None:
-        mask &= cell["region"] == REGION_ORDER.index(cohort.region)
-    rows = np.flatnonzero(mask)
-    picked = tuple(cell[name][rows] for name in ("state_from", "state_to", "weight"))
-    for column in picked:
-        column.setflags(write=False)
-    # One tuple, replaced whole: a thread reads the old selection or the new one.
-    object.__setattr__(data, "_last_cell", (key, picked))
-    return picked
-
-
 def compute_shares(data, quarter: QuarterId, cohort: CohortFilter | None = None) -> StateShareTable:
     """Weighted state shares among pairs departing ``quarter``.
 
     Raises EmptyCohortError when no pair matches.
     """
     cohort = cohort or CohortFilter()
-    state, _, weight = _cohort_rows(data, quarter, cohort)
+    state, _, weight = data.cell(quarter, cohort)
     weight_by_state = np.bincount(state, weights=weight, minlength=N_STATES).tolist()
     count_by_state = np.bincount(state, minlength=N_STATES).tolist()
     # One bin, not np.sum: np.sum adds pairwise, which can change the last bits.
@@ -205,7 +173,7 @@ def estimate_transition_matrix(
     """
     cohort = cohort or CohortFilter()
     k = N_STATES
-    state_from, state_to, weight = _cohort_rows(data, from_quarter, cohort)
+    state_from, state_to, weight = data.cell(from_quarter, cohort)
     if not len(weight):
         raise EmptyCohortError(from_quarter, cohort)
     moves = state_from.astype(np.intp) * k + state_to

@@ -34,8 +34,9 @@ per pair: the departure quarter as an ordinal (``year * 4 + quarter - 1``;
 the arrival quarter is the next one), both states and the sex and region
 as small integer codes, the age, the citizen flag, the weight as float64,
 and the person as a code into a table of distinct identifiers. Estimation
-reads a copy of the columns it needs grouped by departure quarter (see
-``PanelDataset``), so a cell scans only its quarter's rows.
+selects a cohort cell with ``PanelDataset.cell``, which reads a copy of the
+columns it needs grouped by departure quarter, so a cell scans only its
+quarter's rows.
 ``PanelDataset.pairs`` is an adapter for callers that want one object per
 pair: it builds a tuple of ObservationPair on each read, and the dataset
 does not keep it.
@@ -62,6 +63,7 @@ import itertools
 import math
 import os
 import re
+import sys
 
 import numpy as np
 
@@ -75,6 +77,7 @@ from .states import (
     REGION_ORDER,
     SEX_ORDER,
     STATE_ORDER,
+    CohortFilter,
     Demographics,
     LaborState,
     MacroRegion,
@@ -135,10 +138,6 @@ _WAVE_COLUMNS = ("person", "quarter", "state", "age", "sex", "citizen", "region"
 _DTYPES = {**_COLUMNS, "state": _COLUMNS["state_from"], "quarter_to": _COLUMNS["quarter"]}
 
 
-# The columns a cohort cell reads, kept grouped by departure quarter (PanelDataset._by_quarter).
-_CELL_COLUMNS = ("state_from", "state_to", "age", "sex", "citizen", "region", "weight")
-
-
 # Rows that PanelDataset.pairs converts to Python lists at a time.
 _PAIRS_CHUNK = 1 << 14
 
@@ -153,11 +152,10 @@ class PanelDataset:
     REGION_ORDER and ``person`` indexes ``person_ids``. The constructor
     copies each column into a read-only array of its fixed dtype.
 
-    Cohort selection reads a copy of the columns it needs grouped by
-    departure quarter, built on its first use and kept with the dataset
-    (about 21 bytes a row); the columns above keep their own row order.
-    The dataset also keeps the last cell that selection picked
-    (``estimation._cohort_rows``).
+    ``cell`` selects a cohort's rows in one quarter. It reads a copy of the
+    columns it needs grouped by departure quarter, built on its first use
+    and kept with the dataset (about 21 bytes a row); the columns above keep
+    their own row order. The dataset also keeps the last cell it selected.
     """
 
     person_ids: tuple[str, ...]
@@ -235,8 +233,8 @@ class PanelDataset:
     def _by_quarter(self) -> tuple[dict[int, tuple[int, int]], dict[str, np.ndarray]]:
         """The rows grouped by departure quarter: ({ordinal: (start, stop)}, {name: column}).
 
-        The columns are those of _CELL_COLUMNS, reordered by a stable sort on
-        the quarter, so that each quarter's rows lie in ``start:stop`` and keep
+        The columns are those a cell reads, reordered by a stable sort on the
+        quarter, so that each quarter's rows lie in ``start:stop`` and keep
         their row order. Safe to keep: the dataset and its columns are frozen.
         """
         n = len(self)
@@ -251,16 +249,41 @@ class PanelDataset:
         starts = np.flatnonzero(np.diff(quarter, prepend=low - 1)).tolist()
         bounds = dict(zip(quarter[starts].tolist(), zip(starts, starts[1:] + [n])))
         columns = {}
-        for name in _CELL_COLUMNS:
+        for name in ("state_from", "state_to", "age", "sex", "citizen", "region", "weight"):
             column = columns[name] = getattr(self, name)[order]
             column.setflags(write=False)
         return bounds, columns
 
-    def _quarter_columns(self, ordinal: int) -> dict[str, np.ndarray]:
-        """The _CELL_COLUMNS of the rows departing quarter ``ordinal``, in row order, as views."""
+    def cell(self, quarter: QuarterId, cohort: CohortFilter) -> tuple[np.ndarray, ...]:
+        """(state_from, state_to, weight) of the pairs departing ``quarter`` whose
+        demographics ``cohort`` matches, in row order, read-only.
+
+        The dataset keeps the last cell, keyed by quarter and cohort, as it
+        keeps its quarter groups: a cell's shares and matrix select its rows once.
+        """
+        key = (quarter.ordinal, cohort)
+        last = getattr(self, "_last_cell", None)
+        if last is not None and last[0] == key:
+            return last[1]
         bounds, columns = self._by_quarter
-        start, stop = bounds.get(ordinal, (0, 0))
-        return {name: column[start:stop] for name, column in columns.items()}
+        start, stop = bounds.get(quarter.ordinal, (0, 0))
+        rows = {name: column[start:stop] for name, column in columns.items()}
+        mask = np.ones(stop - start, dtype=bool)
+        if cohort.age_band is not None:
+            mask &= (rows["age"] >= cohort.age_band.lo) & (rows["age"] <= cohort.age_band.hi)
+        if cohort.sex is not None:
+            mask &= rows["sex"] == SEX_ORDER.index(cohort.sex)
+        if cohort.citizen is not None:
+            mask &= rows["citizen"] == cohort.citizen
+        if cohort.region is not None:
+            mask &= rows["region"] == REGION_ORDER.index(cohort.region)
+        picked = np.flatnonzero(mask)
+        cell = tuple(rows[name][picked] for name in ("state_from", "state_to", "weight"))
+        for column in cell:
+            column.setflags(write=False)
+        # One tuple, replaced whole: a thread reads the old selection or the new one.
+        object.__setattr__(self, "_last_cell", (key, cell))
+        return cell
 
     def _take(self, rows) -> "PanelDataset":
         """The dataset restricted to ``rows`` (a boolean mask or indices), in their order."""
@@ -501,8 +524,13 @@ def link_waves(waves, person_ids, lines, provenance: str) -> tuple[PanelDataset,
     by_id = sorted(range(len(person_ids)), key=person_ids.__getitem__)
     rank = np.empty(len(by_id), dtype=np.int64)
     rank[by_id] = np.arange(len(by_id))
-    order = np.lexsort((waves["quarter"], rank[waves["person"]]))  # stable: a key keeps file order
-    person, quarter = waves["person"][order], waves["quarter"][order]
+    # One stable sort (a key keeps file order) of (rank, quarter) as one key, cast to
+    # the narrowest type that holds it, as in PanelDataset._by_quarter.
+    quarter = waves["quarter"]
+    low, span = (int(quarter.min()), int(quarter.max() - quarter.min()) + 1) if len(quarter) else (0, 1)
+    key = rank[waves["person"]] * span + (quarter - low)
+    order = np.argsort(key.astype(np.min_scalar_type(len(rank) * span)), kind="stable")
+    person, quarter = waves["person"][order], quarter[order]
     keep = np.ones(len(order), dtype=bool)  # the first row of each key, in sorted position
     keep[1:] = (person[1:] != person[:-1]) | (quarter[1:] != quarter[:-1])
 
@@ -640,16 +668,39 @@ def _labels(codes: np.ndarray, labels) -> list:
     return np.array(labels, dtype=object)[codes].tolist()
 
 
+def _in_place(path):
+    """A new descriptor writing ``path`` where it stands, or None for a file to replace.
+
+    The file behind the process's stdout or stderr is written through a copy
+    of that descriptor, after what the stream already holds; a path that is
+    not a regular file (a terminal, a pipe) is opened for writing.
+    """
+    try:
+        target = os.stat(path)
+    except OSError:
+        return None
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        try:
+            own = os.fstat(fd)
+        except OSError:  # a closed descriptor
+            continue
+        if os.path.samestat(own, target):
+            stream.flush()
+            return os.dup(fd)
+    return None if os.path.isfile(path) else os.open(path, os.O_WRONLY)
+
+
 @contextlib.contextmanager
 def replacing_file(path):
     """A text handle on a temporary file beside ``path``, renamed over ``path`` on success.
 
-    A failed write leaves the target as it was and no temporary file behind.
-    A path that is not a regular file (a terminal, a pipe) is written in place.
-    The text is UTF-8 and written as given, with no newline translation.
+    A failed write leaves the target as it was and no temporary file behind;
+    the paths of ``_in_place`` (own stdout or stderr, terminals, pipes) are
+    written where they stand. Text is UTF-8, written as given, with no newline translation.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+    fd = _in_place(path)
+    if fd is not None:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
             yield fh
         return
     target = os.path.realpath(path)  # through a symlink, the file it names is replaced

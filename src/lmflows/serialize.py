@@ -140,44 +140,24 @@ def shares_pretty(table) -> str:
 
 # --------------------------------------------------------------------- fpt
 
+# Each route's EFPT document: its keys in order, with the values of an infinite EFPT.
+
 def _efpt_series_doc(passage, epsilon, max_horizon):
+    doc = {"quarters": None, "years": None, "n_terms": None, "infinite": True, "detail": None}
     try:
         r = passage.series(epsilon, max_horizon)
     except InfiniteEfptError as exc:
-        return {
-            "quarters": None,
-            "years": None,
-            "n_terms": None,
-            "infinite": True,
-            "detail": str(exc),
-        }
-    return {
-        "quarters": r.quarters,
-        "years": r.efpt_years,
-        "n_terms": r.n_terms,
-        "infinite": False,
-        "detail": None,
-    }
+        return {**doc, "detail": str(exc)}
+    return {**doc, "quarters": r.quarters, "years": r.efpt_years, "n_terms": r.n_terms, "infinite": False}
 
 
 def _efpt_linear_doc(passage):
+    doc = {"quarters": None, "years": None, "infinite": True, "trapped_states": [], "detail": None}
     try:
         r = passage.linear()
     except InfiniteEfptError as exc:
-        return {
-            "quarters": None,
-            "years": None,
-            "infinite": True,
-            "trapped_states": list(exc.trapped),
-            "detail": str(exc),
-        }
-    return {
-        "quarters": r.quarters,
-        "years": r.efpt_years,
-        "infinite": False,
-        "trapped_states": [],
-        "detail": None,
-    }
+        return {**doc, "trapped_states": list(exc.trapped), "detail": str(exc)}
+    return {**doc, "quarters": r.quarters, "years": r.efpt_years, "infinite": False}
 
 
 def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
@@ -309,19 +289,11 @@ def fixtures_to_doc(fixtures) -> dict:
 
 
 def fixtures_to_csv(fixtures) -> str:
+    """The rows of ``fixtures_to_doc`` as CSV: lists joined by ";", None left blank."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["name", "states", "age_band", "from_quarter", "to_quarter", "fallback_states", "description"])
-    for f in fixtures:
-        w.writerow(
-            [
-                f.name,
-                ";".join(f.states),
-                f.age_band.name if f.age_band is not None else "",
-                str(f.from_quarter) if f.from_quarter is not None else "",
-                str(f.to_quarter) if f.to_quarter is not None else "",
-                ";".join(sorted(f.fallback_states)),
-                f.description,
-            ]
-        )
+    header = ("name", "states", "age_band", "from_quarter", "to_quarter", "fallback_states", "description")
+    w.writerow(header)
+    for row in fixtures_to_doc(fixtures)["fixtures"]:
+        w.writerow(";".join(row[key]) if isinstance(row[key], list) else row[key] for key in header)
     return buf.getvalue()

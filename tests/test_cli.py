@@ -375,6 +375,13 @@ class TestFptCommand:
         assert "EFPT (series)" in out
         assert "EFPT (linear system)" in out
 
+    def test_pretty_report_of_a_trapped_passage(self, capsys):
+        code, out, _ = run(capsys, "fpt", "--fixture", "early_2019Q2",
+                           "--from", "EDU", "--to", "FS", "--pretty")
+        assert code == 0
+        assert "EFPT (series): infinite or not converged\n" in out
+        assert "EFPT (linear system): infinite (trapped states: EDU)\n" in out
+
 
 class TestSimulateCommand:
     def test_byte_identical_given_seed(self, tmp_path, capsys):
@@ -539,6 +546,33 @@ class TestConfigFile:
         assert out == ""
         assert err == "error: min_support must be >= 0, got nan\n"
 
+    @pytest.mark.parametrize("text, error", [
+        ("max_horizon=0", "max_horizon must be >= 1, got 0"),
+        ("format=xml", "unknown output format 'xml'; expected one of ('csv', 'json')"),
+        ("fallback_policy=none",
+         "unknown fallback policy 'none'; expected one of ('uniform', 'absorbing_fs')"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, text, error):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = run(capsys, "fpt", "--fixture", "demo_geometric_q25",
+                             "--from", "A", "--to", "B", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    def test_line_without_equals_is_usage_error_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=csv\nepsilon\n")
+        code, out, err = run(capsys, "fpt", "--fixture", "demo_geometric_q25",
+                             "--from", "A", "--to", "B", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {cfg}:2: expected key=value, got 'epsilon'\n")
+
+    def test_file_value_is_checked_before_the_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon=2\n")
+        code, out, err = run(capsys, "fpt", "--fixture", "demo_geometric_q25", "--from", "A",
+                             "--to", "B", "--config", str(cfg), "--epsilon", "1e-9")
+        assert (code, out, err) == (2, "", "error: epsilon must lie in (0, 1), got 2.0\n")
+
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frmat=json\n")
@@ -631,6 +665,37 @@ class TestOutputFile:
         assert taken.read_bytes() == b"someone else's file\n"
         assert sorted(os.listdir(tmp_path)) == [taken.name, "target.csv"]
 
+    @pytest.mark.parametrize("mode", ["a", "w"])
+    def test_out_to_own_stdout_file_keeps_what_it_held(self, tmp_path, capsys, mode):
+        _, listing, _ = run(capsys, "fixtures")
+        target = tmp_path / "stdout.txt"
+        with open(target, mode) as fh:  # as by `>>` or `>` in a shell
+            fh.write("before\n")
+            fh.flush()
+            result = child("fixtures", "--out", "/dev/stdout", stdout=fh)
+            fh.write("after\n")
+        assert result.returncode == 0
+        assert target.read_text() == "before\n" + listing + "after\n"
+
+    def test_out_to_stdout_pipe(self, capsys):
+        _, listing, _ = run(capsys, "fixtures")
+        result = child("fixtures", "--out", "/dev/stdout", capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, listing, "")
+
+    def test_rejects_to_own_stderr_file_keeps_what_it_held(self, tmp_path, capsys):
+        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1",
+                                      "B,2019.1,2019.2,XX,TE,21,F,1,SOUTH,1"])
+        target = tmp_path / "stderr.txt"
+        target.write_text("before\n")
+        with open(target, "a") as fh:
+            result = child("transitions", "--data", data, "--quarter", "2019.1",
+                           "--min-support", "0", "--rejects", "/dev/stderr",
+                           stdout=subprocess.DEVNULL, stderr=fh)
+        assert result.returncode == 0
+        assert target.read_text() == (
+            "before\nline_number,reason\n3,unknown state code 'XX'\n"
+            "note: 1 of 2 rows rejected; report written to /dev/stderr\n")
+
 
 def fail_writes_midway(monkeypatch):
     """Make each file opened by ``os.fdopen`` write half its first text, then fail as if full."""
@@ -648,6 +713,13 @@ def fail_writes_midway(monkeypatch):
         return fh
 
     monkeypatch.setattr(os, "fdopen", failing_midway)
+
+
+def child(*argv, **kwargs):
+    """``lmflows`` run in a child process, as ``subprocess.run`` with ``kwargs``."""
+    src = str(Path(lmflows.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "lmflows.cli", *argv], env=env, **kwargs)
 
 
 def current_umask():

@@ -12,7 +12,6 @@ from lmflows.estimation import (
     TransitionMatrix,
     apply_fallback_policy,
     compute_shares,
-    _cohort_rows,
     estimate_transition_matrix,
     renormalize_rows,
 )
@@ -371,8 +370,8 @@ class TestCellSelectionMemo:
     def test_the_kept_selection_is_read_only(self, panel):
         data = self.fresh(panel)
         quarter, cohort = self.CELLS[3]
-        picked = _cohort_rows(data, quarter, cohort)
-        assert _cohort_rows(data, quarter, cohort) is picked
+        picked = data.cell(quarter, cohort)
+        assert data.cell(quarter, cohort) is picked
         assert len(picked) == 3 and len(picked[2])
         for column in picked:
             assert not column.flags.writeable

@@ -359,6 +359,23 @@ class TestLinkWavesAgainstLoop:
         assert rejections == want_rejections
 
 
+def test_link_waves_orders_pairs_by_a_sort_key_past_32_bits():
+    # 140k people over quarters 1900.1-9999.4: rank * span passes 2**32.
+    rng = np.random.default_rng(0)
+    n = 140_000
+    first = rng.integers(QuarterId(1900, 1).ordinal, QuarterId(9999, 4).ordinal, size=n)
+    first[:2] = QuarterId(1900, 1).ordinal, QuarterId(9999, 3).ordinal
+    rows = rng.permutation(2 * n)  # each person's two waves, in shuffled file order
+    columns = {"person": np.repeat(np.arange(n), 2), "quarter": np.repeat(first, 2) + np.tile([0, 1], n)}
+    columns = {name: columns.get(name, np.zeros(2 * n))[rows].astype(panel._DTYPES[name])
+               for name in panel._WAVE_COLUMNS}
+    person_ids = tuple(f"P{i:06d}" for i in rng.permutation(n))
+    data, rejections = panel.link_waves(columns, person_ids, np.arange(2, 2 * n + 2), "wide")
+    assert rejections == []
+    assert [person_ids[p] for p in data.person.tolist()] == sorted(person_ids)
+    assert data.quarter.tolist() == first[data.person].tolist()
+
+
 class TestRejectionReason:
     """A row is rejected for its first failing field in header order, the
     quarters' adjacency counting as a field right after quarter_to."""
