@@ -3,23 +3,27 @@
 ``record_batches`` reads a binary file in blocks of about BLOCK_BYTES, each
 cut after a newline (a byte order mark at the start of the file is dropped
 first), and gives each block's records as byte ranges of their fields
-(``Records``). A block holding no double quote and no carriage
-return is split at commas and newlines with numpy; any other block is read
-by ``csv.reader``, the reference for quoting, embedded newlines and CRLF,
-and a quoted field running past the block takes in the blocks after it.
+(``Records``). A block holding no double quote, and no carriage return but
+those of CRLF line ends, is split at commas and newlines with numpy; any
+other block is read by ``csv.reader``, the reference for quoting, embedded
+newlines and lone carriage returns, and a quoted field running past the
+block takes in the blocks after it.
 Either way a field longer than the csv module's field limit flags its
 record, where ``csv.reader`` would raise, and bytes that are not UTF-8
 raise PanelFormatError naming their line.
 
 Tokens are keyed by their bytes, as fixed-width keys (a uint64 up to 8
 bytes, else ``S<n>``). ``FieldTable`` keeps the distinct tokens of a field
-of few values met so far as a sorted array of keys: a block's tokens are
-looked up with one binary search, and only those the table lacks are
-decoded and parsed, once each; a token that fails keeps its error text,
-the reason of the rows that hold it. ``DecimalField`` decodes a column of
-decimal numbers with numpy, exactly, and keeps only the tokens it cannot
-decode that way in a table. ``PersonTable`` keeps the keys of every row
-and numbers the distinct ones once, when the whole file is read.
+of few values met so far as a sorted array of keys, indexed by
+multiply-shift hashing while they are uint64 and at most _INDEX_KEYS: a
+block's tokens are looked up with one multiply, one shift and two gathers
+(by binary search in a wider or larger table), and only those the table
+lacks are decoded and parsed, once each; a token that fails keeps its
+error text, the reason of the rows that hold it. ``DecimalField`` decodes
+a column of decimal numbers with numpy, exactly, and keeps only the tokens
+it cannot decode that way in a table. ``PersonTable`` keeps the keys of
+every row, numbers the distinct ones once the whole file is read, and
+decodes them only when they are read.
 """
 
 import codecs
@@ -87,22 +91,23 @@ class Records:
 def record_batches(fh, path: str, limit: int):
     """The records of a binary file, a block at a time, numbering lines from 1.
 
-    A block holding no ``"`` and no ``\\r`` is split at commas and newlines
-    with numpy. Any other block is read by ``csv.reader``, the reference for
-    quoting; a quoted field that runs past the block's end takes in the
-    blocks that follow. Both ways a field longer than ``limit`` characters
-    flags its record ``long``, where ``csv.reader`` itself would raise.
+    A block holding no ``"``, and no ``\\r`` but those of ``\\r\\n`` line
+    ends, is split at commas and newlines with numpy. Any other block is
+    read by ``csv.reader``, the reference for quoting; a quoted field that
+    runs past the block's end takes in the blocks that follow. Both ways a
+    field longer than ``limit`` characters flags its record ``long``, where
+    ``csv.reader`` itself would raise.
     """
     blocks = _blocks(fh)
     line = 1
     for data in blocks:
-        if b'"' in data or b"\r" in data:
+        if b'"' in data or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
             records, n_lines = _csv_records(data, line, blocks, path)
         else:
             if not data.isascii():
                 _utf8_text(data, line, path)
             records = _split_records(data, line, limit)
-            n_lines = data.count(b"\n") + (not data.endswith(b"\n"))
+            n_lines = len(records.line)
         yield records
         line += n_lines
         del records  # not kept while the next block is read
@@ -141,7 +146,8 @@ def _utf8_text(data: bytes, line: int, path: str) -> str:
 
 
 def _split_records(data: bytes, line: int, limit: int) -> Records:
-    """The lines of a block free of quotes and carriage returns, split at every comma."""
+    """The lines of a block free of quotes, and of carriage returns but those
+    of ``\\r\\n`` line ends, split at every comma."""
     arr = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero((arr == ord(",")) | (arr == ord("\n")))
     ends_line = arr[seps] == ord("\n")
@@ -151,14 +157,18 @@ def _split_records(data: bytes, line: int, limit: int) -> Records:
     last = np.flatnonzero(ends_line)           # each line's last field, as an index into seps
     first = np.concatenate(([0], last[:-1] + 1))
     start = np.concatenate(([0], seps[:-1] + 1))
+    end = seps
+    if b"\r" in data:  # a CRLF line's \r ends no field (byte -1, the block's last, is no \r)
+        end = seps.copy()
+        end[last] -= arr[seps[last] - 1] == ord("\r")
     count = last - first + 1
-    size = seps[last] - start[first]
+    size = end[last] - start[first]
     count[size == 0] = 0                       # a blank line has no fields
     long = np.zeros(len(last), dtype=bool)
     for r in np.flatnonzero(size > limit).tolist():
-        long[r] = any(len(data[start[i]:seps[i]].decode()) > limit
+        long[r] = any(len(data[start[i]:end[i]].decode()) > limit
                       for i in range(first[r], last[r] + 1))
-    return Records(data, line + np.arange(len(last)), first, count, long, start, seps)
+    return Records(data, line + np.arange(len(last)), first, count, long, start, end)
 
 
 class _LineFeed:
@@ -287,10 +297,33 @@ def _key_bytes(keys: np.ndarray, width: int) -> np.ndarray:
     return (keys.view("S8") if keys.dtype == np.uint64 else keys).astype(f"S{width}")
 
 
+# The most keys a table indexes (see FieldTable).
+_INDEX_KEYS = 128
+
+# The odd multipliers a table's index tries in turn: odd multiples of 2**64
+# over the golden ratio, fixed so that a parse repeats.
+_MULTIPLIERS = np.array([0x9E3779B97F4A7C15 * m % (1 << 64) for m in range(1, 16, 2)],
+                        dtype=np.uint64)
+
+
 class FieldTable(_Table):
     """A field's distinct tokens met so far, as a sorted array of keys, with
     the value each parses to and whether its parse failed; ``errors`` holds
-    the error text of each failed token, by its bytes."""
+    the error text of each failed token, by its bytes.
+
+    While its keys are uint64 and at most _INDEX_KEYS, the table keeps an
+    index from key to position (multiply-shift hashing, Dietzfelbinger et
+    al., *J. Algorithms* 25, 1997): key k lies in slot ``(k * M) >> shift``
+    of ``2**(64 - shift)`` slots, M the first multiplier of _MULTIPLIERS that
+    gives each key a slot of its own. An empty slot holds position 0, whose
+    key lies in another slot, so a lookup needs no test for emptiness. For n
+    keys there are at least 2 n**2 slots, where a random multiplier separates
+    the keys at least half the time; as the slots grow with the square of
+    the keys, the cut-off is 128 keys (2**15 slots, 256 KiB), and a larger
+    table (a field of many distinct tokens), a table keyed ``S<n>`` (a token
+    over 8 bytes) and one whose keys no multiplier separates are searched by
+    bisection.
+    """
 
     def __init__(self, parse, dtype):
         super().__init__()
@@ -299,35 +332,63 @@ class FieldTable(_Table):
         self.values = np.empty(0, dtype=dtype)
         self.failed = np.empty(0, dtype=bool)
         self.errors: dict[bytes, str] = {}
+        self.index = None  # (M, shift, slots), rebuilt whenever tokens are entered
 
     def decode(self, rec: Records, start, end) -> tuple[np.ndarray, np.ndarray]:
         """The value of each token ``rec.data[start:end]`` (0 if it failed), and whether it failed.
 
-        The tokens are looked up with one binary search; only those the
-        table lacks are parsed, once each, and entered, a failed one with
-        its error text in ``errors``.
+        The tokens are looked up in the index, or by bisection; only those
+        the table lacks are parsed, once each, from their bytes, and
+        entered, a failed one with its error text in ``errors``.
         """
         keys = self._common(self._keys(rec, start, end))
-        at = np.searchsorted(self.keys, keys)
-        known = at < len(self.keys)
-        known[known] = self.keys[at[known]] == keys[known]
+        at, known = self._find(keys)
         if not known.all():
-            fresh = np.unique(keys[~known])
+            missing = np.flatnonzero(~known)
+            fresh, first = np.unique(keys[missing], return_index=True)
             values, failed = [], []
-            for text in self._texts(fresh):
+            for s, e in zip(start[missing[first]].tolist(), end[missing[first]].tolist()):
+                token = rec.data[s:e]
                 try:
-                    values.append(self.parse(text))
+                    values.append(self.parse(token.decode()))
                     failed.append(False)
                 except ValueError as exc:
                     values.append(0)
                     failed.append(True)
-                    self.errors[text.encode()] = str(exc)
+                    self.errors[token] = str(exc)
             where = np.searchsorted(self.keys, fresh)
             self.keys = np.insert(self.keys, where, fresh)
             self.values = np.insert(self.values, where, values)
             self.failed = np.insert(self.failed, where, failed)
-            at = np.searchsorted(self.keys, keys)
+            self._build_index()
+            at, _ = self._find(keys)
         return self.values[at], self.failed[at]
+
+    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's position in the table (junk where it is absent), and whether it is there."""
+        if not len(self.keys):
+            return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), dtype=bool)
+        if self.index is not None:
+            multiplier, shift, slots = self.index
+            at = slots[((keys * multiplier) >> shift).view(np.int64)]
+        else:
+            at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return at, self.keys[at] == keys
+
+    def _build_index(self) -> None:
+        n = len(self.keys)
+        self.index = None
+        if self.keys.dtype != np.uint64 or n > _INDEX_KEYS:
+            return
+        bits = max(5, (2 * n * n - 1).bit_length())
+        shift = np.uint64(64 - bits)
+        for multiplier in _MULTIPLIERS:
+            slot = ((self.keys * multiplier) >> shift).view(np.int64)
+            if len(np.unique(slot)) == n:
+                slots = np.zeros(1 << bits, dtype=np.intp)
+                slots[slot] = np.arange(n)
+                self.index = multiplier, shift, slots
+                return
 
     def _common(self, keys: np.ndarray) -> np.ndarray:
         """``keys`` as keys of one type with the table's, widening (and re-sorting) the table."""
@@ -338,29 +399,50 @@ class FieldTable(_Table):
             table = _key_bytes(self.keys, width)
             order = np.argsort(table)
             self.keys, self.values, self.failed = table[order], self.values[order], self.failed[order]
+            self.index = None
         return _key_bytes(keys, width)
 
 
+# The bytes a text that str.strip() changes can begin or end with: ASCII
+# whitespace, the separators 0x1c-0x1f, and any byte of a multi-byte UTF-8
+# character (non-ASCII whitespace among them). The key of a token set aside
+# ends in 0xFF.
+_STRIPPABLE = np.zeros(256, dtype=bool)
+_STRIPPABLE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
+_STRIPPABLE[0x80:] = True
+
+
 class PersonTable(_Table):
-    """The person id tokens of a file's admitted rows, numbered once the file is read."""
+    """The person id tokens of a file's admitted rows, numbered once the file is read.
+
+    ``codes`` numbers the distinct ids in order of first appearance, and the
+    table then holds them as ``keys``, decoded only when read (``texts``,
+    ``order``). If any id could be changed by strip (its first or last byte
+    is whitespace or not ASCII), or was set aside, every id is decoded and
+    stripped while numbering instead, ids equal once stripped sharing a
+    code, and the table holds their texts as ``ids``.
+    """
 
     def __init__(self):
         super().__init__()
         self.parts: list[np.ndarray] = []
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.ids: list[str] | None = None
 
     def add(self, rec: Records, start, end) -> None:
         """Keep the keys of the person ids ``rec.data[start:end]`` of a batch's admitted rows."""
         self.parts.append(self._keys(rec, start, end))
 
-    def codes(self) -> tuple[list[str], np.ndarray]:
-        """The distinct stripped ids in order of first appearance, and each row's code into them."""
+    def codes(self) -> np.ndarray:
+        """Each row's code into the distinct ids, numbered in order of first appearance."""
         parts = self.parts or [np.empty(0, dtype=np.uint64)]
         if any(part.dtype != np.uint64 for part in parts):
             width = max(part.itemsize for part in parts)
             parts = [_key_bytes(part, width) for part in parts]
         keys = np.concatenate(parts)
+        self.parts = []
         if not len(keys):
-            return [], np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64)
         # An unstable sort is enough: a key's first row is the least row of its run.
         order = np.argsort(keys)
         ordered = keys[order]
@@ -370,15 +452,34 @@ class PersonTable(_Table):
         by_first = np.argsort(np.minimum.reduceat(order, starts))
         code = np.empty(len(starts), dtype=np.int64)
         code[by_first] = np.arange(len(starts))
-        raw = self._texts(ordered[starts[by_first]])
-        ids = [text.strip() for text in raw]
-        if ids != raw:  # raw ids that differ only in padding share a code
-            index: dict[str, int] = {}
+        self.keys = ordered[starts[by_first]]
+        ends = self.keys.view(np.uint8).reshape(len(self.keys), self.keys.itemsize)
+        last = ends.shape[1] - 1 - np.argmax(ends[:, ::-1] != 0, axis=1)  # a key's last byte
+        if (_STRIPPABLE[ends[:, 0]] | _STRIPPABLE[ends[np.arange(len(ends)), last]]).any():
+            ids = [text.strip() for text in self._texts(self.keys)]
+            index: dict[str, int] = {}  # raw ids that differ only in padding share a code
             merged = np.array([index.setdefault(pid, len(index)) for pid in ids], dtype=np.int64)
-            code, ids = merged[code], list(index)
+            code, self.ids = merged[code], list(index)
         codes = np.empty(len(keys), dtype=np.int64)
         codes[order] = code[np.cumsum(new) - 1]  # the run of each sorted row is its key's
-        return ids, codes
+        return codes
+
+    def texts(self, codes=None) -> list[str]:
+        """The ids of ``codes``, or every id in code order."""
+        if self.ids is not None:
+            return list(self.ids) if codes is None else [self.ids[c] for c in codes.tolist()]
+        return self._texts(self.keys if codes is None else self.keys[codes])
+
+    def order(self) -> np.ndarray:
+        """The codes in order of their ids, by code point.
+
+        UTF-8 bytes sort in code-point order, so the keys of undecoded ids
+        sort as the ids do: a uint64 key byte-swapped to big-endian, an
+        ``S<n>`` key as it is.
+        """
+        if self.ids is not None:
+            return np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__), dtype=np.int64)
+        return np.argsort(self.keys.byteswap() if self.keys.dtype == np.uint64 else self.keys)
 
 
 # 10**k for k = 0..15, each exact in float64.

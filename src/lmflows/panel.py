@@ -20,7 +20,8 @@ dropped from the analysis dataset and counted separately (they are valid,
 just out of scope).
 
 Wave files are linked into 3-month pairs by ``link_waves``, from one sort
-of the interviews by (person_id, quarter): one pair per person per adjacent
+of the interviews by (person_id, quarter), ids ranked by their UTF-8 bytes
+(the order of their code points): one pair per person per adjacent
 quarter couple, demographics and weight taken from the first wave of the
 pair. An interview repeated with a conflicting state rejects every line of
 its (person, quarter) key; repeats that agree keep the first line and
@@ -42,14 +43,20 @@ pair: it builds a tuple of ObservationPair on each read, and the dataset
 does not keep it.
 
 Files are read as UTF-8 bytes, column by column, a block of about 256 KiB
-at a time (see ``csvblocks``). A field's tokens are looked up in a sorted
-table of the tokens met so far, and a token new to the table is parsed
-once; but weights are decoded directly where they can be, and person ids
-are numbered once the whole file is read. A row is rejected for its first
-failing field in header order, non-adjacent quarters counting as a field
-right after ``quarter_to``, with the error text its token's table kept
-when the token failed. A field longer than
-the csv module's field limit (``csv.field_size_limit()``, 131072
+at a time (see ``csvblocks``); a block whose only carriage returns end
+CRLF lines takes the same numpy split as an LF block. A field's tokens are
+looked up in a table of the tokens met so far, hash-indexed while it is
+small, and a token new to the table is parsed once; but weights are
+decoded directly where they can be, and person ids are numbered once the
+whole file is read, from their bytes. An id is decoded to text when
+``PanelDataset.person_ids`` is first read (by ``.pairs``,
+``write_pairs_csv`` or the caller), or for a duplicate interview's
+rejection text; a file holding an id that ``str.strip`` could change, or
+one set aside, has all its ids decoded while numbering. A row is rejected
+for its first failing field in header order, non-adjacent quarters
+counting as a field right after ``quarter_to``, with the error text its
+token's table kept when the token failed. A field longer than the csv
+module's field limit (``csv.field_size_limit()``, 131072
 characters unless changed) rejects its line; bytes that are not UTF-8 fail
 the parse with PanelFormatError naming the line that holds them.
 """
@@ -142,6 +149,22 @@ _DTYPES = {**_COLUMNS, "state": _COLUMNS["state_from"], "quarter_to": _COLUMNS["
 _PAIRS_CHUNK = 1 << 14
 
 
+class _PersonIds:
+    """``PanelDataset.person_ids``: a tuple of str, kept as a parse's
+    ``csvblocks.PersonTable`` until the first read decodes it."""
+
+    def __get__(self, data, owner=None):
+        if data is None:
+            raise AttributeError("person_ids")  # the field has no default
+        if isinstance(data._person_ids, csvblocks.PersonTable):
+            object.__setattr__(data, "_person_ids", tuple(data._person_ids.texts()))
+        return data._person_ids
+
+    def __set__(self, data, ids):
+        table = isinstance(ids, csvblocks.PersonTable)
+        object.__setattr__(data, "_person_ids", ids if table else tuple(ids))
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PanelDataset:
     """Observation pairs stored as columns, one entry per pair, plus provenance.
@@ -150,7 +173,9 @@ class PanelDataset:
     arrival quarter is always the next one. ``state_from`` and ``state_to``
     index STATE_ORDER, ``sex`` indexes SEX_ORDER, ``region`` indexes
     REGION_ORDER and ``person`` indexes ``person_ids``. The constructor
-    copies each column into a read-only array of its fixed dtype.
+    copies each column into a read-only array of its fixed dtype. The ids
+    of a parsed file are decoded from its bytes when ``person_ids`` is
+    first read.
 
     ``cell`` selects a cohort's rows in one quarter. It reads a copy of the
     columns it needs grouped by departure quarter, built on its first use
@@ -158,7 +183,7 @@ class PanelDataset:
     their own row order. The dataset also keeps the last cell it selected.
     """
 
-    person_ids: tuple[str, ...]
+    person_ids: tuple[str, ...] = _PersonIds()
     person: np.ndarray
     quarter: np.ndarray
     state_from: np.ndarray
@@ -171,7 +196,6 @@ class PanelDataset:
     provenance: str
 
     def __post_init__(self):
-        object.__setattr__(self, "person_ids", tuple(self.person_ids))
         for name, dtype in _COLUMNS.items():
             column = np.array(getattr(self, name), dtype=dtype)
             column.setflags(write=False)
@@ -288,7 +312,7 @@ class PanelDataset:
     def _take(self, rows) -> "PanelDataset":
         """The dataset restricted to ``rows`` (a boolean mask or indices), in their order."""
         return PanelDataset(
-            person_ids=self.person_ids,
+            person_ids=self._person_ids,
             provenance=self.provenance,
             **{name: getattr(self, name)[rows] for name in _COLUMNS},
         )
@@ -423,11 +447,10 @@ def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseRep
     del table, first  # the token tables and first block are not kept while linking and copying
     provenance = f"{detected}:{path}"
     if waves:
-        admitted, duplicates = link_waves(columns, person_ids, lines, provenance)
+        linked, duplicates = link_waves(columns, person_ids, lines, provenance)
         rejections += duplicates
-    else:
-        admitted = PanelDataset(person_ids=person_ids, provenance=provenance, **columns)
-    return _in_scope(admitted, sorted(rejections), n_rows)
+        columns = {name: getattr(linked, name) for name in _COLUMNS}
+    return _in_scope(columns, person_ids, provenance, sorted(rejections), n_rows)
 
 
 class _Columns:
@@ -487,23 +510,28 @@ class _Columns:
         self.parts["line"].append(line[keep])
 
     def result(self):
-        """(person_ids, columns, line numbers of admitted rows, unsorted rejections, rows read)."""
+        """(the person ids, as a PersonTable, columns, line numbers of admitted
+        rows, unsorted rejections, rows read)."""
         parts = self.parts
         columns = {name: np.concatenate(parts.pop(name) or [np.empty(0, _DTYPES[name])])
                    for name in self.names[1:]}
-        person_ids, columns[self.names[0]] = self.persons.codes()
+        columns[self.names[0]] = self.persons.codes()
         lines = np.concatenate(parts.pop("line") or [np.empty(0, dtype=np.int64)])
-        return tuple(person_ids), columns, lines, self.rejections, self.n_rows
+        return self.persons, columns, lines, self.rejections, self.n_rows
 
 
-def _in_scope(admitted: PanelDataset, rejections, n_rows) -> tuple[PanelDataset, ParseReport]:
-    """The admitted pairs whose first-wave age is in scope, and the parse report."""
-    dataset = admitted._take((admitted.age >= AGE_MIN) & (admitted.age <= AGE_MAX))
+def _in_scope(columns, person_ids, provenance: str, rejections,
+              n_rows) -> tuple[PanelDataset, ParseReport]:
+    """The admitted pairs (``columns``, an array per name of ``_COLUMNS``) whose
+    first-wave age is in scope, built into one dataset, and the parse report."""
+    scope = (columns["age"] >= AGE_MIN) & (columns["age"] <= AGE_MAX)
+    dataset = PanelDataset(person_ids=person_ids, provenance=provenance,
+                           **{name: columns[name][scope] for name in _COLUMNS})
     report = ParseReport(
         rejections=tuple(rejections),
         n_rows=n_rows,
         n_pairs=len(dataset),
-        n_age_filtered=len(admitted) - len(dataset),
+        n_age_filtered=len(scope) - len(dataset),
     )
     return dataset, report
 
@@ -512,16 +540,21 @@ def link_waves(waves, person_ids, lines, provenance: str) -> tuple[PanelDataset,
     """Screen a wave table for duplicate interviews and link the rest into 3-month pairs.
 
     ``waves`` maps each name of ``_WAVE_COLUMNS`` to a column, one entry per
-    interview, ``person`` coding into ``person_ids``; ``lines`` numbers the
-    rows in increasing order. A (person, quarter) key met more than once
-    with conflicting states rejects every row of the key; repeats that
-    agree keep the first row and reject the others. The kept rows give one
-    pair per person and couple of adjacent quarters, with demographics and
-    weight from the first wave, sorted by (person_id, quarter_from).
+    interview, ``person`` coding into ``person_ids`` (a tuple of str, or a
+    parse's ``csvblocks.PersonTable``); ``lines`` numbers the rows in
+    increasing order. A (person, quarter) key met more than once with
+    conflicting states rejects every row of the key; repeats that agree keep
+    the first row and reject the others. The kept rows give one pair per
+    person and couple of adjacent quarters, with demographics and weight
+    from the first wave, sorted by (person_id, quarter_from).
 
     Returns the pairs and the rejected rows' (line, reason), in line order.
     """
-    by_id = sorted(range(len(person_ids)), key=person_ids.__getitem__)
+    table = isinstance(person_ids, csvblocks.PersonTable)
+    if table:  # ranked by the ids' bytes, decoding none of them
+        by_id = person_ids.order()
+    else:
+        by_id = sorted(range(len(person_ids)), key=person_ids.__getitem__)
     rank = np.empty(len(by_id), dtype=np.int64)
     rank[by_id] = np.arange(len(by_id))
     # One stable sort (a key keeps file order) of (rank, quarter) as one key, cast to
@@ -534,18 +567,28 @@ def link_waves(waves, person_ids, lines, provenance: str) -> tuple[PanelDataset,
     keep = np.ones(len(order), dtype=bool)  # the first row of each key, in sorted position
     keep[1:] = (person[1:] != person[:-1]) | (quarter[1:] != quarter[:-1])
 
-    lines, state, rejections = np.asarray(lines), waves["state"], []
+    state, rejections = waves["state"], []
     starts = np.flatnonzero(keep)
     sizes = np.diff(np.append(starts, len(order)))
-    for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
-        rows = order[start:start + size]
-        at = lines[rows].tolist()
-        key = f"person {person_ids[person[start]]!r} at {QuarterId.from_ordinal(quarter[start])}"
-        if len(set(state[rows].tolist())) > 1:
-            keep[start] = False
-            rejections += [(line, f"conflicting duplicate states for {key}") for line in at]
-        else:
-            rejections += [(line, f"duplicate of line {at[0]} ({key})") for line in at[1:]]
+    repeated = sizes > 1
+    if repeated.any():
+        ordered = state[order]
+        conflict = np.minimum.reduceat(ordered, starts) != np.maximum.reduceat(ordered, starts)
+        at = iter(np.asarray(lines)[order[np.repeat(repeated, sizes)]].tolist())  # key by key
+        starts, sizes, conflict = starts[repeated], sizes[repeated], conflict[repeated]
+        keep[starts[conflict]] = False
+        people, quarters = person[starts].tolist(), quarter[starts].tolist()
+        ids = np.unique(people)  # only the ids of repeated interviews are decoded
+        names = dict(zip(ids.tolist(), person_ids.texts(ids) if table else
+                         [person_ids[p] for p in ids.tolist()]))
+        labels = {q: str(QuarterId.from_ordinal(q)) for q in set(quarters)}
+        for p, q, size, bad in zip(people, quarters, sizes.tolist(), conflict.tolist()):
+            rows = list(itertools.islice(at, size))
+            key = f"person {names[p]!r} at {labels[q]}"
+            if bad:
+                rejections += [(line, f"conflicting duplicate states for {key}") for line in rows]
+            else:
+                rejections += [(line, f"duplicate of line {rows[0]} ({key})") for line in rows[1:]]
 
     kept, person, quarter = order[keep], person[keep], quarter[keep]
     linked = (person[1:] == person[:-1]) & (quarter[1:] == quarter[:-1] + 1)

@@ -114,10 +114,11 @@ def expected(path):
     layout, person_ids, table, lines, rejections, n_rows = oracles.read_panel_by_loop(path)
     columns = {name: np.array(values, dtype=panel._DTYPES[name]) for name, values in table.items()}
     if layout == "pair_rows":
-        admitted = panel.PanelDataset(person_ids=person_ids, provenance="", **columns)
-        return panel._in_scope(admitted, rejections, n_rows)
+        return panel._in_scope(columns, person_ids, "", rejections, n_rows)
     linked, duplicates = panel.link_waves(columns, person_ids, lines, "")
-    return panel._in_scope(linked, sorted(rejections + duplicates, key=lambda item: item[0]), n_rows)
+    columns = {name: getattr(linked, name) for name in panel._COLUMNS}
+    return panel._in_scope(columns, person_ids, "",
+                           sorted(rejections + duplicates, key=lambda item: item[0]), n_rows)
 
 
 def first_bad_line(raw):
@@ -220,8 +221,9 @@ def test_ids_padded_or_long_share_codes_by_stripped_text(tmp_path):
     (PAIR_HEAD, "\n", False),
     ('"person_id"' + PAIR_HEAD[len("person_id"):], "\n", True),
     ('"' + PAIR_HEAD.replace(",", '","') + '"', "\n", True),
-    (PAIR_HEAD, "\r\n", True),
-], ids=["bare", "first-quoted", "all-quoted", "bare-crlf"])
+    (PAIR_HEAD, "\r\n", False),
+    (PAIR_HEAD, "\r", True),
+], ids=["bare", "first-quoted", "all-quoted", "bare-crlf", "bare-cr"])
 @pytest.mark.parametrize("block_bytes", [1, csvblocks.BLOCK_BYTES])
 def test_byte_order_mark_before_the_header(tmp_path, monkeypatch, header, end, by_csv, block_bytes):
     """A leading byte order mark is dropped before either tokenizer reads the header."""
@@ -238,3 +240,100 @@ def test_byte_order_mark_before_the_header(tmp_path, monkeypatch, header, end, b
     assert bool(read_by_csv) == by_csv
     assert all(not block.startswith(codecs.BOM_UTF8) for block in read_by_csv)
     assert_parses_like_the_loop(raw, block_bytes, csv.field_size_limit())
+
+
+def wave_text(rows):
+    return "".join(line + "\n" for line in [",".join(panel.WAVE_HEADER), *rows])
+
+
+# Ids that strip changes or may change (ASCII and Unicode whitespace at either
+# end, a separator, a non-ASCII first byte), NUL-ended ids, ids over 64 bytes.
+ODD_IDS = [" A", "A　", "A\x1c", "\x85A", "Ä", "A\x00", "\x00", "L" * 70, " " + "L" * 64]
+
+
+# Ids that sort differently by their little-endian keys and by code point,
+# and ids of 9 to 64 bytes, which make the keys S<n>.
+PLAIN_IDS = {"short": ["B", "A", "ß", "AB", "A\x00B", "Z", "BA"],
+             "wide": ["B", "A", "ß", "L" * 64, "L" * 63 + "M", "Z", "A "]}
+
+
+@pytest.mark.parametrize("odd", ODD_IDS, ids=ascii)
+@pytest.mark.parametrize("plain", PLAIN_IDS)
+@pytest.mark.parametrize("block_bytes", [64, csvblocks.BLOCK_BYTES])
+def test_ids_read_from_the_parse_are_the_loops(tmp_path, monkeypatch, odd, plain, block_bytes):
+    """person_ids, the pairs' order by id and the written pairs are the loop's."""
+    people = PLAIN_IDS[plain][:1] + [odd] + PLAIN_IDS[plain][1:]
+    rows = [f"{pid},{q},{s},21,F,1,SOUTH,1.5" for pid in people
+            for q, s in (("2019.1", "EDU"), ("2019.2", "TE"))]
+    # Out of id order, with an agreeing and a conflicting repeat.
+    rows = rows[5:] + rows[:5] + [rows[2], rows[0].replace("EDU", "U")]
+    path = tmp_path / "w.csv"
+    path.write_bytes(wave_text(rows).encode())
+    layout, person_ids, table, lines, rejections, n_rows = oracles.read_panel_by_loop(path)
+    pairs, duplicates = oracles.link_by_loop(table, person_ids, lines)
+    monkeypatch.setattr(csvblocks, "BLOCK_BYTES", block_bytes)
+    data, report = panel.parse_panel_file(path)
+    assert data.person_ids == person_ids
+    for name in panel._COLUMNS:
+        assert getattr(data, name).tolist() == pairs[name], name
+    assert report.rejections == tuple(sorted(rejections + duplicates))
+    want = panel.PanelDataset(person_ids=person_ids, provenance="", **pairs)
+    panel.write_pairs_csv(data, tmp_path / "got.csv")
+    panel.write_pairs_csv(want, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_a_clean_file_is_parsed_without_decoding_its_ids(tmp_path, monkeypatch):
+    """Ids are numbered from their keys, and decoded only when read."""
+    n = 3000
+    pairs = [",".join(panel.PAIR_HEADER)] + [
+        f"P{i:05d},2020.{1 + i % 3},2020.{2 + i % 3},EDU,TE,{15 + i % 25},F,1,NORTH,{i}.25"
+        for i in range(n)]
+    waves = [f"P{i // 2:05d},2020.{1 + i % 2},EDU,{15 + i % 20},M,0,SOUTH,{i}.5" for i in range(n)]
+    (tmp_path / "p.csv").write_text("\n".join(pairs) + "\n", encoding="utf-8")
+    (tmp_path / "w.csv").write_text(wave_text(waves[::-1]), encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("an id was decoded")
+
+    monkeypatch.setattr(csvblocks, "BLOCK_BYTES", 4096)
+    monkeypatch.setattr(csvblocks._Table, "_texts", refuse)
+    got = [panel.parse_panel_file(tmp_path / name) for name in ("p.csv", "w.csv")]
+    monkeypatch.undo()
+    (pair_data, pair_report), (wave_data, wave_report) = got
+    assert pair_report.n_age_filtered == n * 5 // 25 and pair_report.rejections == ()
+    assert pair_data.person_ids == tuple(f"P{i:05d}" for i in range(n))  # age-filtered too
+    assert wave_report.rejections == () and len(wave_data) == n // 2
+    ids = tuple(f"P{i:05d}" for i in range(n // 2))
+    assert wave_data.person_ids == ids[::-1]
+    assert [wave_data.person_ids[p] for p in wave_data.person.tolist()] == list(ids)
+
+
+@pytest.mark.parametrize("block_bytes", [64, 1000, csvblocks.BLOCK_BYTES])
+def test_crlf_parses_as_its_lf_original_by_the_numpy_split(tmp_path, monkeypatch, block_bytes):
+    rows = ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1", "", "  ",
+            "B,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,", "C,2019.1,2019.3,EDU,TE,21,F,1,SOUTH,1",
+            "Zoë,2019.2,2019.3,NEET,U,40,M,0,NORTH,2.5", "D,2019.1", ",,,,,,,,,", "",
+            "E,2019.1,2019.2,EDU,TE,21,X,1,SOUTH ,1", " F ,2019.3,2019.4,SE,SE,34,F,0,centre,1e3"]
+    lf = ("\n".join([PAIR_HEAD] + rows * 3) + "\n").encode()
+    crlf = lf.replace(b"\n", b"\r\n")
+    read_by_csv = []
+    csv_records = csvblocks._csv_records
+    monkeypatch.setattr(csvblocks, "_csv_records",
+                        lambda data, *args: read_by_csv.append(data) or csv_records(data, *args))
+    monkeypatch.setattr(csvblocks, "BLOCK_BYTES", block_bytes)
+    got = {}
+    for name, raw in (("lf", lf), ("crlf", crlf), ("crlf-open", crlf[:-2])):
+        (tmp_path / name).write_bytes(raw)
+        got[name] = panel.parse_panel_file(tmp_path / name)
+    assert read_by_csv == []
+    data, report = got["lf"]
+    assert (len(data), report.n_age_filtered, len(report.rejections)) == (9, 3, 15)
+    for other, other_report in (got["crlf"], got["crlf-open"]):
+        assert other.person_ids == data.person_ids
+        for name in panel._COLUMNS:
+            assert np.array_equal(getattr(other, name), getattr(data, name)), name
+        assert other_report == report
+    lone = crlf.replace(b"\r\n", b"\r", 1)  # a lone carriage return ends the header
+    monkeypatch.undo()
+    assert_parses_like_the_loop(lone, block_bytes, csv.field_size_limit())
