@@ -22,8 +22,9 @@ lacks are decoded and parsed, once each; a token that fails keeps its
 error text, the reason of the rows that hold it. ``DecimalField`` decodes
 a column of decimal numbers with numpy, exactly, and keeps only the tokens
 it cannot decode that way in a table. ``PersonTable`` keeps the keys of
-every row, numbers the distinct ones once the whole file is read, and
-decodes them only when they are read.
+every row, ranks the distinct ones by their bytes once the whole file is
+read, numbers them by first appearance only when they are first read, and
+decodes them only then.
 """
 
 import codecs
@@ -58,7 +59,10 @@ class Records:
     Field ``f`` of record ``r`` is ``data[start[first[r] + f]:end[first[r] + f]]``,
     UTF-8 text. ``line`` is the line on which each record ends; a blank line
     is a record of no fields, and a record flagged ``long`` holds a field
-    longer than the csv field limit and has no fields either.
+    longer than the csv field limit and has no fields either. A record's
+    ranges lie from its ``first`` up to the next record's (the last
+    record's to the end), and the first record's begin at 0; a blank line
+    of the numpy split, or a long record, holds ranges past its ``count``.
     """
 
     data: bytes
@@ -84,8 +88,10 @@ class Records:
         return [self.data[self.start[i]:self.end[i]].decode() for i in at]
 
     def after_first(self) -> "Records":
-        return dataclasses.replace(self, line=self.line[1:], first=self.first[1:],
-                                   count=self.count[1:], long=self.long[1:])
+        cut = int(self.first[1]) if len(self.first) > 1 else len(self.start)
+        return dataclasses.replace(self, line=self.line[1:], first=self.first[1:] - cut,
+                                   count=self.count[1:], long=self.long[1:],
+                                   start=self.start[cut:], end=self.end[cut:])
 
 
 def record_batches(fh, path: str, limit: int):
@@ -260,6 +266,8 @@ class _Table:
     def _keys(self, rec, start, end) -> np.ndarray:
         n = len(start)
         length = end - start
+        if not rec.nul and int(length.max(initial=0)) <= 8:  # none set aside, every key a uint64
+            return rec.words[start] & _LOW_BYTES[length]
         odd = length > KEY_BYTES
         if rec.nul:
             odd |= (length > 0) & (np.frombuffer(rec.data, np.uint8)[end - 1] == 0)
@@ -405,22 +413,27 @@ class FieldTable(_Table):
 
 # The bytes a text that str.strip() changes can begin or end with: ASCII
 # whitespace, the separators 0x1c-0x1f, and any byte of a multi-byte UTF-8
-# character (non-ASCII whitespace among them). The key of a token set aside
-# ends in 0xFF.
+# character (non-ASCII whitespace among them).
 _STRIPPABLE = np.zeros(256, dtype=bool)
 _STRIPPABLE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
 _STRIPPABLE[0x80:] = True
 
 
 class PersonTable(_Table):
-    """The person id tokens of a file's admitted rows, numbered once the file is read.
+    """The person id tokens of a file's admitted rows, ranked once the file is read.
 
-    ``codes`` numbers the distinct ids in order of first appearance, and the
-    table then holds them as ``keys``, decoded only when read (``texts``,
-    ``order``). If any id could be changed by strip (its first or last byte
-    is whitespace or not ASCII), or was set aside, every id is decoded and
-    stripped while numbering instead, ids equal once stripped sharing a
-    code, and the table holds their texts as ``ids``.
+    ``ranks`` sorts the keys once, in byte order, and gives each row the
+    rank of its id among the distinct ids; UTF-8 bytes sort in code-point
+    order, so the ranks order the ids as ``link_waves`` does (a uint64 key
+    byte-swapped to big-endian, an ``S<n>`` key as it is). The table then
+    holds the distinct ids as ``keys``, in rank order, decoded only when
+    read (``texts``), and the first row of each. ``numbering`` turns ranks
+    into the codes the dataset promises, by order of first appearance; the
+    dataset asks for it on the first read of ``person`` or ``person_ids``.
+    If any id could be changed by strip (its first or last byte is
+    whitespace or not ASCII), or was set aside, every id is decoded and
+    stripped while ranking instead, ids equal once stripped sharing a rank,
+    and the table holds their texts as ``ids``.
     """
 
     def __init__(self):
@@ -428,58 +441,73 @@ class PersonTable(_Table):
         self.parts: list[np.ndarray] = []
         self.keys = np.empty(0, dtype=np.uint64)
         self.ids: list[str] | None = None
+        self.first = np.empty(0, dtype=np.int64)
+        self.strippable = False  # whether an id met so far begins or ends in a _STRIPPABLE byte
+        self._numbering = None
+
+    def __len__(self) -> int:
+        return len(self.first)
 
     def add(self, rec: Records, start, end) -> None:
         """Keep the keys of the person ids ``rec.data[start:end]`` of a batch's admitted rows."""
-        self.parts.append(self._keys(rec, start, end))
+        keys = self._keys(rec, start, end)
+        self.parts.append(keys)
+        if not self.strippable:  # a key's first byte is its id's (0 for an empty id)
+            last = _STRIPPABLE[np.frombuffer(rec.data, np.uint8)[end - 1]] & (end > start)
+            self.strippable = bool((_STRIPPABLE[keys.view(np.uint8)[::keys.itemsize]] | last).any())
 
-    def codes(self) -> np.ndarray:
-        """Each row's code into the distinct ids, numbered in order of first appearance."""
+    def ranks(self) -> np.ndarray:
+        """Each row's rank among the distinct ids, in code-point order."""
         parts = self.parts or [np.empty(0, dtype=np.uint64)]
         if any(part.dtype != np.uint64 for part in parts):
             width = max(part.itemsize for part in parts)
             parts = [_key_bytes(part, width) for part in parts]
         keys = np.concatenate(parts)
         self.parts = []
-        if not len(keys):
-            return np.empty(0, dtype=np.int64)
-        # An unstable sort is enough: a key's first row is the least row of its run.
-        order = np.argsort(keys)
+        n = len(keys)
+        # The result is allocated before the sort's temporaries, and each is
+        # dropped once read: a heap left with holes below the result held a
+        # pair file's parse about 4 MiB higher.
+        ranks = np.empty(n, dtype=np.int64)
+        # Big-endian, a uint64 key orders as its bytes. Stable, so that the
+        # first row of each run of equal keys is the key's first row.
+        order = np.argsort(keys.byteswap() if keys.dtype == np.uint64 else keys, kind="stable")
         ordered = keys[order]
-        new = np.ones(len(keys), dtype=bool)
+        del keys
+        new = np.ones(n, dtype=bool)
         new[1:] = ordered[1:] != ordered[:-1]
-        starts = np.flatnonzero(new)
-        by_first = np.argsort(np.minimum.reduceat(order, starts))
-        code = np.empty(len(starts), dtype=np.int64)
-        code[by_first] = np.arange(len(starts))
-        self.keys = ordered[starts[by_first]]
-        ends = self.keys.view(np.uint8).reshape(len(self.keys), self.keys.itemsize)
-        last = ends.shape[1] - 1 - np.argmax(ends[:, ::-1] != 0, axis=1)  # a key's last byte
-        if (_STRIPPABLE[ends[:, 0]] | _STRIPPABLE[ends[np.arange(len(ends)), last]]).any():
+        starts = np.flatnonzero(new)  # gathers: faster than compressing by a scattered mask
+        self.first = order[starts].astype(np.min_scalar_type(n))
+        self.keys = ordered[starts]
+        del ordered, starts
+        rank = np.cumsum(new)  # of each sorted row, from 1
+        rank -= 1
+        if self.strippable or self.aside:
             ids = [text.strip() for text in self._texts(self.keys)]
-            index: dict[str, int] = {}  # raw ids that differ only in padding share a code
-            merged = np.array([index.setdefault(pid, len(index)) for pid in ids], dtype=np.int64)
-            code, self.ids = merged[code], list(index)
-        codes = np.empty(len(keys), dtype=np.int64)
-        codes[order] = code[np.cumsum(new) - 1]  # the run of each sorted row is its key's
-        return codes
+            self.ids = sorted(set(ids))  # raw ids that differ only in padding share a rank
+            index = {pid: r for r, pid in enumerate(self.ids)}
+            merged = np.array([index[pid] for pid in ids], dtype=np.int64)
+            first = np.full(len(self.ids), n, dtype=self.first.dtype)
+            np.minimum.at(first, merged, self.first)
+            rank, self.first = merged[rank], first
+        ranks[order] = rank
+        return ranks
 
-    def texts(self, codes=None) -> list[str]:
-        """The ids of ``codes``, or every id in code order."""
+    def texts(self, ranks) -> list[str]:
+        """The ids of ``ranks``."""
         if self.ids is not None:
-            return list(self.ids) if codes is None else [self.ids[c] for c in codes.tolist()]
-        return self._texts(self.keys if codes is None else self.keys[codes])
+            return [self.ids[r] for r in ranks.tolist()]
+        return self._texts(self.keys[ranks])
 
-    def order(self) -> np.ndarray:
-        """The codes in order of their ids, by code point.
-
-        UTF-8 bytes sort in code-point order, so the keys of undecoded ids
-        sort as the ids do: a uint64 key byte-swapped to big-endian, an
-        ``S<n>`` key as it is.
-        """
-        if self.ids is not None:
-            return np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__), dtype=np.int64)
-        return np.argsort(self.keys.byteswap() if self.keys.dtype == np.uint64 else self.keys)
+    def numbering(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """(the code of each rank, the ids in code order): codes number the ids
+        in order of their first row. Worked out on the first call and kept."""
+        if self._numbering is None:
+            by_first = np.argsort(self.first)
+            code = np.empty(len(by_first), dtype=np.int64)
+            code[by_first] = np.arange(len(by_first))
+            self._numbering = code, tuple(self.texts(by_first))
+        return self._numbering
 
 
 # 10**k for k = 0..15, each exact in float64.

@@ -47,12 +47,14 @@ at a time (see ``csvblocks``); a block whose only carriage returns end
 CRLF lines takes the same numpy split as an LF block. A field's tokens are
 looked up in a table of the tokens met so far, hash-indexed while it is
 small, and a token new to the table is parsed once; but weights are
-decoded directly where they can be, and person ids are numbered once the
-whole file is read, from their bytes. An id is decoded to text when
-``PanelDataset.person_ids`` is first read (by ``.pairs``,
-``write_pairs_csv`` or the caller), or for a duplicate interview's
-rejection text; a file holding an id that ``str.strip`` could change, or
-one set aside, has all its ids decoded while numbering. A row is rejected
+decoded directly where they can be, and person ids are ranked by their
+bytes, with one sort once the whole file is read; ``link_waves`` orders
+people by those ranks. The ids are numbered by first appearance, and
+decoded to text, on the first read of ``PanelDataset.person`` or
+``.person_ids`` (by ``.pairs``, ``write_pairs_csv`` or the caller); a
+duplicate interview's rejection text decodes only its own id. A file
+holding an id that ``str.strip`` could change, or one set aside, has all
+its ids decoded, stripped and merged before ranking. A row is rejected
 for its first failing field in header order, non-adjacent quarters
 counting as a field right after ``quarter_to``, with the error text its
 token's table kept when the token failed. A field longer than the csv
@@ -149,20 +151,32 @@ _DTYPES = {**_COLUMNS, "state": _COLUMNS["state_from"], "quarter_to": _COLUMNS["
 _PAIRS_CHUNK = 1 << 14
 
 
-class _PersonIds:
-    """``PanelDataset.person_ids``: a tuple of str, kept as a parse's
-    ``csvblocks.PersonTable`` until the first read decodes it."""
+class _Persons:
+    """``PanelDataset.person_ids`` and ``.person``, kept together as one tuple.
+
+    A parse hands the dataset its ``csvblocks.PersonTable`` as the ids and
+    each row's rank among them as ``person``; the first read of either
+    numbers the ids by first appearance (``PersonTable.numbering``),
+    decodes them, and replaces the tuple whole, so that a thread reads the
+    ranks with the table or the codes with the ids.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, data, owner=None):
         if data is None:
-            raise AttributeError("person_ids")  # the field has no default
-        if isinstance(data._person_ids, csvblocks.PersonTable):
-            object.__setattr__(data, "_person_ids", tuple(data._person_ids.texts()))
-        return data._person_ids
+            raise AttributeError(self.name)  # the field has no default
+        person, ids = data._persons
+        if isinstance(ids, csvblocks.PersonTable):
+            code, ids = ids.numbering()
+            person = code[person]
+            person.setflags(write=False)
+            object.__setattr__(data, "_persons", (person, ids))
+        return person if self.name == "person" else ids
 
-    def __set__(self, data, ids):
-        table = isinstance(ids, csvblocks.PersonTable)
-        object.__setattr__(data, "_person_ids", ids if table else tuple(ids))
+    def __set__(self, data, value):
+        vars(data)[self.name] = value  # read by __post_init__ only: the descriptor hides it
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -173,9 +187,10 @@ class PanelDataset:
     arrival quarter is always the next one. ``state_from`` and ``state_to``
     index STATE_ORDER, ``sex`` indexes SEX_ORDER, ``region`` indexes
     REGION_ORDER and ``person`` indexes ``person_ids``. The constructor
-    copies each column into a read-only array of its fixed dtype. The ids
-    of a parsed file are decoded from its bytes when ``person_ids`` is
-    first read.
+    copies each column into a read-only array of its fixed dtype. A parsed
+    file's ids are ranked by their bytes while parsing, and numbered by
+    first appearance and decoded on the first read of ``person`` or
+    ``person_ids``.
 
     ``cell`` selects a cohort's rows in one quarter. It reads a copy of the
     columns it needs grouped by departure quarter, built on its first use
@@ -183,8 +198,8 @@ class PanelDataset:
     their own row order. The dataset also keeps the last cell it selected.
     """
 
-    person_ids: tuple[str, ...] = _PersonIds()
-    person: np.ndarray
+    person_ids: tuple[str, ...] = _Persons()
+    person: np.ndarray = _Persons()
     quarter: np.ndarray
     state_from: np.ndarray
     state_to: np.ndarray
@@ -196,12 +211,15 @@ class PanelDataset:
     provenance: str
 
     def __post_init__(self):
+        fields = vars(self)  # person_ids and person too, until they are kept as _persons
         for name, dtype in _COLUMNS.items():
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        if len({len(getattr(self, name)) for name in _COLUMNS}) > 1:
+            fields[name] = np.array(fields[name], dtype=dtype)
+            fields[name].setflags(write=False)
+        if len({len(fields[name]) for name in _COLUMNS}) > 1:
             raise ValueError("dataset columns must have equal lengths")
+        ids = fields.pop("person_ids")
+        ids = ids if isinstance(ids, csvblocks.PersonTable) else tuple(ids)
+        object.__setattr__(self, "_persons", (fields.pop("person"), ids))
 
     @classmethod
     def from_pairs(cls, pairs, provenance: str) -> "PanelDataset":
@@ -308,14 +326,6 @@ class PanelDataset:
         # One tuple, replaced whole: a thread reads the old selection or the new one.
         object.__setattr__(self, "_last_cell", (key, cell))
         return cell
-
-    def _take(self, rows) -> "PanelDataset":
-        """The dataset restricted to ``rows`` (a boolean mask or indices), in their order."""
-        return PanelDataset(
-            person_ids=self._person_ids,
-            provenance=self.provenance,
-            **{name: getattr(self, name)[rows] for name in _COLUMNS},
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -449,7 +459,8 @@ def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseRep
     if waves:
         linked, duplicates = link_waves(columns, person_ids, lines, provenance)
         rejections += duplicates
-        columns = {name: getattr(linked, name) for name in _COLUMNS}
+        columns = {name: getattr(linked, name) for name in _COLUMNS if name != "person"}
+        columns["person"] = linked._persons[0]  # the ranks: read as .person, they would be numbered
     return _in_scope(columns, person_ids, provenance, sorted(rejections), n_rows)
 
 
@@ -458,10 +469,11 @@ class _Columns:
 
     A field's tokens are looked up in a table of the tokens met so far, and
     a token new to it is parsed then, once; weights are mostly decoded
-    directly (``csvblocks.DecimalField``), and person ids are numbered in
-    ``result``. A record is rejected for its first failing field in header
-    order, the quarters' adjacency checked right after ``quarter_to``; the
-    reason is the error text the field's table kept for the failed token.
+    directly (``csvblocks.DecimalField``), and person ids are ranked by
+    their bytes in ``result``. A record is rejected for its first failing
+    field in header order, the quarters' adjacency checked right after
+    ``quarter_to``; the reason is the error text the field's table kept for
+    the failed token.
     """
 
     def __init__(self, header, names):
@@ -487,8 +499,12 @@ class _Columns:
                                            for column in (rec.line, rec.long, rec.count))):
             self.rejections.append((line, self.long_field if too_long
                                     else f"wrong field count (expected {k}, got {count})"))
-        at = rec.first[ok][:, None] + np.arange(k)
-        start, end, line = rec.start[at], rec.end[at], rec.line[ok]
+        # The fields of the rows of k fields, k to a row. A blank line of the
+        # numpy split keeps its one empty field, so a record's span of
+        # fields is the gap to the next record's first, not its count.
+        fields = np.repeat(ok, np.diff(rec.first, append=len(rec.start)))
+        start, end = rec.start[fields].reshape(-1, k), rec.end[fields].reshape(-1, k)
+        line = rec.line[ok]
         keep = np.ones(len(line), dtype=bool)  # rows with no failed field so far
         values = {}
         for j, (name, table) in enumerate(self.fields, start=1):
@@ -515,7 +531,7 @@ class _Columns:
         parts = self.parts
         columns = {name: np.concatenate(parts.pop(name) or [np.empty(0, _DTYPES[name])])
                    for name in self.names[1:]}
-        columns[self.names[0]] = self.persons.codes()
+        columns[self.names[0]] = self.persons.ranks()
         lines = np.concatenate(parts.pop("line") or [np.empty(0, dtype=np.int64)])
         return self.persons, columns, lines, self.rejections, self.n_rows
 
@@ -540,67 +556,75 @@ def link_waves(waves, person_ids, lines, provenance: str) -> tuple[PanelDataset,
     """Screen a wave table for duplicate interviews and link the rest into 3-month pairs.
 
     ``waves`` maps each name of ``_WAVE_COLUMNS`` to a column, one entry per
-    interview, ``person`` coding into ``person_ids`` (a tuple of str, or a
-    parse's ``csvblocks.PersonTable``); ``lines`` numbers the rows in
-    increasing order. A (person, quarter) key met more than once with
-    conflicting states rejects every row of the key; repeats that agree keep
-    the first row and reject the others. The kept rows give one pair per
-    person and couple of adjacent quarters, with demographics and weight
-    from the first wave, sorted by (person_id, quarter_from).
+    interview, ``person`` coding into ``person_ids``: a tuple of str, or a
+    parse's ``csvblocks.PersonTable``, whose codes are the ids' ranks.
+    ``lines`` numbers the rows in increasing order. A (person, quarter) key
+    met more than once with conflicting states rejects every row of the
+    key; repeats that agree keep the first row and reject the others. The
+    kept rows give one pair per person and couple of adjacent quarters, with
+    demographics and weight from the first wave, sorted by (person_id,
+    quarter_from).
 
     Returns the pairs and the rejected rows' (line, reason), in line order.
     """
+    person, quarter = waves["person"], waves["quarter"]
     table = isinstance(person_ids, csvblocks.PersonTable)
-    if table:  # ranked by the ids' bytes, decoding none of them
-        by_id = person_ids.order()
+    if table:  # ranked by the ids' bytes while parsing, decoding none of them
+        rank, n_ids = person, len(person_ids)
     else:
         by_id = sorted(range(len(person_ids)), key=person_ids.__getitem__)
-    rank = np.empty(len(by_id), dtype=np.int64)
-    rank[by_id] = np.arange(len(by_id))
-    # One stable sort (a key keeps file order) of (rank, quarter) as one key, cast to
-    # the narrowest type that holds it, as in PanelDataset._by_quarter.
-    quarter = waves["quarter"]
-    low, span = (int(quarter.min()), int(quarter.max() - quarter.min()) + 1) if len(quarter) else (0, 1)
-    key = rank[waves["person"]] * span + (quarter - low)
-    order = np.argsort(key.astype(np.min_scalar_type(len(rank) * span)), kind="stable")
-    person, quarter = waves["person"][order], quarter[order]
+        ranks = np.empty(len(by_id), dtype=np.int64)
+        ranks[by_id] = np.arange(len(by_id))
+        rank, n_ids = ranks[person], len(by_id)
+    # (rank, quarter) as one key, with a spare quarter after the last, so that
+    # key + 1 is the same person's next quarter; sorted once, stably (a key
+    # keeps file order), in the narrowest type that holds it, as in
+    # PanelDataset._by_quarter.
+    low, span = (int(quarter.min()), int(quarter.max() - quarter.min()) + 2) if len(quarter) else (0, 2)
+    key = (rank * span + (quarter - low)).astype(np.min_scalar_type(n_ids * span))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     keep = np.ones(len(order), dtype=bool)  # the first row of each key, in sorted position
-    keep[1:] = (person[1:] != person[:-1]) | (quarter[1:] != quarter[:-1])
+    keep[1:] = key[1:] != key[:-1]
 
-    state, rejections = waves["state"], []
-    starts = np.flatnonzero(keep)
-    sizes = np.diff(np.append(starts, len(order)))
-    repeated = sizes > 1
-    if repeated.any():
-        ordered = state[order]
-        conflict = np.minimum.reduceat(ordered, starts) != np.maximum.reduceat(ordered, starts)
-        at = iter(np.asarray(lines)[order[np.repeat(repeated, sizes)]].tolist())  # key by key
-        starts, sizes, conflict = starts[repeated], sizes[repeated], conflict[repeated]
-        keep[starts[conflict]] = False
-        people, quarters = person[starts].tolist(), quarter[starts].tolist()
+    rejections = []
+    if not keep.all():  # screen the rows of repeated keys only
+        repeated = ~keep
+        repeated[:-1] |= ~keep[1:]
+        at = np.flatnonzero(repeated)  # their sorted positions, key by key, each key in file order
+        head = keep[at]                # a key's first row
+        which = np.cumsum(head) - 1    # each row's key among the repeated keys
+        heads = np.flatnonzero(head)
+        states = waves["state"][order[at]]
+        conflict = np.minimum.reduceat(states, heads) != np.maximum.reduceat(states, heads)
+        keep[at[heads[conflict]]] = False
+        people, quarters = np.divmod(key[at[heads]], span)
         ids = np.unique(people)  # only the ids of repeated interviews are decoded
         names = dict(zip(ids.tolist(), person_ids.texts(ids) if table else
-                         [person_ids[p] for p in ids.tolist()]))
-        labels = {q: str(QuarterId.from_ordinal(q)) for q in set(quarters)}
-        for p, q, size, bad in zip(people, quarters, sizes.tolist(), conflict.tolist()):
-            rows = list(itertools.islice(at, size))
-            key = f"person {names[p]!r} at {labels[q]}"
-            if bad:
-                rejections += [(line, f"conflicting duplicate states for {key}") for line in rows]
-            else:
-                rejections += [(line, f"duplicate of line {rows[0]} ({key})") for line in rows[1:]]
+                         [person_ids[by_id[r]] for r in ids.tolist()]))
+        labels = {q: str(QuarterId.from_ordinal(q + low)) for q in np.unique(quarters).tolist()}
+        keys = [f"person {names[p]!r} at {labels[q]}"
+                for p, q in zip(people.tolist(), quarters.tolist())]
+        row_lines = np.asarray(lines)[order[at]]
+        first_lines, bad = row_lines[heads].tolist(), conflict.tolist()
+        rejected = np.flatnonzero(~head | conflict[which])
+        rejected = rejected[np.argsort(row_lines[rejected])]  # in line order
+        rejections = [
+            (line, f"conflicting duplicate states for {keys[k]}" if bad[k]
+             else f"duplicate of line {first_lines[k]} ({keys[k]})")
+            for line, k in zip(row_lines[rejected].tolist(), which[rejected].tolist())]
 
-    kept, person, quarter = order[keep], person[keep], quarter[keep]
-    linked = (person[1:] == person[:-1]) & (quarter[1:] == quarter[:-1] + 1)
-    first, second = kept[:-1][linked], kept[1:][linked]
+    kept, key = order[keep], key[keep]
+    pair = np.flatnonzero(key[1:] == key[:-1] + 1)  # a kept row and the next make a pair
+    first, second = kept[pair], kept[pair + 1]
     dataset = PanelDataset(
         person_ids=person_ids,
         provenance=provenance,
-        state_from=state[first],
-        state_to=state[second],
+        state_from=waves["state"][first],
+        state_to=waves["state"][second],
         **{name: waves[name][first] for name in _WAVE_COLUMNS if name != "state"},
     )
-    return dataset, sorted(rejections)
+    return dataset, rejections
 
 
 def _sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from lmflows.states import (
     Sex,
 )
 
-from oracles import cohort_matches, tabulate_transitions
+from oracles import PAIR_COLUMNS, cohort_matches, tabulate_transitions
 
 START = QuarterId(2019, 3)
 
@@ -224,7 +224,9 @@ def test_quarter_grouping_is_built_once_per_dataset(monkeypatch):
                 with pytest.raises(EmptyCohortError):
                     compute_shares(data, START.plus(q), cohort)
     assert len(sorts) == 1
-    part = data._take(data.sex == 0)
+    mask = data.sex == 0
+    part = PanelDataset(person_ids=data.person_ids, provenance=data.provenance,
+                        **{name: getattr(data, name)[mask] for name in PAIR_COLUMNS})
     assert "_by_quarter" not in vars(part)
     compute_shares(part, START)
     estimate_transition_matrix(part, START.plus(1), min_support=0.0)

@@ -27,7 +27,7 @@ from lmflows.states import (
 )
 
 from conftest import random_stochastic
-from oracles import tabulate_transitions
+from oracles import PAIR_COLUMNS, tabulate_transitions
 
 Q1 = QuarterId(2019, 1)
 Q2 = QuarterId(2019, 2)
@@ -327,8 +327,13 @@ class TestCellSelectionMemo:
             return str(exc)
 
     @staticmethod
-    def fresh(data):
-        return data._take(slice(None))
+    def restricted(data, rows):
+        """A new dataset of ``data``'s ``rows`` (a mask or a slice), from the constructor."""
+        return PanelDataset(person_ids=data.person_ids, provenance=data.provenance,
+                            **{name: getattr(data, name)[rows] for name in PAIR_COLUMNS})
+
+    def fresh(self, data):
+        return self.restricted(data, slice(None))
 
     def requests(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -353,10 +358,11 @@ class TestCellSelectionMemo:
         half = np.arange(len(data)) % 2 == 0
         for kind, cell in self.requests(3, 30):
             self.answer(data, kind, cell)
-            want = self.answer(self.fresh(panel)._take(half), kind, cell)
-            assert self.answer(data._take(half), kind, cell) == want
+            want = self.answer(self.restricted(self.fresh(panel), half), kind, cell)
+            assert self.answer(self.restricted(data, half), kind, cell) == want
         first = self.CELLS[0]
-        assert self.answer(data._take(half), "shares", first) != self.answer(data, "shares", first)
+        part = self.restricted(data, half)
+        assert self.answer(part, "shares", first) != self.answer(data, "shares", first)
 
     def test_threads_read_what_a_fresh_dataset_gives(self, panel):
         data = self.fresh(panel)

@@ -343,6 +343,37 @@ def wave_tables(draw):
     return waves, tuple(person_ids), lines
 
 
+@st.composite
+def repeated_wave_tables(draw, ids=LINK_IDS):
+    """(wave columns as lists, person_ids, lines) in which the first and the
+    last (person_id, quarter) key and a few others are met 3 to 5 times,
+    the copies of a key agreeing or one conflicting copy among agreeing
+    ones in file order, shuffled among the other keys' rows."""
+    person_ids = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=5, unique=True))
+    demographics = st.tuples(st.integers(14, 36), st.integers(0, 1), st.booleans(),
+                             st.integers(0, 2), st.sampled_from([0.5, 1.0, 2.25, 650.0]))
+    keys = draw(st.lists(st.tuples(st.integers(0, len(person_ids) - 1),
+                                   st.integers(FIRST_QUARTER, FIRST_QUARTER + 5)),
+                         min_size=1, max_size=12, unique=True))
+    by_id = sorted(keys, key=lambda key: (person_ids[key[0]], key[1]))
+    repeated = {by_id[0], by_id[-1], *draw(st.lists(st.sampled_from(keys), max_size=3))}
+    groups = []  # each key's rows, in the file order they must keep
+    for key in keys:
+        state = draw(st.integers(0, 2))
+        states = [state] * (draw(st.integers(3, 5)) if key in repeated else 1)
+        if len(states) > 2 and draw(st.booleans()):
+            states[draw(st.integers(1, len(states) - 2))] = (state + 1) % 3
+        groups.append([(*key, s, *draw(demographics)) for s in states])
+    slots = iter(draw(st.permutations(range(sum(map(len, groups))))))
+    placed = sorted((slot, row) for group in groups
+                    for slot, row in zip(sorted(itertools.islice(slots, len(group))), group))
+    rows = [row for _, row in placed]
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    lines = list(itertools.accumulate(gaps, initial=1))[1:]
+    waves = {name: [row[i] for row in rows] for i, name in enumerate(panel._WAVE_COLUMNS)}
+    return waves, tuple(person_ids), lines
+
+
 class TestLinkWavesAgainstLoop:
     @settings(max_examples=300, deadline=None)
     @given(wave_tables())
@@ -357,6 +388,45 @@ class TestLinkWavesAgainstLoop:
             assert getattr(data, name).dtype == dtype, name
             assert getattr(data, name).tolist() == want[name], name
         assert rejections == want_rejections
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_wave_tables())
+    def test_repeated_keys_match_the_loop(self, table):
+        """Keys met 3 or more times, conflicts among agreeing copies, repeats
+        on the first and the last key: the screen reads only repeated rows."""
+        waves, person_ids, lines = table
+        columns = {name: np.array(column, dtype=panel._DTYPES[name])
+                   for name, column in waves.items()}
+        data, rejections = panel.link_waves(columns, person_ids, np.array(lines), "loop")
+        want, want_rejections = oracles.link_by_loop(waves, person_ids, lines)
+        for name in panel._COLUMNS:
+            assert getattr(data, name).tolist() == want[name], name
+        assert rejections == want_rejections
+
+    @settings(max_examples=100, deadline=None)
+    @given(repeated_wave_tables(ids=[pid for pid in LINK_IDS if pid == pid.strip()]))
+    def test_repeated_keys_parse_like_the_loop(self, tmp_path_factory, table):
+        """The same tables written as wave files (blank lines for the gaps
+        between line numbers) and parsed: the linker reads the parse's ranks."""
+        waves, person_ids, lines = table
+        rows = zip(*(waves[name] for name in panel._WAVE_COLUMNS))
+        text = {line: ",".join([person_ids[p], str(QuarterId.from_ordinal(q)),
+                                panel.STATE_ORDER[s].name, str(age), panel.SEX_ORDER[sex].name,
+                                str(int(cit)), panel.REGION_ORDER[region].name, repr(weight)])
+                for line, (p, q, s, age, sex, cit, region, weight) in zip(lines, rows)}
+        path = tmp_path_factory.mktemp("waves") / "w.csv"
+        path.write_text(WAVE_HEAD + "\n" + "".join(text.get(line, "") + "\n"
+                                                   for line in range(2, max(lines) + 1)),
+                        encoding="utf-8")
+        data, report = parse_panel_file(path)
+        want, want_rejections = oracles.link_by_loop(waves, person_ids, lines)
+        scope = [15 <= age <= 34 for age in want["age"]]
+        want["person"] = [person_ids[p] for p in want["person"]]
+        got = {name: getattr(data, name).tolist() for name in panel._COLUMNS}
+        got["person"] = [data.person_ids[p] for p in got["person"]]
+        for name in panel._COLUMNS:
+            assert got[name] == [value for value, ok in zip(want[name], scope) if ok], name
+        assert report.rejections == tuple(want_rejections)
 
 
 def test_link_waves_orders_pairs_by_a_sort_key_past_32_bits():

@@ -13,8 +13,12 @@ must raise PanelFormatError naming the line of the first bad byte.
 """
 
 import codecs
+import concurrent.futures
 import csv
+import io
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmflows import csvblocks, panel
-from lmflows.errors import PanelFormatError
+from lmflows.errors import EmptyCohortError, PanelFormatError
+from lmflows.estimation import compute_shares, estimate_transition_matrix
+from lmflows.states import AgeBand, CohortFilter, Sex
 
 import oracles
 
@@ -252,9 +258,11 @@ ODD_IDS = [" A", "A　", "A\x1c", "\x85A", "Ä", "A\x00", "\x00", "L" * 70, " " 
 
 
 # Ids that sort differently by their little-endian keys and by code point,
-# and ids of 9 to 64 bytes, which make the keys S<n>.
+# and ids of 9 to 64 bytes, which make the keys S<n>; the ASCII ones leave
+# an id that is only set aside to be ranked with ids strip cannot change.
 PLAIN_IDS = {"short": ["B", "A", "ß", "AB", "A\x00B", "Z", "BA"],
-             "wide": ["B", "A", "ß", "L" * 64, "L" * 63 + "M", "Z", "A "]}
+             "wide": ["B", "A", "ß", "L" * 64, "L" * 63 + "M", "Z", "A "],
+             "ascii": ["B", "A", "AB", "A\x00B", "Z", "BA", "L" * 9]}
 
 
 @pytest.mark.parametrize("odd", ODD_IDS, ids=ascii)
@@ -337,3 +345,145 @@ def test_crlf_parses_as_its_lf_original_by_the_numpy_split(tmp_path, monkeypatch
     lone = crlf.replace(b"\r\n", b"\r", 1)  # a lone carriage return ends the header
     monkeypatch.undo()
     assert_parses_like_the_loop(lone, block_bytes, csv.field_size_limit())
+
+
+# Records set apart before any field is read: too few and too many fields,
+# blank and whitespace-only lines, and a field past the csv limit (16 here).
+SET_APART = {"short": "S,2019.1,2019.2", "wide": "W,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1,9",
+             "blank": "", "space": "  ", "over-long": "O" * 20 + ",2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1"}
+# Kinds side by side, and between clean rows.
+LAYOUT = ["clean", "short", "blank", "over-long", "clean", "wide", "space", "short", "clean",
+          "blank", "clean", "over-long", "wide", "clean", "space", "blank", "wide", "over-long",
+          "space", "short", "clean"]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["numpy-split", "some-by-csv-reader"])
+def test_field_ranges_around_records_set_apart(quoted):
+    """A block's rows of the header's field count are read from a compress of
+    its field ranges; records set apart first in a block, last in a block
+    and side by side must not shift the ranges of the rows around them."""
+    lines = [SET_APART[kind] if kind in SET_APART else
+             (f'"C{i}"' if quoted and i % 2 else f"C{i}") + f",2019.1,2019.2,EDU,TE,2{i % 10},F,1,SOUTH,1.5"
+             for i, kind in enumerate(LAYOUT)]
+    raw = "".join(line + "\n" for line in [PAIR_HEAD, *lines]).encode()
+    kind_of = dict(zip(lines, LAYOUT))
+    seen = set()
+    for block_bytes in range(16, 160):
+        assert_parses_like_the_loop(raw, block_bytes, 16)
+        csvblocks.BLOCK_BYTES, saved = block_bytes, csvblocks.BLOCK_BYTES
+        try:
+            blocks = [block.decode().split("\n")[:-1] for block in csvblocks._blocks(io.BytesIO(raw))]
+        finally:
+            csvblocks.BLOCK_BYTES = saved
+        for block in blocks:
+            seen |= {("first", kind_of.get(block[0])), ("last", kind_of.get(block[-1]))}
+    assert {(end, kind) for end in ("first", "last") for kind in SET_APART} <= seen
+
+
+# Characters of person ids: ASCII, whitespace and a separator that strip
+# removes at either end (ASCII, NEL, ideographic space, 0x1c), NUL, and
+# letters of 2 and 3 UTF-8 bytes.
+ID_CHARS = ["A", "b", "Z", "0", " ", "\t", "\x1c", "\x85", "　", "\x00", "Ä", "ß", "日"]
+# Ids strip cannot change: an ASCII letter or digit at each end, up to 32 bytes.
+PLAIN_ID = st.one_of(st.sampled_from("AbZ0"), st.builds(
+    lambda head, middle, tail: head + middle + tail, st.sampled_from("AbZ0"),
+    st.text(st.sampled_from(ID_CHARS), max_size=10), st.sampled_from("AZ0")))
+# Ids that may begin or end in any of them, or in NUL, and ids of 63 to 71
+# bytes, either side of the 64 past which an id is set aside.
+ODD_ID = st.one_of(st.text(st.sampled_from(ID_CHARS), max_size=4),
+                   st.text(st.sampled_from(ID_CHARS), min_size=1, max_size=3).map(lambda t: "L" * 62 + t))
+FIRST = panel.QuarterId(2019, 1)
+
+
+@st.composite
+def id_panels(draw, layout):
+    """A clean file of few people, some with odd ids (in about half the files),
+    some rows out of the age scope and some rejected for their age."""
+    ids = st.one_of(PLAIN_ID, ODD_ID) if draw(st.booleans()) else PLAIN_ID
+    people = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    rows = draw(st.lists(st.tuples(st.sampled_from(people), st.integers(0, 3),
+                                   st.sampled_from(["EDU", "TE", "U"]),
+                                   st.sampled_from(["21", "30", "14", "35", "XX"])), max_size=30))
+    if layout == "pair_rows":
+        body = [f"{pid},{FIRST.plus(q)},{FIRST.plus(q + 1)},{s},TE,{age},F,1,SOUTH,1"
+                for pid, q, s, age in rows]
+    else:
+        body = [f"{pid},{FIRST.plus(q)},{s},{age},F,1,SOUTH,1" for pid, q, s, age in rows]
+    header = panel.PAIR_HEADER if layout == "pair_rows" else panel.WAVE_HEADER
+    return "".join(line + "\n" for line in [",".join(header), *body])
+
+
+def numbered(data, person_first):
+    """(person_ids, person as a list), the one ``person_first`` names read first."""
+    if person_first:
+        person = data.person.tolist()
+        return data.person_ids, person
+    person_ids = data.person_ids
+    return person_ids, data.person.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), layout=st.sampled_from(["pair_rows", "wave_rows"]),
+       block_bytes=st.sampled_from([64, csvblocks.BLOCK_BYTES]), person_first=st.booleans())
+def test_ids_are_numbered_by_first_appearance_when_read(data, layout, block_bytes, person_first):
+    """person_ids and person are the loop's first-appearance numbering, read
+    right after the parse or after every cell has been estimated; and no
+    cell's shares or matrix number the ids."""
+    text = data.draw(id_panels(layout))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        path.write_text(text, encoding="utf-8")
+        _, person_ids, table, lines, _, _ = oracles.read_panel_by_loop(path)
+        if layout == "wave_rows":
+            table, _ = oracles.link_by_loop(table, person_ids, lines)
+        person = [p for p, age in zip(table["person"], table["age"]) if 15 <= age <= 34]
+        saved, csvblocks.BLOCK_BYTES = csvblocks.BLOCK_BYTES, block_bytes
+        try:
+            read_now, _ = panel.parse_panel_file(path)
+            read_later, _ = panel.parse_panel_file(path)
+        finally:
+            csvblocks.BLOCK_BYTES = saved
+    assert numbered(read_now, person_first) == (person_ids, person)
+
+    def refuse(self):
+        raise AssertionError("the ids were numbered")
+
+    numbering, csvblocks.PersonTable.numbering = csvblocks.PersonTable.numbering, refuse
+    try:
+        for quarter in (FIRST.plus(q) for q in range(4)):
+            for cohort in (CohortFilter(), CohortFilter(age_band=AgeBand.LATE_YOUNG, sex=Sex.F)):
+                try:
+                    compute_shares(read_later, quarter, cohort)
+                    estimate_transition_matrix(read_later, quarter, cohort, min_support=0.0)
+                except EmptyCohortError:
+                    pass
+    finally:
+        csvblocks.PersonTable.numbering = numbering
+    assert numbered(read_later, person_first) == (person_ids, person)
+
+
+def test_threads_reading_the_ids_of_one_parse_agree(tmp_path):
+    """The first reads of person and person_ids race: every thread must see
+    codes with the ids they index, never ranks with ids or codes twice mapped."""
+    n = 3000
+    rows = [f"{'BA'[i % 2]}{(i * 7919) % n:05d},2020.1,2020.2,EDU,TE,21,F,1,NORTH,1" for i in range(n)]
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join([PAIR_HEAD, *rows, *rows[::-3]]) + "\n", encoding="utf-8")
+    _, person_ids, table, _, _, _ = oracles.read_panel_by_loop(path)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            data, _ = panel.parse_panel_file(path)
+            start = threading.Barrier(8)
+
+            def read(k):
+                start.wait(timeout=60)
+                return numbered(data, k % 2 == 0)
+
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                results = [future.result(timeout=60) for future in
+                           [pool.submit(read, k) for k in range(8)]]
+            assert all(result == (person_ids, table["person"]) for result in results)
+    finally:
+        sys.setswitchinterval(switch)
