@@ -23,8 +23,8 @@ error text, the reason of the rows that hold it. ``DecimalField`` decodes
 a column of decimal numbers with numpy, exactly, and keeps only the tokens
 it cannot decode that way in a table. ``PersonTable`` keeps the keys of
 every row, ranks the distinct ones by their bytes once the whole file is
-read, numbers them by first appearance only when they are first read, and
-decodes them only then.
+read and numbers them by first appearance then, but decodes them only when
+they are first read.
 """
 
 import codecs
@@ -420,33 +420,30 @@ _STRIPPABLE[0x80:] = True
 
 
 class PersonTable(_Table):
-    """The person id tokens of a file's admitted rows, ranked once the file is read.
+    """The person id tokens of a file's admitted rows, ranked and numbered once the file is read.
 
     ``ranks`` sorts the keys once, in byte order, and gives each row the
     rank of its id among the distinct ids; UTF-8 bytes sort in code-point
     order, so the ranks order the ids as ``link_waves`` does (a uint64 key
-    byte-swapped to big-endian, an ``S<n>`` key as it is). The table then
-    holds the distinct ids as ``keys``, in rank order, decoded only when
-    read (``texts``), and the first row of each. ``numbering`` turns ranks
-    into the codes the dataset promises, by order of first appearance; the
-    dataset asks for it on the first read of ``person`` or ``person_ids``.
-    If any id could be changed by strip (its first or last byte is
-    whitespace or not ASCII), or was set aside, every id is decoded and
-    stripped while ranking instead, ids equal once stripped sharing a rank,
-    and the table holds their texts as ``ids``.
+    byte-swapped to big-endian, an ``S<n>`` key as it is). With them it
+    gives each rank's code, the codes numbering the ids by their first row.
+    The table then holds the distinct ids as ``keys``, in rank order,
+    decoded only when read: ``texts`` for some ranks, ``decoded`` for all
+    of them in code order. If any id could be changed by strip (its first
+    or last byte is whitespace or not ASCII), or any was set aside (see
+    ``_Table``), every id is decoded and stripped while ranking instead,
+    ids equal once stripped sharing a rank, and ``keys`` holds their texts.
     """
 
     def __init__(self):
         super().__init__()
         self.parts: list[np.ndarray] = []
         self.keys = np.empty(0, dtype=np.uint64)
-        self.ids: list[str] | None = None
-        self.first = np.empty(0, dtype=np.int64)
+        self.by_code = np.empty(0, dtype=np.uint8)  # the rank of each code
         self.strippable = False  # whether an id met so far begins or ends in a _STRIPPABLE byte
-        self._numbering = None
 
     def __len__(self) -> int:
-        return len(self.first)
+        return len(self.by_code)
 
     def add(self, rec: Records, start, end) -> None:
         """Keep the keys of the person ids ``rec.data[start:end]`` of a batch's admitted rows."""
@@ -456,8 +453,9 @@ class PersonTable(_Table):
             last = _STRIPPABLE[np.frombuffer(rec.data, np.uint8)[end - 1]] & (end > start)
             self.strippable = bool((_STRIPPABLE[keys.view(np.uint8)[::keys.itemsize]] | last).any())
 
-    def ranks(self) -> np.ndarray:
-        """Each row's rank among the distinct ids, in code-point order."""
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(each row's rank among the distinct ids, in code-point order; each
+        rank's code, the ids numbered in order of their first row)."""
         parts = self.parts or [np.empty(0, dtype=np.uint64)]
         if any(part.dtype != np.uint64 for part in parts):
             width = max(part.itemsize for part in parts)
@@ -477,37 +475,34 @@ class PersonTable(_Table):
         new = np.ones(n, dtype=bool)
         new[1:] = ordered[1:] != ordered[:-1]
         starts = np.flatnonzero(new)  # gathers: faster than compressing by a scattered mask
-        self.first = order[starts].astype(np.min_scalar_type(n))
+        first = order[starts]
         self.keys = ordered[starts]
         del ordered, starts
         rank = np.cumsum(new)  # of each sorted row, from 1
         rank -= 1
         if self.strippable or self.aside:
-            ids = [text.strip() for text in self._texts(self.keys)]
-            self.ids = sorted(set(ids))  # raw ids that differ only in padding share a rank
-            index = {pid: r for r, pid in enumerate(self.ids)}
-            merged = np.array([index[pid] for pid in ids], dtype=np.int64)
-            first = np.full(len(self.ids), n, dtype=self.first.dtype)
-            np.minimum.at(first, merged, self.first)
-            rank, self.first = merged[rank], first
+            ids = np.array([text.strip() for text in self._texts(self.keys)], dtype=object)
+            # Raw ids that differ only in padding share a rank; str sorts by code point.
+            self.keys, merged = np.unique(ids, return_inverse=True)
+            merged_first = np.full(len(self.keys), n, dtype=first.dtype)
+            np.minimum.at(merged_first, merged, first)
+            rank, first = merged[rank], merged_first
         ranks[order] = rank
-        return ranks
+        # In the narrowest type that holds them: the table keeps by_code, and
+        # the parse gathers every row's code.
+        self.by_code = np.argsort(first).astype(np.min_scalar_type(len(first)))
+        code = np.empty_like(self.by_code)
+        code[self.by_code] = np.arange(len(first), dtype=code.dtype)
+        return ranks, code
 
     def texts(self, ranks) -> list[str]:
         """The ids of ``ranks``."""
-        if self.ids is not None:
-            return [self.ids[r] for r in ranks.tolist()]
-        return self._texts(self.keys[ranks])
+        keys = self.keys[ranks]
+        return keys.tolist() if keys.dtype == object else self._texts(keys)
 
-    def numbering(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        """(the code of each rank, the ids in code order): codes number the ids
-        in order of their first row. Worked out on the first call and kept."""
-        if self._numbering is None:
-            by_first = np.argsort(self.first)
-            code = np.empty(len(by_first), dtype=np.int64)
-            code[by_first] = np.arange(len(by_first))
-            self._numbering = code, tuple(self.texts(by_first))
-        return self._numbering
+    def decoded(self) -> tuple[str, ...]:
+        """The ids in code order."""
+        return tuple(self.texts(self.by_code))
 
 
 # 10**k for k = 0..15, each exact in float64.

@@ -49,12 +49,13 @@ looked up in a table of the tokens met so far, hash-indexed while it is
 small, and a token new to the table is parsed once; but weights are
 decoded directly where they can be, and person ids are ranked by their
 bytes, with one sort once the whole file is read; ``link_waves`` orders
-people by those ranks. The ids are numbered by first appearance, and
-decoded to text, on the first read of ``PanelDataset.person`` or
-``.person_ids`` (by ``.pairs``, ``write_pairs_csv`` or the caller); a
-duplicate interview's rejection text decodes only its own id. A file
-holding an id that ``str.strip`` could change, or one set aside, has all
-its ids decoded, stripped and merged before ranking. A row is rejected
+people by those ranks, and the parse then numbers the ids once by first
+appearance. The ids are decoded to text on the first read of
+``PanelDataset.person_ids`` (by ``.pairs``, ``write_pairs_csv`` or the
+caller); a duplicate interview's rejection text decodes only its own id.
+A file holding an id that ``str.strip`` could change, or one set aside
+(over 64 bytes or NUL-ended), has all its ids decoded, stripped and merged
+before ranking. A row is rejected
 for its first failing field in header order, non-adjacent quarters
 counting as a field right after ``quarter_to``, with the error text its
 token's table kept when the token failed. A field longer than the csv
@@ -151,32 +152,31 @@ _DTYPES = {**_COLUMNS, "state": _COLUMNS["state_from"], "quarter_to": _COLUMNS["
 _PAIRS_CHUNK = 1 << 14
 
 
-class _Persons:
-    """``PanelDataset.person_ids`` and ``.person``, kept together as one tuple.
+# The values a checked column may hold, as (lowest, highest); NaN lies outside
+# every range. A quarter is a departure, so the last a file can hold is 9999.3.
+_RANGES = {
+    "quarter": (QuarterId(1900, 1).ordinal, _LAST_QUARTER.ordinal - 1),
+    **dict.fromkeys(("state_from", "state_to"), (0, N_STATES - 1)),
+    "sex": (0, len(SEX_ORDER) - 1),
+    "region": (0, len(REGION_ORDER) - 1),
+    "weight": (math.ulp(0.0), sys.float_info.max),  # finite and positive
+}
 
-    A parse hands the dataset its ``csvblocks.PersonTable`` as the ids and
-    each row's rank among them as ``person``; the first read of either
-    numbers the ids by first appearance (``PersonTable.numbering``),
-    decodes them, and replaces the tuple whole, so that a thread reads the
-    ranks with the table or the codes with the ids.
-    """
 
-    def __set_name__(self, owner, name):
-        self.name = name
+class _PersonIds:
+    """``PanelDataset.person_ids``: a tuple, or a parse's ``csvblocks.PersonTable``
+    until the first read decodes it and keeps the tuple."""
 
     def __get__(self, data, owner=None):
         if data is None:
-            raise AttributeError(self.name)  # the field has no default
-        person, ids = data._persons
+            raise AttributeError("person_ids")  # the field has no default
+        ids = vars(data)["person_ids"]
         if isinstance(ids, csvblocks.PersonTable):
-            code, ids = ids.numbering()
-            person = code[person]
-            person.setflags(write=False)
-            object.__setattr__(data, "_persons", (person, ids))
-        return person if self.name == "person" else ids
+            ids = vars(data)["person_ids"] = ids.decoded()
+        return ids
 
     def __set__(self, data, value):
-        vars(data)[self.name] = value  # read by __post_init__ only: the descriptor hides it
+        vars(data)["person_ids"] = value if isinstance(value, csvblocks.PersonTable) else tuple(value)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -187,10 +187,12 @@ class PanelDataset:
     arrival quarter is always the next one. ``state_from`` and ``state_to``
     index STATE_ORDER, ``sex`` indexes SEX_ORDER, ``region`` indexes
     REGION_ORDER and ``person`` indexes ``person_ids``. The constructor
-    copies each column into a read-only array of its fixed dtype. A parsed
-    file's ids are ranked by their bytes while parsing, and numbered by
-    first appearance and decoded on the first read of ``person`` or
-    ``person_ids``.
+    copies each column into a read-only array of its fixed dtype and
+    raises ValueError, naming the column and its first bad value, for a
+    code outside its table, a departure quarter outside 1900.1-9999.3 or a
+    weight that is not finite and positive. A parsed file's ids are
+    numbered by first appearance while parsing, and decoded on the first
+    read of ``person_ids``.
 
     ``cell`` selects a cohort's rows in one quarter. It reads a copy of the
     columns it needs grouped by departure quarter, built on its first use
@@ -198,8 +200,8 @@ class PanelDataset:
     their own row order. The dataset also keeps the last cell it selected.
     """
 
-    person_ids: tuple[str, ...] = _Persons()
-    person: np.ndarray = _Persons()
+    person_ids: tuple[str, ...] = _PersonIds()
+    person: np.ndarray
     quarter: np.ndarray
     state_from: np.ndarray
     state_to: np.ndarray
@@ -211,15 +213,18 @@ class PanelDataset:
     provenance: str
 
     def __post_init__(self):
-        fields = vars(self)  # person_ids and person too, until they are kept as _persons
+        fields = vars(self)
+        ranges = {"person": (0, len(fields["person_ids"]) - 1), **_RANGES}  # len() decodes no id
         for name, dtype in _COLUMNS.items():
-            fields[name] = np.array(fields[name], dtype=dtype)
+            column = np.asarray(fields[name])  # checked as given: the cast could wrap it into range
+            low, high = ranges.get(name, (-math.inf, math.inf))
+            if len(column) and not low <= column.min() <= column.max() <= high:  # NaN fails too
+                bad = column[~((column >= low) & (column <= high))][0].item()
+                raise ValueError(f"dataset column {name} holds {bad!r}, outside {low!r}..{high!r}")
+            fields[name] = np.array(column, dtype=dtype)
             fields[name].setflags(write=False)
         if len({len(fields[name]) for name in _COLUMNS}) > 1:
             raise ValueError("dataset columns must have equal lengths")
-        ids = fields.pop("person_ids")
-        ids = ids if isinstance(ids, csvblocks.PersonTable) else tuple(ids)
-        object.__setattr__(self, "_persons", (fields.pop("person"), ids))
 
     @classmethod
     def from_pairs(cls, pairs, provenance: str) -> "PanelDataset":
@@ -453,15 +458,13 @@ def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseRep
         for rec in itertools.chain([first.after_first()], batches):
             table.add(rec)
             del rec  # not kept while the next batch is read
-    person_ids, columns, lines, rejections, n_rows = table.result()
+    person_ids, code, columns, lines, rejections, n_rows = table.result()
     del table, first  # the token tables and first block are not kept while linking and copying
-    provenance = f"{detected}:{path}"
     if waves:
-        linked, duplicates = link_waves(columns, person_ids, lines, provenance)
+        columns, duplicates = link_waves(columns, person_ids, lines)
         rejections += duplicates
-        columns = {name: getattr(linked, name) for name in _COLUMNS if name != "person"}
-        columns["person"] = linked._persons[0]  # the ranks: read as .person, they would be numbered
-    return _in_scope(columns, person_ids, provenance, sorted(rejections), n_rows)
+    columns["person"] = code[columns["person"]]
+    return _in_scope(columns, person_ids, f"{detected}:{path}", sorted(rejections), n_rows)
 
 
 class _Columns:
@@ -470,10 +473,10 @@ class _Columns:
     A field's tokens are looked up in a table of the tokens met so far, and
     a token new to it is parsed then, once; weights are mostly decoded
     directly (``csvblocks.DecimalField``), and person ids are ranked by
-    their bytes in ``result``. A record is rejected for its first failing
-    field in header order, the quarters' adjacency checked right after
-    ``quarter_to``; the reason is the error text the field's table kept for
-    the failed token.
+    their bytes and numbered in ``result``. A record is rejected for its
+    first failing field in header order, the quarters' adjacency checked
+    right after ``quarter_to``; the reason is the error text the field's
+    table kept for the failed token.
     """
 
     def __init__(self, header, names):
@@ -526,14 +529,15 @@ class _Columns:
         self.parts["line"].append(line[keep])
 
     def result(self):
-        """(the person ids, as a PersonTable, columns, line numbers of admitted
-        rows, unsorted rejections, rows read)."""
+        """(the person ids, as a PersonTable, the code of each rank among them,
+        columns with ``person`` as ranks, line numbers of admitted rows,
+        unsorted rejections, rows read)."""
         parts = self.parts
         columns = {name: np.concatenate(parts.pop(name) or [np.empty(0, _DTYPES[name])])
                    for name in self.names[1:]}
-        columns[self.names[0]] = self.persons.ranks()
+        columns[self.names[0]], code = self.persons.ranks()
         lines = np.concatenate(parts.pop("line") or [np.empty(0, dtype=np.int64)])
-        return self.persons, columns, lines, self.rejections, self.n_rows
+        return self.persons, code, columns, lines, self.rejections, self.n_rows
 
 
 def _in_scope(columns, person_ids, provenance: str, rejections,
@@ -552,36 +556,30 @@ def _in_scope(columns, person_ids, provenance: str, rejections,
     return dataset, report
 
 
-def link_waves(waves, person_ids, lines, provenance: str) -> tuple[PanelDataset, list]:
+def link_waves(waves, person_ids, lines) -> tuple[dict[str, np.ndarray], list]:
     """Screen a wave table for duplicate interviews and link the rest into 3-month pairs.
 
-    ``waves`` maps each name of ``_WAVE_COLUMNS`` to a column, one entry per
-    interview, ``person`` coding into ``person_ids``: a tuple of str, or a
-    parse's ``csvblocks.PersonTable``, whose codes are the ids' ranks.
-    ``lines`` numbers the rows in increasing order. A (person, quarter) key
-    met more than once with conflicting states rejects every row of the
+    ``waves`` maps each name of ``_WAVE_COLUMNS`` to an array, one entry per
+    interview, ``person`` holding the rank of its id among ``person_ids``, a
+    parse's ``csvblocks.PersonTable``, in code-point order; of the table, the
+    linker reads only its length and the ``texts`` of duplicated ids.
+    ``lines``, an array, numbers the rows in increasing order. A (person,
+    quarter) key met more than once with conflicting states rejects every row of the
     key; repeats that agree keep the first row and reject the others. The
     kept rows give one pair per person and couple of adjacent quarters, with
     demographics and weight from the first wave, sorted by (person_id,
     quarter_from).
 
-    Returns the pairs and the rejected rows' (line, reason), in line order.
+    Returns the pairs, an array for each name of ``_COLUMNS`` (``person``
+    still ranks), and the rejected rows' (line, reason), in line order.
     """
-    person, quarter = waves["person"], waves["quarter"]
-    table = isinstance(person_ids, csvblocks.PersonTable)
-    if table:  # ranked by the ids' bytes while parsing, decoding none of them
-        rank, n_ids = person, len(person_ids)
-    else:
-        by_id = sorted(range(len(person_ids)), key=person_ids.__getitem__)
-        ranks = np.empty(len(by_id), dtype=np.int64)
-        ranks[by_id] = np.arange(len(by_id))
-        rank, n_ids = ranks[person], len(by_id)
+    rank, quarter = waves["person"], waves["quarter"]
     # (rank, quarter) as one key, with a spare quarter after the last, so that
     # key + 1 is the same person's next quarter; sorted once, stably (a key
     # keeps file order), in the narrowest type that holds it, as in
     # PanelDataset._by_quarter.
     low, span = (int(quarter.min()), int(quarter.max() - quarter.min()) + 2) if len(quarter) else (0, 2)
-    key = (rank * span + (quarter - low)).astype(np.min_scalar_type(n_ids * span))
+    key = (rank * span + (quarter - low)).astype(np.min_scalar_type(len(person_ids) * span))
     order = np.argsort(key, kind="stable")
     key = key[order]
     keep = np.ones(len(order), dtype=bool)  # the first row of each key, in sorted position
@@ -599,13 +597,10 @@ def link_waves(waves, person_ids, lines, provenance: str) -> tuple[PanelDataset,
         conflict = np.minimum.reduceat(states, heads) != np.maximum.reduceat(states, heads)
         keep[at[heads[conflict]]] = False
         people, quarters = np.divmod(key[at[heads]], span)
-        ids = np.unique(people)  # only the ids of repeated interviews are decoded
-        names = dict(zip(ids.tolist(), person_ids.texts(ids) if table else
-                         [person_ids[by_id[r]] for r in ids.tolist()]))
         labels = {q: str(QuarterId.from_ordinal(q + low)) for q in np.unique(quarters).tolist()}
-        keys = [f"person {names[p]!r} at {labels[q]}"
-                for p, q in zip(people.tolist(), quarters.tolist())]
-        row_lines = np.asarray(lines)[order[at]]
+        keys = [f"person {name!r} at {labels[q]}"  # only the ids of repeated interviews are decoded
+                for name, q in zip(person_ids.texts(people), quarters.tolist())]
+        row_lines = lines[order[at]]
         first_lines, bad = row_lines[heads].tolist(), conflict.tolist()
         rejected = np.flatnonzero(~head | conflict[which])
         rejected = rejected[np.argsort(row_lines[rejected])]  # in line order
@@ -617,14 +612,9 @@ def link_waves(waves, person_ids, lines, provenance: str) -> tuple[PanelDataset,
     kept, key = order[keep], key[keep]
     pair = np.flatnonzero(key[1:] == key[:-1] + 1)  # a kept row and the next make a pair
     first, second = kept[pair], kept[pair + 1]
-    dataset = PanelDataset(
-        person_ids=person_ids,
-        provenance=provenance,
-        state_from=waves["state"][first],
-        state_to=waves["state"][second],
-        **{name: waves[name][first] for name in _WAVE_COLUMNS if name != "state"},
-    )
-    return dataset, rejections
+    pairs = {name: waves[name][first] for name in _WAVE_COLUMNS if name != "state"}
+    pairs["state_from"], pairs["state_to"] = waves["state"][first], waves["state"][second]
+    return pairs, rejections
 
 
 def _sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ counting, no shared code with the package beyond numpy. Slow but obviously
 correct on small inputs. The one exception is ``read_panel_by_loop``, which
 reads a panel file one row at a time with ``csv.reader`` and, by design,
 the package's own token parsers (what each token means is theirs to say);
-``link_by_loop`` shares the package's rejection texts.
+``link_by_loop`` shares the package's rejection texts. ``link_by_rank`` is
+not a reference: it puts a table coded by tuple ids through the package's
+linker, which reads ranks.
 """
 
 import csv
@@ -384,3 +386,36 @@ def link_by_loop(waves, person_ids, lines):
         for name in PAIR_COLUMNS:
             pairs[name].append(pair[name])
     return pairs, sorted(rejections)
+
+
+class _RankedIds:
+    """Tuple ids ranked by code point, read by ``panel.link_waves`` as it reads a
+    parse's ``csvblocks.PersonTable``: its length and the ``texts`` of ranks."""
+
+    def __init__(self, person_ids):
+        self.by_rank = sorted(range(len(person_ids)), key=person_ids.__getitem__)
+        self.person_ids = person_ids
+
+    def __len__(self):
+        return len(self.by_rank)
+
+    def texts(self, ranks):
+        return [self.person_ids[self.by_rank[r]] for r in ranks.tolist()]
+
+
+def link_by_rank(waves, person_ids, lines):
+    """``panel.link_waves`` on a wave table whose ``person`` codes into the tuple ``person_ids``.
+
+    The ids are ranked by code point, the linker given each row's rank, and
+    the pairs' ranks mapped back to codes. Returns ({PAIR_COLUMNS name:
+    array}, [(line, reason)]).
+    """
+    from lmflows import panel
+
+    ranked = _RankedIds(person_ids)
+    rank = np.empty(len(ranked), dtype=np.int64)
+    rank[ranked.by_rank] = np.arange(len(ranked))
+    columns = {**waves, "person": rank[waves["person"]]}
+    pairs, rejections = panel.link_waves(columns, ranked, np.asarray(lines))
+    pairs["person"] = np.array(ranked.by_rank, dtype=np.int64)[pairs["person"]]
+    return pairs, rejections

@@ -186,11 +186,18 @@ def test_grouped_selection_matches_a_full_scan(cohort):
 
 
 def test_quarter_span_wider_than_16_bits():
-    # 65536 quarters apart: the two quarters would share a 16-bit offset key.
-    data = interleaved(6_000, 22, START.ordinal + np.array([0, 1, 1 << 16]))
-    for quarter in (START, START.plus(1), START.plus(1 << 16)):
-        for cohort in FULL_SCAN_COHORTS:
-            assert_full_scan_figures(data, quarter, cohort)
+    # 65536 quarters apart, two quarters would share a 16-bit offset key; but
+    # departures lie in 1900.1-9999.3, at most 32398 apart, so no dataset
+    # holds such a span. The widest it can hold, and a span past 8 bits,
+    # read as a full scan.
+    with pytest.raises(ValueError, match="^dataset column quarter holds"):
+        interleaved(100, 22, START.ordinal + np.array([0, 1, 1 << 16]))
+    first = QuarterId(1900, 1)
+    for quarters in ((first, first.plus(1), QuarterId(9999, 3)), (START, START.plus(1), START.plus(256))):
+        data = interleaved(6_000, 22, [quarter.ordinal for quarter in quarters])
+        for quarter in quarters:
+            for cohort in FULL_SCAN_COHORTS:
+                assert_full_scan_figures(data, quarter, cohort)
 
 
 @pytest.mark.parametrize("cohort", [CohortFilter(), CohortFilter(sex=Sex.M)])

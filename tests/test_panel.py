@@ -1,5 +1,6 @@
 import csv
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -381,12 +382,11 @@ class TestLinkWavesAgainstLoop:
         waves, person_ids, lines = table
         columns = {name: np.array(column, dtype=panel._DTYPES[name])
                    for name, column in waves.items()}
-        data, rejections = panel.link_waves(columns, person_ids, np.array(lines), "loop")
+        pairs, rejections = oracles.link_by_rank(columns, person_ids, lines)
         want, want_rejections = oracles.link_by_loop(waves, person_ids, lines)
-        assert data.person_ids == person_ids
         for name, dtype in panel._COLUMNS.items():
-            assert getattr(data, name).dtype == dtype, name
-            assert getattr(data, name).tolist() == want[name], name
+            assert pairs[name].dtype == dtype, name
+            assert pairs[name].tolist() == want[name], name
         assert rejections == want_rejections
 
     @settings(max_examples=300, deadline=None)
@@ -397,10 +397,10 @@ class TestLinkWavesAgainstLoop:
         waves, person_ids, lines = table
         columns = {name: np.array(column, dtype=panel._DTYPES[name])
                    for name, column in waves.items()}
-        data, rejections = panel.link_waves(columns, person_ids, np.array(lines), "loop")
+        pairs, rejections = oracles.link_by_rank(columns, person_ids, lines)
         want, want_rejections = oracles.link_by_loop(waves, person_ids, lines)
         for name in panel._COLUMNS:
-            assert getattr(data, name).tolist() == want[name], name
+            assert pairs[name].tolist() == want[name], name
         assert rejections == want_rejections
 
     @settings(max_examples=100, deadline=None)
@@ -440,10 +440,10 @@ def test_link_waves_orders_pairs_by_a_sort_key_past_32_bits():
     columns = {name: columns.get(name, np.zeros(2 * n))[rows].astype(panel._DTYPES[name])
                for name in panel._WAVE_COLUMNS}
     person_ids = tuple(f"P{i:06d}" for i in rng.permutation(n))
-    data, rejections = panel.link_waves(columns, person_ids, np.arange(2, 2 * n + 2), "wide")
+    pairs, rejections = oracles.link_by_rank(columns, person_ids, np.arange(2, 2 * n + 2))
     assert rejections == []
-    assert [person_ids[p] for p in data.person.tolist()] == sorted(person_ids)
-    assert data.quarter.tolist() == first[data.person].tolist()
+    assert [person_ids[p] for p in pairs["person"].tolist()] == sorted(person_ids)
+    assert pairs["quarter"].tolist() == first[pairs["person"]].tolist()
 
 
 class TestRejectionReason:
@@ -496,6 +496,42 @@ class TestObservationPair:
         with pytest.raises(ValueError):
             ObservationPair("A", QuarterId(2019, 1), QuarterId(2019, 2),
                             LaborState.U, LaborState.U, demo(), weight=0.0)
+
+
+# Two rows at the edges of every checked column's range.
+EDGES = {"person": [0, 1], "quarter": [QuarterId(1900, 1).ordinal, QuarterId(9999, 3).ordinal],
+         "state_from": [0, 6], "state_to": [6, 0], "age": [22, 22], "sex": [0, 1],
+         "citizen": [True, False], "region": [0, 2], "weight": [5e-324, 1.7976931348623157e308]}
+
+
+class TestDatasetColumnRanges:
+    def test_the_edges_of_each_range_are_taken(self):
+        data = panel.PanelDataset(person_ids=("A", "B"), provenance="edges", **EDGES)
+        assert [getattr(data, name).tolist() for name in EDGES] == list(EDGES.values())
+
+    @pytest.mark.parametrize("name,values,bad", [
+        ("person", [1, 2], 2),
+        ("person", [-1, 0], -1),
+        ("quarter", [QuarterId(1900, 1).ordinal - 1, QuarterId(2019, 1).ordinal], 7599),
+        ("quarter", [QuarterId(2019, 1).ordinal, QuarterId(9999, 4).ordinal], 39999),
+        ("state_from", [9, 0], 9),
+        ("state_to", [0, -1], -1),
+        ("sex", [1, 2], 2),
+        ("sex", np.array([1, 256]), 256),
+        ("region", [-1, 0], -1),
+        ("weight", [1.0, -1.0], -1.0),
+        ("weight", [0.0, 1.0], 0.0),
+        ("weight", [float("nan"), 1.0], float("nan")),
+        ("weight", [1.0, float("inf")], float("inf")),
+    ], ids=["person-past-the-ids", "person-negative", "quarter-before-1900", "quarter-departing-9999.4",
+            "state_from", "state_to", "sex", "sex-past-int8", "region", "weight-negative",
+            "weight-zero", "weight-nan", "weight-inf"])
+    def test_a_value_outside_its_column_range_is_refused(self, name, values, bad):
+        """A code outside its table, a quarter a file cannot hold or a weight
+        that is not finite and positive fails the constructor, which names
+        the column and the first bad value."""
+        with pytest.raises(ValueError, match=rf"^dataset column {name} holds {re.escape(repr(bad))},"):
+            panel.PanelDataset(person_ids=("A", "B"), provenance="bad", **{**EDGES, name: values})
 
 
 UNIFORM7 = np.full(7, 1.0 / 7)

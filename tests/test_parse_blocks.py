@@ -121,8 +121,7 @@ def expected(path):
     columns = {name: np.array(values, dtype=panel._DTYPES[name]) for name, values in table.items()}
     if layout == "pair_rows":
         return panel._in_scope(columns, person_ids, "", rejections, n_rows)
-    linked, duplicates = panel.link_waves(columns, person_ids, lines, "")
-    columns = {name: getattr(linked, name) for name in panel._COLUMNS}
+    columns, duplicates = oracles.link_by_rank(columns, person_ids, lines)
     return panel._in_scope(columns, person_ids, "",
                            sorted(rejections + duplicates, key=lambda item: item[0]), n_rows)
 
@@ -428,7 +427,7 @@ def numbered(data, person_first):
 def test_ids_are_numbered_by_first_appearance_when_read(data, layout, block_bytes, person_first):
     """person_ids and person are the loop's first-appearance numbering, read
     right after the parse or after every cell has been estimated; and no
-    cell's shares or matrix number the ids."""
+    cell's shares or matrix decode an id."""
     text = data.draw(id_panels(layout))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.csv"
@@ -445,10 +444,10 @@ def test_ids_are_numbered_by_first_appearance_when_read(data, layout, block_byte
             csvblocks.BLOCK_BYTES = saved
     assert numbered(read_now, person_first) == (person_ids, person)
 
-    def refuse(self):
-        raise AssertionError("the ids were numbered")
+    def refuse(self, ranks):
+        raise AssertionError("an id was decoded")
 
-    numbering, csvblocks.PersonTable.numbering = csvblocks.PersonTable.numbering, refuse
+    texts, csvblocks.PersonTable.texts = csvblocks.PersonTable.texts, refuse
     try:
         for quarter in (FIRST.plus(q) for q in range(4)):
             for cohort in (CohortFilter(), CohortFilter(age_band=AgeBand.LATE_YOUNG, sex=Sex.F)):
@@ -458,8 +457,38 @@ def test_ids_are_numbered_by_first_appearance_when_read(data, layout, block_byte
                 except EmptyCohortError:
                     pass
     finally:
-        csvblocks.PersonTable.numbering = numbering
+        csvblocks.PersonTable.texts = texts
     assert numbered(read_later, person_first) == (person_ids, person)
+
+
+@pytest.mark.parametrize("people", [["P2", "P10", "B", "A"], ["Zoë", " A", "L" * 70, "A", "A\x00"]],
+                         ids=["plain", "odd"])
+@pytest.mark.parametrize("layout", ["pair_rows", "wave_rows"])
+def test_person_is_a_column_of_first_appearance_codes(tmp_path, monkeypatch, people, layout):
+    """A parse numbers the ids once: person is a read-only int64 column of
+    the loop's codes, and reading it decodes no id."""
+    if layout == "pair_rows":
+        rows = [PAIR_HEAD] + [f"{pid},2019.{q},2019.{q + 1},EDU,TE,21,F,1,SOUTH,1"
+                              for q in (2, 1) for pid in people]
+    else:
+        body = [f"{pid},2019.{q},EDU,21,F,1,SOUTH,1" for q in (2, 1, 3) for pid in people]
+        rows = [",".join(panel.WAVE_HEADER), *body, body[0]]  # a repeat's text decodes its id
+    path = tmp_path / "panel.csv"
+    path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    _, person_ids, table, lines, _, _ = oracles.read_panel_by_loop(path)
+    if layout == "wave_rows":
+        table, _ = oracles.link_by_loop(table, person_ids, lines)
+    data, _ = panel.parse_panel_file(path)
+
+    def refuse(self, ranks):
+        raise AssertionError("an id was decoded")
+
+    monkeypatch.setattr(csvblocks.PersonTable, "texts", refuse)
+    person = data.person
+    assert person.dtype == np.int64 and not person.flags.writeable
+    assert person.tolist() == table["person"]
+    monkeypatch.undo()
+    assert data.person_ids == person_ids
 
 
 def test_threads_reading_the_ids_of_one_parse_agree(tmp_path):
