@@ -220,7 +220,8 @@ def _csv_records(data: bytes, line: int, blocks, path: str) -> tuple[Records, in
         except StopIteration:
             break
         except csv.Error as exc:  # the reader goes on at the next line
-            if not str(exc).startswith("field larger than field limit"):  # NUL, before 3.11
+            # Only an overlong field is expected; any other csv.Error is refused.
+            if not str(exc).startswith("field larger than field limit"):
                 raise PanelFormatError(f"{path}: line {line - 1 + reader.line_num}: {exc}") from None
             row, too_long = [], True
         rows.append(row)

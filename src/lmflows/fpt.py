@@ -71,7 +71,7 @@ DEFAULT_MAX_HORIZON = 8000
 # Largest unpassed mass the tail bound must certify for a certain passage to be well defined.
 _CERTIFIED_MASS = 1e-6
 
-# Smallest singular value of I - Q that efpt_linear will solve with.
+# Smallest singular value of I - Q that efpt_linear solves with, as bounded by the solve's mu.
 _SINGULAR_FLOOR = 1e-12
 
 
@@ -231,9 +231,10 @@ class _Engine:
     per region). A passage that is not certain meets a rule only at its cap.
     How far a request streams is guessed (``_more``); no answer depends on
     it. Beside the recursion, and never reading it, are what the screen reads
-    (``ahead``, ``reaches``) and the linear route's solves by region. The
-    closure and the rule's regions and constants are worked out on first
-    use, so an engine that only records rows never pays for them.
+    (``ahead``, ``reaches``) and the linear route's one solve per region, which
+    also settles its singular guard. The closure and the rule's regions and
+    constants are worked out on first use, so an engine that only records rows
+    never pays for them.
     """
 
     # Most terms a block of the stream holds.
@@ -340,6 +341,8 @@ class _Engine:
         of n f (``_carry``) through n0 + r, a column per source."""
         # Each region's largest |F(n)|, a row per region and a column per term;
         # then the bounds past n on the mass and on the mean, a row per source.
+        # Where no region's mass is certified nothing is met, and only a block
+        # that ends at the cap records answers.
         region_of, regions, c1, c2 = self._bounds
         by_state = np.abs(f.T, order="C")
         top = np.zeros((len(regions) + 1, len(f)))
@@ -348,13 +351,9 @@ class _Engine:
         self._fall = (len(f) - 1, top[:, 0].tolist(), top[:, -1].tolist())
         (epsilon, cap), answers = self._rule, self._answers
         k = min(len(f), cap - n0)
-        certified = c1 * top <= _CERTIFIED_MASS
-        # No source can meet the rule in a block where no region's mass is
-        # certified, unless the block ends at the cap.
-        if n0 + k < cap and not certified.any():
-            return
         tail = ((n_col.T * c1 + c2) * top)[region_of]
-        met = certified[region_of, :k] & (tail[:, :k] <= epsilon * sums.imag[1:k + 1].T)
+        certified = (c1 * top <= _CERTIFIED_MASS)[region_of, :k]
+        met = certified & (tail[:, :k] <= epsilon * sums.imag[1:k + 1].T)
         hit = met.any(axis=1)
         for s, r in enumerate(np.where(hit, met.argmax(axis=1), k - 1).tolist()):
             if s not in answers and (hit[s] or n0 + k == cap):
@@ -401,16 +400,20 @@ class _Engine:
 
 
 def _first_step_solve(P: np.ndarray, region: np.ndarray) -> np.ndarray | None:
-    """mu of (I - Q) mu = 1, Q being P on ``region``; None if I - Q is numerically singular."""
+    """mu of (I - Q) mu = 1, Q being P on ``region``; None if I - Q is numerically singular.
+
+    On m states Q >= 0 gives N = (I - Q)^-1 >= 0, so 1 / sigma_min(I - Q) = ||N||_2 <=
+    sqrt(m) ||N||_inf = sqrt(m) max mu. mu is kept while 1 / (sqrt(m) max mu) clears the
+    floor: every sigma_min <= _SINGULAR_FLOOR is refused, none above m _SINGULAR_FLOOR.
+    """
     A = np.eye(len(region)) - P[region][:, region]
     try:
-        # Cannot trip once the screen passed; kept as a guard against
-        # degenerate numerics.
-        if np.linalg.svd(A, compute_uv=False).min(initial=np.inf) <= _SINGULAR_FLOOR:
-            return None
-        return np.linalg.solve(A, np.ones(len(region)))
+        mu = np.linalg.solve(A, np.ones(len(region)))
     except np.linalg.LinAlgError:
         return None
+    # False where the product is NaN or infinite too; an empty region passes.
+    clear = math.sqrt(len(region)) * np.abs(mu).max(initial=0.0) * _SINGULAR_FLOOR < 1.0
+    return mu if clear else None
 
 
 # Each TransitionMatrix's engines by target index; a copy is another key.

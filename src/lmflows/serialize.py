@@ -23,7 +23,9 @@ def _fmt(x) -> str:
 
 
 def _meta_block(items) -> str:
-    return "".join(f"# {key}={value}\n" for key, value in items if value is not None)
+    """``# key=value`` lines; a line break in a value is written as ``\\r`` or ``\\n``."""
+    lines = (f"# {key}={value}" for key, value in items if value is not None)
+    return "".join(line.replace("\r", "\\r").replace("\n", "\\n") + "\n" for line in lines)
 
 
 def _cohort_doc(cohort):
@@ -211,29 +213,20 @@ def fpt_report_to_csv(doc: dict) -> str:
     """CSV rendering of a passage-time report, numerically identical to it."""
     series = doc["efpt"]["series"]
     linear = doc["efpt"]["linear_system"]
-    buf = io.StringIO()
-    buf.write(
-        _meta_block(
-            (
-                ("source", doc["source"]),
-                ("target", doc["target"]),
-                ("from_quarter", doc["from_quarter"]),
-                ("to_quarter", doc["to_quarter"]),
-                ("verdict", doc["well_defined"]["verdict"]),
-                ("efpt_series_quarters", "inf" if series["infinite"] else _fmt(series["quarters"])),
-                ("efpt_linear_quarters", "inf" if linear["infinite"] else _fmt(linear["quarters"])),
-                (
-                    "trapped_states",
-                    ";".join(linear["trapped_states"]) if linear["trapped_states"] else None,
-                ),
-            )
-        )
-    )
+    meta = _meta_block((
+        ("source", doc["source"]),
+        ("target", doc["target"]),
+        ("from_quarter", doc["from_quarter"]),
+        ("to_quarter", doc["to_quarter"]),
+        ("verdict", doc["well_defined"]["verdict"]),
+        ("efpt_series_quarters", "inf" if series["infinite"] else _fmt(series["quarters"])),
+        ("efpt_linear_quarters", "inf" if linear["infinite"] else _fmt(linear["quarters"])),
+        ("trapped_states", ";".join(linear["trapped_states"]) if linear["trapped_states"] else None),
+    ))
     # Ints and floats only, which csv.writer would never quote: one join, each as _fmt writes it.
     columns = (map(repr, map(float, doc[name])) for name in ("distribution", "cdf", "survival"))
-    buf.write("n,f,cdf,survival\n")
-    buf.write("".join(map("{},{},{},{}\n".format, range(1, doc["horizon"] + 1), *columns)))
-    return buf.getvalue()
+    rows = "".join(map("{},{},{},{}\n".format, range(1, doc["horizon"] + 1), *columns))
+    return f"{meta}n,f,cdf,survival\n{rows}"
 
 
 def fpt_report_pretty(doc: dict) -> str:

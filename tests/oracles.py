@@ -91,6 +91,14 @@ def taboo_region(P, i, j):
     return region, sorted(trapped), can_reach(i)
 
 
+def meta_lines(items) -> str:
+    """``# key=value`` lines of the items whose value is not None, a CR or LF in a value
+    written as the two characters \\r or \\n, one character at a time."""
+    escape = {"\r": "\\r", "\n": "\\n"}
+    return "".join(f"# {key}=" + "".join(escape.get(c, c) for c in str(value)) + "\n"
+                   for key, value in items if value is not None)
+
+
 def report_csv_by_writer(doc) -> str:
     """A passage report as CSV, one ``csv.writer`` row per horizon n, each float as ``repr``."""
     def fmt(x):
@@ -110,7 +118,7 @@ def report_csv_by_writer(doc) -> str:
          ";".join(linear["trapped_states"]) if linear["trapped_states"] else None),
     )
     buf = io.StringIO()
-    buf.write("".join(f"# {key}={value}\n" for key, value in meta if value is not None))
+    buf.write(meta_lines(meta))
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["n", "f", "cdf", "survival"])
     for k in range(doc["horizon"]):
@@ -132,7 +140,7 @@ def matrix_csv_by_writer(m) -> str:
         ("provenance", m.provenance or None),
     )
     buf = io.StringIO()
-    buf.write("".join(f"# {key}={value}\n" for key, value in meta if value is not None))
+    buf.write(meta_lines(meta))
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["state", *m.states, "row_count", "fallback"])
     for i, name in enumerate(m.states):
@@ -146,7 +154,7 @@ def shares_csv_by_writer(table) -> str:
     meta = (("quarter", str(table.quarter)), ("cohort", table.cohort.describe()),
             ("total_weight", repr(float(table.total_weight))))
     buf = io.StringIO()
-    buf.write("".join(f"# {key}={value}\n" for key, value in meta))
+    buf.write(meta_lines(meta))
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["state", "share", "n_obs"])
     for s, share in table.shares.items():

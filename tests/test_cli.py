@@ -121,6 +121,15 @@ class TestTransitionsCommand:
         assert fs_line.split()[0] == "FS*"
         assert fs_line.split()[1:] == ["0.14"] * 7
 
+    def test_line_break_in_the_provenance_stays_in_its_meta_line(self, tmp_path, capsys):
+        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1"], name="we\nird.csv")
+        code, out, _ = run(capsys, "transitions", "--data", data, "--quarter", "2019.1",
+                           "--min-support", "0")
+        assert code == 0
+        meta = out[:out.index("state,")].splitlines()
+        assert all(line.startswith("# ") for line in meta)
+        assert f"# provenance=estimated from pair_rows:{tmp_path}/we\\nird.csv" in meta
+
     def test_csv_and_json_agree_numerically(self, tmp_path, capsys):
         rows = [
             f"P{k},2019.1,2019.2,{s},{t},2{k % 10},M,1,NORTH,1.25"

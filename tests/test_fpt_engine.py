@@ -330,12 +330,12 @@ def first_certified(P, j) -> int:
     return 0
 
 
-@pytest.mark.parametrize("block", [225, 226])
+@pytest.mark.parametrize("block", [16, 225, 226])
 def test_rule_answers_where_a_region_first_certifies_on_a_block_boundary(monkeypatch, block):
     # Into TE on early_2019Q3 no region's mass bound holds before n = 226: in blocks of 225
-    # terms it first holds on a block's first term, in blocks of 226 on its last, and every
-    # scan before it returns early. At epsilon 1e-3 every source stops at 226 itself. Caps
-    # of one and two blocks end a block.
+    # terms it first holds on a block's first term, in blocks of 226 on its last, in blocks
+    # of 16 inside the 15th, and every scan before it records nothing. At epsilon 1e-3 every
+    # source stops at 226 itself. Caps of one and two blocks end a block.
     P = np.array(get_fixture("early_2019Q3").matrix().entries)
     j = 1
     assert first_certified(P, j) == 226

@@ -297,7 +297,7 @@ def test_a_sweep_solves_once_per_certain_region(fixture, monkeypatch):
     for _ in range(2):  # cold engines, then warm ones
         for i, j in pairs:
             report(m, i, j)
-        assert (calls["svd"], calls["solve"]) == (len(regions), len(regions))
+        assert (calls["svd"], calls["solve"]) == (0, len(regions))
 
 
 @pytest.mark.parametrize("fixture", fixture_names())
@@ -358,4 +358,63 @@ def test_a_singular_region_fails_once_for_each_source(monkeypatch):
         linear = build_fpt_report(m, source, "T", HORIZON, DEFAULT_EPSILON,
                                   DEFAULT_MAX_HORIZON)["efpt"]["linear_system"]
         assert (linear["infinite"], linear["detail"]) == (True, text)
-    assert (calls["svd"], calls["solve"]) == (1, 0)
+    assert (calls["svd"], calls["solve"]) == (0, 1)
+
+
+@st.composite
+def leaky_chains(draw):
+    """Nearly decomposable chains (K <= 7): blocks of states that leak 1e-13 to 1e-5 of a
+    row to one another, and up to three states that keep all but 1e-13 to 1e-11 of their
+    row on themselves and leak the rest to one other state (a 1-state region)."""
+    k = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.random((k, k))
+    P[rng.random((k, k)) < draw(st.floats(0.0, 0.7))] = 0.0
+    block = rng.integers(0, draw(st.integers(1, k)), size=k)
+    P[block[:, None] != block] *= 10.0 ** -draw(st.floats(5.0, 13.0))
+    P[P.sum(axis=1) == 0.0, 0] = 1.0
+    P /= P.sum(axis=1, keepdims=True)
+    for s in draw(st.lists(st.integers(0, k - 1), max_size=3, unique=True)):
+        leak = 10.0 ** -draw(st.floats(11.0, 13.0))
+        P[s] = 0.0
+        P[s, s], P[s, (s + 1 + rng.integers(k - 1)) % k] = 1.0 - leak, leak
+    return P
+
+
+def singular_values(P, region) -> np.ndarray:
+    """The oracle: the singular values of I - Q, Q being P on ``region``."""
+    return np.linalg.svd(np.eye(len(region)) - P[np.ix_(region, region)], compute_uv=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(P=leaky_chains())
+def test_the_singular_guard_brackets_the_smallest_singular_value(P):
+    # The solve refuses I - Q when 1 / (sqrt(m) max mu), a lower bound on sigma_min, does
+    # not clear the floor: so every region with sigma_min <= floor, and as max mu <=
+    # sqrt(m) / sigma_min, only regions with sigma_min <= m floor.
+    floor = fpt._SINGULAR_FLOOR
+    for i in range(len(P)):
+        for j in range(len(P)):
+            region, trapped, _ = taboo_region(P, i, j)
+            if trapped:
+                continue
+            region = np.array(region, dtype=np.intp)
+            refused = fpt._first_step_solve(P, region) is None
+            sigma = singular_values(P, region).min(initial=np.inf)  # inf: an empty region
+            assert refused or sigma > floor, (i, j, sigma)
+            assert not refused or sigma <= len(region) * floor, (i, j, sigma)
+
+
+def test_the_singular_guard_may_refuse_past_sqrt_m_times_the_floor():
+    # Seven states in a row, each keeping 1 - 15 floor of its row and passing the rest on,
+    # the last into T: max mu = 7 / (15 floor) and sqrt(7) max mu floor > 1, so the solve
+    # refuses I - Q, yet its sigma_min is 3.1 floor, above sqrt(7) floor (2.6 floor).
+    m, leak = 7, 15 * fpt._SINGULAR_FLOOR
+    P = np.eye(m + 1) * (1.0 - leak) + np.eye(m + 1, k=1) * leak
+    P[m, m] = 1.0
+    region = np.arange(m)
+    sigma = singular_values(P, region).min()
+    assert np.sqrt(m) * fpt._SINGULAR_FLOOR < sigma <= m * fpt._SINGULAR_FLOOR
+    assert fpt._first_step_solve(P, region) is None
+    with pytest.raises(fpt.InfiniteEfptError, match="numerically singular"):
+        efpt_linear(P, 0, m)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmflows.estimation import StateShareTable, TransitionMatrix
-from lmflows.serialize import fpt_report_to_csv, matrix_to_csv, shares_to_csv
+from lmflows.serialize import build_fpt_report, fpt_report_to_csv, matrix_to_csv, shares_to_csv
 from lmflows.states import STATE_ORDER, AgeBand, CohortFilter, QuarterId, Sex
 
 from oracles import matrix_csv_by_writer, report_csv_by_writer, shares_csv_by_writer
@@ -22,7 +22,7 @@ values = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan")]),
     st.integers(-(2**63), 2**63),
 )
-labels = st.text(alphabet="ABEFNPSTU0123,;\"", min_size=1, max_size=4)
+labels = st.text(alphabet="ABEFNPSTU0123,;\"\r\n", min_size=1, max_size=4)
 routes = st.fixed_dictionaries({"infinite": st.booleans(), "quarters": values})
 
 
@@ -91,3 +91,11 @@ def test_shares_csv_equals_the_writer_oracle(shares, n_obs, total):
                             shares=dict(zip(STATE_ORDER, shares)), n_obs=dict(zip(STATE_ORDER, n_obs)),
                             total_weight=total)
     assert shares_to_csv(table) == shares_csv_by_writer(table)
+
+
+def test_line_break_in_a_state_label_stays_in_its_meta_line():
+    m = TransitionMatrix(entries=np.array([[0.5, 0.5], [0.0, 1.0]]), states=("A\nB", "T\r"))
+    text = fpt_report_to_csv(build_fpt_report(m, 0, 1, 2, 1e-9, 100))
+    lines = text.splitlines()  # splits at a CR too
+    assert lines[:3] == ["# source=A\\nB", "# target=T\\r", "# verdict=well_defined"]
+    assert [line[:2] for line in lines[3:5]] == ["# ", "# "] and lines[5] == "n,f,cdf,survival"
