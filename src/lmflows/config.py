@@ -3,7 +3,7 @@
 import dataclasses
 
 from .estimation import DEFAULT_MIN_SUPPORT, FALLBACK_POLICIES, FALLBACK_UNIFORM
-from .fpt import DEFAULT_EPSILON, DEFAULT_MAX_HORIZON
+from .fpt import DEFAULT_EPSILON, DEFAULT_MAX_HORIZON, _check_epsilon, _term_count
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -28,10 +28,8 @@ class RunConfig:
     fallback_policy: str = FALLBACK_UNIFORM
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if self.max_horizon < 1:
-            raise ValueError(f"max_horizon must be >= 1, got {self.max_horizon!r}")
+        _check_epsilon(self.epsilon)
+        _term_count(self.max_horizon, "max_horizon")
         if not self.min_support >= 0:  # NaN too
             raise ValueError(f"min_support must be >= 0, got {self.min_support!r}")
         for what, value, choices in (("output format", self.output_format, OUTPUT_FORMATS),

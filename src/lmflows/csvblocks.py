@@ -217,8 +217,6 @@ def _csv_records(data: bytes, line: int, blocks, path: str) -> tuple[Records, in
         try:
             row = next(reader)
             too_long = False
-        except StopIteration:
-            break
         except csv.Error as exc:  # the reader goes on at the next line
             # Only an overlong field is expected; any other csv.Error is refused.
             if not str(exc).startswith("field larger than field limit"):

@@ -56,8 +56,7 @@ class Fixture:
         )
 
 
-def _published(name, age_band, from_q, to_q, rows, fallback=()):
-    y_from = QuarterId.parse(from_q)
+def _published(name, age_band, from_q, to_q, rows):
     band = "20-24" if age_band is AgeBand.EARLY_YOUNG else "25-29"
     return Fixture(
         name=name,
@@ -68,9 +67,9 @@ def _published(name, age_band, from_q, to_q, rows, fallback=()):
         ),
         raw=tuple(tuple(float(v) for v in row) for row in rows),
         age_band=age_band,
-        from_quarter=y_from,
+        from_quarter=QuarterId.parse(from_q),
         to_quarter=QuarterId.parse(to_q),
-        fallback_states=frozenset(fallback),
+        fallback_states=frozenset(s for s, row in zip(STATE_CODES, rows) if row == _FALLBACK_ROW),
     )
 
 
@@ -88,7 +87,6 @@ _FIXTURES = {
                 (0.01, 0.04, 0.01, 0.02, 0.03, 0.88, 0.00),
                 _FALLBACK_ROW,
             ),
-            fallback=("FS",),
         ),
         _published(
             "early_2019Q3", AgeBand.EARLY_YOUNG, "2019.2", "2019.3",
@@ -101,7 +99,6 @@ _FIXTURES = {
                 (0.01, 0.06, 0.01, 0.01, 0.03, 0.88, 0.00),
                 _FALLBACK_ROW,
             ),
-            fallback=("FS",),
         ),
         _published(
             "early_2020Q2", AgeBand.EARLY_YOUNG, "2020.1", "2020.2",
@@ -150,7 +147,6 @@ _FIXTURES = {
                 (0.01, 0.06, 0.01, 0.03, 0.07, 0.81, 0.00),
                 _FALLBACK_ROW,
             ),
-            fallback=("FS",),
         ),
         _published(
             "late_2020Q2", AgeBand.LATE_YOUNG, "2020.1", "2020.2",

@@ -163,6 +163,8 @@ def _term_count(value, name: str) -> int:
 
 
 def _check_epsilon(epsilon) -> None:
+    if not isinstance(epsilon, numbers.Real):
+        raise TypeError(f"epsilon must be a real number, got {epsilon!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
 

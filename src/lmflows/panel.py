@@ -108,7 +108,7 @@ ROTATION_OFFSETS = (0, 1, 4, 5)
 _LAST_QUARTER = QuarterId(9999, 4)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ObservationPair:
     """A linked 3-month observation: states in two adjacent quarters."""
 
@@ -418,15 +418,14 @@ def _detect_format(header: list[str]) -> str:
     )
 
 
-def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseReport]:
+def parse_panel_file(path) -> tuple[PanelDataset, ParseReport]:
     """Parse a pair_rows or wave_rows CSV into a validated PanelDataset.
 
     Parameters
     ----------
     path : str or Path
-        CSV file to read, UTF-8 encoded.
-    format : {"auto", "pair_rows", "wave_rows"}
-        Expected layout; "auto" detects it from the header line.
+        CSV file to read, UTF-8 encoded. Its header line names the layout,
+        and the dataset's provenance starts with that name.
 
     Returns
     -------
@@ -435,8 +434,6 @@ def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseRep
         in the report with their line numbers; an unreadable file, bytes
         that are not UTF-8 or an unknown header raise PanelFormatError.
     """
-    if format not in ("auto", "pair_rows", "wave_rows"):
-        raise ValueError(f"unknown format {format!r}")
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -451,10 +448,9 @@ def parse_panel_file(path, format: str = "auto") -> tuple[PanelDataset, ParseRep
         if first.long[0]:
             raise PanelFormatError(f"{path}: header {csvblocks.long_field(limit)}")
         detected = _detect_format(first.fields(0))
-        if format != "auto" and detected != format:
-            raise PanelFormatError(f"{path} has a {detected} header but {format} was requested")
         waves = detected == "wave_rows"
-        table = _Columns(WAVE_HEADER, _WAVE_COLUMNS) if waves else _Columns(PAIR_HEADER, _COLUMNS)
+        table = (_Columns(WAVE_HEADER, _WAVE_COLUMNS, limit) if waves
+                 else _Columns(PAIR_HEADER, _COLUMNS, limit))
         for rec in itertools.chain([first.after_first()], batches):
             table.add(rec)
             del rec  # not kept while the next batch is read
@@ -479,7 +475,7 @@ class _Columns:
     table kept for the failed token.
     """
 
-    def __init__(self, header, names):
+    def __init__(self, header, names, limit: int):
         self.header, self.names = header, tuple(names)
         self.fields = []
         rest = iter(self.names[1:])  # the column each field after person_id fills
@@ -491,7 +487,7 @@ class _Columns:
         self.parts = {name: [] for name in (*self.names[1:], "line")}
         self.rejections = []
         self.n_rows = 0
-        self.long_field = csvblocks.long_field(csv.field_size_limit())
+        self.long_field = csvblocks.long_field(limit)
 
     def add(self, rec: csvblocks.Records) -> None:
         k = len(self.header)

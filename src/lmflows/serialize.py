@@ -23,9 +23,10 @@ def _fmt(x) -> str:
 
 
 def _meta_block(items) -> str:
-    """``# key=value`` lines; a line break in a value is written as ``\\r`` or ``\\n``."""
+    """``# key=value`` lines; a value's backslashes, CRs and LFs are written ``\\\\``, ``\\r``, ``\\n``."""
     lines = (f"# {key}={value}" for key, value in items if value is not None)
-    return "".join(line.replace("\r", "\\r").replace("\n", "\\n") + "\n" for line in lines)
+    return "".join(line.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n") + "\n"
+                   for line in lines)
 
 
 def _cohort_doc(cohort):

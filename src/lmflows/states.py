@@ -5,6 +5,18 @@ import enum
 import numbers
 import re
 
+# Other names read as a member's name.
+_ALIASES = {"NEET": "NLFET"}
+
+
+def _member(cls, text, error: str):
+    """The member of enum ``cls`` named ``text``, in any case, padded or aliased."""
+    name = str(text).strip().upper()
+    try:
+        return cls[_ALIASES.get(name, name)]
+    except KeyError:
+        raise ValueError(error.format(text)) from None
+
 
 class LaborState(enum.Enum):
     """The seven labour-market states, in canonical matrix order (index 0..6)."""
@@ -24,13 +36,7 @@ class LaborState(enum.Enum):
     @classmethod
     def parse(cls, text: str) -> "LaborState":
         """Case-insensitive parse of a state code; accepts NEET as an alias of NLFET."""
-        name = str(text).strip().upper()
-        if name == "NEET":
-            name = "NLFET"
-        try:
-            return cls[name]
-        except KeyError:
-            raise ValueError(f"unknown state code {text!r}") from None
+        return _member(cls, text, "unknown state code {!r}")
 
 
 STATE_ORDER: tuple[LaborState, ...] = tuple(LaborState)
@@ -41,12 +47,12 @@ N_STATES = len(STATE_ORDER)
 def resolve_state(state, labels) -> int:
     """Index of ``state`` among ``labels``.
 
-    ``state`` may be an index, a label (any case; NEET is accepted for
-    NLFET) or a LaborState. Raises ValueError otherwise.
+    ``state`` may be an index (not a bool), a label (any case; NEET is
+    accepted for NLFET) or a LaborState. Raises ValueError otherwise.
     """
     if isinstance(state, LaborState):
         state = state.name
-    if isinstance(state, numbers.Integral):
+    if isinstance(state, numbers.Integral) and not isinstance(state, bool):
         idx = int(state)
         if not 0 <= idx < len(labels):
             raise ValueError(f"state index {idx} out of range 0..{len(labels) - 1}")
@@ -55,8 +61,8 @@ def resolve_state(state, labels) -> int:
     for i, name in enumerate(labels):
         if name.upper() == text:
             return i
-    if text == "NEET" and "NLFET" in labels:
-        return labels.index("NLFET")
+    if _ALIASES.get(text) in labels:
+        return labels.index(_ALIASES[text])
     raise ValueError(f"unknown state {state!r}; expected one of {', '.join(labels)}")
 
 
@@ -66,11 +72,7 @@ class Sex(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Sex":
-        name = str(text).strip().upper()
-        try:
-            return cls[name]
-        except KeyError:
-            raise ValueError(f"invalid sex {text!r} (expected M or F)") from None
+        return _member(cls, text, "invalid sex {!r} (expected M or F)")
 
 
 class MacroRegion(enum.Enum):
@@ -80,13 +82,7 @@ class MacroRegion(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "MacroRegion":
-        name = str(text).strip().upper()
-        try:
-            return cls[name]
-        except KeyError:
-            raise ValueError(
-                f"invalid region {text!r} (expected NORTH, CENTRE or SOUTH)"
-            ) from None
+        return _member(cls, text, "invalid region {!r} (expected NORTH, CENTRE or SOUTH)")
 
 
 SEX_ORDER: tuple[Sex, ...] = tuple(Sex)

@@ -92,9 +92,9 @@ def taboo_region(P, i, j):
 
 
 def meta_lines(items) -> str:
-    """``# key=value`` lines of the items whose value is not None, a CR or LF in a value
-    written as the two characters \\r or \\n, one character at a time."""
-    escape = {"\r": "\\r", "\n": "\\n"}
+    """``# key=value`` lines of the items whose value is not None, a backslash, CR or LF
+    in a value written as the two characters \\\\, \\r or \\n, one character at a time."""
+    escape = {"\\": "\\\\", "\r": "\\r", "\n": "\\n"}
     return "".join(f"# {key}=" + "".join(escape.get(c, c) for c in str(value)) + "\n"
                    for key, value in items if value is not None)
 

@@ -222,6 +222,14 @@ class TestTransitionMatrixType:
         with pytest.raises(ValueError):
             TransitionMatrix(entries=np.eye(3), states=("A", "B"))
 
+    def test_row_count_must_match(self):
+        with pytest.raises(ValueError, match=r"^6 row counts for a 7x7 matrix$"):
+            TransitionMatrix(entries=np.eye(7), row_counts=(1.0,) * 6)
+
+    def test_fallback_rows_must_be_states(self):
+        with pytest.raises(ValueError, match=r"^fallback row index out of range for a 7x7 matrix$"):
+            TransitionMatrix(entries=np.eye(7), fallback_rows={7})
+
     @pytest.mark.parametrize("key,expected", [
         ("EDU", 5), ("edu", 5), (LaborState.PE, 2), (0, 0), (6, 6), ("NEET", 4),
     ])
@@ -267,6 +275,12 @@ class TestRenormalizeRows:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             renormalize_rows(np.ones((2, 3)))
+
+    def test_rejects_nan(self):
+        raw = np.full((2, 2), 0.5)
+        raw[0, 1] = np.nan
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            renormalize_rows(raw)
 
 
 class TestFallbackPolicy:

@@ -12,6 +12,7 @@ from lmflows.fpt import (
     VERDICT_DIVERGENT,
     VERDICT_SUSPECT,
     VERDICT_WELL_DEFINED,
+    FptDistribution,
     check_well_defined,
     efpt_linear,
     efpt_series,
@@ -123,6 +124,11 @@ class TestStateResolution:
         with pytest.raises(ValueError):
             fpt_distribution(np.eye(2), "A", 1, 5)
 
+    def test_a_bool_is_not_a_state_index(self):
+        m = TransitionMatrix(entries=np.full((7, 7), 1.0 / 7))
+        with pytest.raises(ValueError, match=r"^unknown state True; expected one of SE, TE, "):
+            efpt_series(m, True, "PE")
+
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
             fpt_distribution(np.eye(2), 0, 1, 0)
@@ -130,6 +136,14 @@ class TestStateResolution:
             efpt_series(np.full((2, 2), 0.5), 0, 1, epsilon=0.0)
         with pytest.raises(ValueError):
             efpt_series(np.full((2, 2), 0.5), 0, 1, max_horizon=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda P: efpt_series(P, 0, 1, epsilon="0.1"),
+        lambda P: check_well_defined(P, 0, 1, epsilon=None),
+    ], ids=["series", "verdict"])
+    def test_an_epsilon_that_is_no_number_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match=r"^epsilon must be a real number, got "):
+            call(np.full((2, 2), 0.5))
 
     def test_non_stochastic_matrix_rejected(self):
         with pytest.raises(NonStochasticError):
@@ -153,6 +167,11 @@ class TestRelabelingInvariance:
             assert efpt_linear(P, i, j).quarters == pytest.approx(
                 efpt_linear(Q, int(pos[i]), int(pos[j])).quarters, rel=1e-10
             )
+
+
+def test_a_distribution_holds_one_probability_per_quarter_of_its_horizon():
+    with pytest.raises(ValueError, match=r"^expected 4 probabilities, got shape \(3,\)$"):
+        FptDistribution(source="A", target="B", probabilities=[0.1, 0.2, 0.3], horizon=4)
 
 
 class TestCdf:

@@ -195,11 +195,6 @@ class TestPairRowsParsing:
         with pytest.raises(PanelFormatError):
             parse_panel_file(tmp_path / "absent.csv")
 
-    def test_format_mismatch_is_fatal(self, tmp_path):
-        path = write(tmp_path, "p.csv", PAIR_HEAD + "\n")
-        with pytest.raises(PanelFormatError):
-            parse_panel_file(path, format="wave_rows")
-
     @pytest.mark.parametrize("quoted", [False, True], ids=["byte-split", "csv-reader"])
     def test_invalid_utf8_names_path_and_line(self, tmp_path, quoted):
         path = tmp_path / "p.csv"
@@ -460,9 +455,10 @@ class TestRejectionReason:
          "invalid quarter '2019.0' (expected YYYY.Q)"),
         (PAIR_HEAD, "2019.1,2019.2,EDU,TE,21,F,1,EAST,0",
          "invalid region 'EAST' (expected NORTH, CENTRE or SOUTH)"),
+        (PAIR_HEAD, "2019.1,2019.2,EDU,TE,21,X,1,EAST,1", "invalid sex 'X' (expected M or F)"),
         (WAVE_HEAD, "2019.1,XX,old,F,1,SOUTH,1", "unknown state code 'XX'"),
     ], ids=["not-adjacent", "bad-quarter-to", "bad-quarter-from", "region-before-weight",
-            "wave-state-before-age"])
+            "sex-before-region", "wave-state-before-age"])
     def test_first_failing_field_gives_the_reason(self, tmp_path, head, row, reason, quoted):
         person = '"P1"' if quoted else "P1"  # a quote sends the block to csv.reader
         path = write(tmp_path, "p.csv", f"{head}\n{person},{row}\n")
@@ -532,6 +528,14 @@ class TestDatasetColumnRanges:
         the column and the first bad value."""
         with pytest.raises(ValueError, match=rf"^dataset column {name} holds {re.escape(repr(bad))},"):
             panel.PanelDataset(person_ids=("A", "B"), provenance="bad", **{**EDGES, name: values})
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="^dataset columns must have equal lengths$"):
+            panel.PanelDataset(person_ids=("A", "B"), provenance="bad", **{**EDGES, "age": [22]})
+
+    def test_an_empty_dataset_has_no_quarter_range(self):
+        data = panel.PanelDataset(person_ids=(), provenance="empty", **{name: [] for name in EDGES})
+        assert len(data) == 0 and data.quarter_range is None
 
 
 UNIFORM7 = np.full(7, 1.0 / 7)

@@ -240,7 +240,8 @@ def test_byte_order_mark_before_the_header(tmp_path, monkeypatch, header, end, b
     monkeypatch.setattr(csvblocks, "_csv_records",
                         lambda data, *args: read_by_csv.append(data) or csv_records(data, *args))
     monkeypatch.setattr(csvblocks, "BLOCK_BYTES", block_bytes)
-    data, report = panel.parse_panel_file(path, format="pair_rows")
+    data, report = panel.parse_panel_file(path)
+    assert data.provenance.startswith("pair_rows:")
     assert data.person_ids == ("A",) and report.rejections == ()
     assert bool(read_by_csv) == by_csv
     assert all(not block.startswith(codecs.BOM_UTF8) for block in read_by_csv)

@@ -11,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmflows.estimation import StateShareTable, TransitionMatrix
-from lmflows.serialize import build_fpt_report, fpt_report_to_csv, matrix_to_csv, shares_to_csv
+from lmflows.serialize import (
+    _meta_block,
+    build_fpt_report,
+    fpt_report_to_csv,
+    matrix_to_csv,
+    shares_to_csv,
+)
 from lmflows.states import STATE_ORDER, AgeBand, CohortFilter, QuarterId, Sex
 
 from oracles import matrix_csv_by_writer, report_csv_by_writer, shares_csv_by_writer
@@ -22,7 +28,7 @@ values = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan")]),
     st.integers(-(2**63), 2**63),
 )
-labels = st.text(alphabet="ABEFNPSTU0123,;\"\r\n", min_size=1, max_size=4)
+labels = st.text(alphabet="ABEFNPSTU0123,;\"\r\n\\", min_size=1, max_size=4)
 routes = st.fixed_dictionaries({"infinite": st.booleans(), "quarters": values})
 
 
@@ -54,7 +60,7 @@ def test_report_csv_equals_the_writer_oracle(doc):
     assert fpt_report_to_csv(doc) == report_csv_by_writer(doc)
 
 
-state_labels = st.text(alphabet=st.sampled_from(list('AEU0 ,"\r\n\'\t;')), max_size=4)
+state_labels = st.text(alphabet=st.sampled_from(list('AEU0 ,"\r\n\'\t;\\')), max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,3 +105,8 @@ def test_line_break_in_a_state_label_stays_in_its_meta_line():
     lines = text.splitlines()  # splits at a CR too
     assert lines[:3] == ["# source=A\\nB", "# target=T\\r", "# verdict=well_defined"]
     assert [line[:2] for line in lines[3:5]] == ["# ", "# "] and lines[5] == "n,f,cdf,survival"
+
+
+def test_a_backslash_is_escaped_so_no_two_values_share_a_meta_line():
+    broken, backslash_n = _meta_block([("p", "a\nb")]), _meta_block([("p", "a\\nb")])
+    assert (broken, backslash_n) == ("# p=a\\nb\n", "# p=a\\\\nb\n")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from lmflows.states import (
@@ -39,7 +41,7 @@ class TestLaborState:
 
     @pytest.mark.parametrize("text", ["", "XX", "employment", "S E", "7"])
     def test_parse_rejects_unknown(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^unknown state code {re.escape(repr(text))}$"):
             LaborState.parse(text)
 
 
@@ -75,6 +77,10 @@ class TestQuarterId:
     def test_constructor_validates(self, year, quarter):
         with pytest.raises(ValueError):
             QuarterId(year, quarter)
+
+    def test_constructor_refuses_a_float_year(self):
+        with pytest.raises(ValueError, match="^year and quarter must be integers$"):
+            QuarterId(2019.0, 1)
 
     def test_plus_and_ordering(self):
         q = QuarterId(2019, 3)
@@ -140,9 +146,17 @@ class TestCohortFilter:
 
 class TestParsers:
     def test_sex_and_region_parse(self):
+        """Padded and lower-case names are read; a refusal quotes the text as given,
+        and NEET is an alias of a state only."""
         assert Sex.parse("m") is Sex.M
+        assert Sex.parse(" f\t") is Sex.F
         assert MacroRegion.parse("south") is MacroRegion.SOUTH
-        with pytest.raises(ValueError):
-            Sex.parse("X")
-        with pytest.raises(ValueError):
-            MacroRegion.parse("EAST")
+        assert MacroRegion.parse(" Centre\n") is MacroRegion.CENTRE
+        for parse, text, message in [
+            (Sex.parse, "X", "invalid sex 'X' (expected M or F)"),
+            (Sex.parse, "NEET", "invalid sex 'NEET' (expected M or F)"),
+            (MacroRegion.parse, "EAST", "invalid region 'EAST' (expected NORTH, CENTRE or SOUTH)"),
+            (MacroRegion.parse, " neet", "invalid region ' neet' (expected NORTH, CENTRE or SOUTH)"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse(text)
