@@ -12,10 +12,15 @@ Exit codes: 0 on success (including analytically degenerate passage-time
 reports, which are data facts, not failures), 1 when --strict escalates a
 degenerate report, 2 for usage or data errors. Warnings, such as thin
 transition rows, are printed as one ``warning:`` line each on stderr.
+
+A run of the ``lmflows`` script ends once its output is flushed and its files
+are closed, without the interpreter's teardown. ``main(argv)`` returns the code
+and leaves the interpreter running.
 """
 
 import argparse
 import dataclasses
+import os
 import sys
 import warnings
 
@@ -334,7 +339,22 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """The ``lmflows`` script: run ``main`` on ``sys.argv`` and end the process with its code.
+
+    Once ``main`` returns, every file it wrote is closed, so after stdout and stderr
+    are flushed ``os._exit`` ends the process without the interpreter's teardown. A
+    flush that fails (a closed pipe, say) exits through ``sys.exit`` instead. An
+    argparse ``SystemExit`` (usage errors, ``--help``, ``--version``) or an uncaught
+    exception leaves ``main`` as before and takes the interpreter's own exit.
+    """
+    code = main(sys.argv[1:])
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Run configuration: defaults, key=value config files, flag overrides."""
 
 import dataclasses
+import numbers
 
 from .estimation import DEFAULT_MIN_SUPPORT, FALLBACK_POLICIES, FALLBACK_UNIFORM
 from .fpt import DEFAULT_EPSILON, DEFAULT_MAX_HORIZON, _check_epsilon, _term_count
@@ -30,6 +31,8 @@ class RunConfig:
     def __post_init__(self):
         _check_epsilon(self.epsilon)
         _term_count(self.max_horizon, "max_horizon")
+        if isinstance(self.min_support, bool) or not isinstance(self.min_support, numbers.Real):
+            raise TypeError(f"min_support must be a real number, got {self.min_support!r}")
         if not self.min_support >= 0:  # NaN too
             raise ValueError(f"min_support must be >= 0, got {self.min_support!r}")
         for what, value, choices in (("output format", self.output_format, OUTPUT_FORMATS),

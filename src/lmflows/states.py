@@ -125,7 +125,7 @@ class QuarterId:
     quarter: int
 
     def __post_init__(self):
-        if not isinstance(self.year, int) or not isinstance(self.quarter, int):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.year, self.quarter)):
             raise ValueError("year and quarter must be integers")
         if self.year < 1900:
             raise ValueError(f"year {self.year} out of range (must be >= 1900)")

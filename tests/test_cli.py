@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmflows
-from lmflows.cli import main
+from lmflows.cli import entrypoint, main
 from lmflows.config import RunConfig
 from lmflows.fixtures import fixture_names, get_fixture
 from lmflows.panel import PAIR_HEADER, replacing_file
@@ -590,6 +590,16 @@ class TestConfigFile:
         assert code == 2
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("value", ["5", True, None])
+    def test_min_support_that_is_not_a_real_number_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match=f"^min_support must be a real number, got {value!r}$"):
+            RunConfig(min_support=value)
+
+    @pytest.mark.parametrize("value", [-1, float("nan")])
+    def test_negative_or_nan_min_support_is_a_value_error(self, value):
+        with pytest.raises(ValueError, match="^min_support must be >= 0, got "):
+            RunConfig(min_support=value)
+
 
 class TestOutputFile:
     def test_out_writes_file(self, tmp_path, capsys):
@@ -909,3 +919,109 @@ def test_data_commands_exit_zero_or_two_without_a_traceback(argv, small_corpus):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert "error: " in err.getvalue().splitlines()[-1], (argv, err.getvalue())
+
+
+class _Ended(Exception):
+    """Raised where ``os._exit`` would have ended the process."""
+
+
+class _BrokenPipe(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.fixture
+def exits(monkeypatch):
+    """Stand in for ``os._exit``: record each code in the list returned, then raise ``_Ended``."""
+    codes = []
+
+    def end(code):
+        codes.append(code)
+        raise _Ended
+
+    monkeypatch.setattr(os, "_exit", end)
+    return codes
+
+
+# A run that succeeds, and one that --strict fails.
+ENDINGS = [
+    (["fixtures"], 0),
+    (["fpt", "--fixture", "early_2019Q3", "--from", "EDU", "--to", "FS", "--strict"], 1),
+]
+
+PARITY_ROWS = [
+    "A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1",
+    "B,2019.1,2019.2,EDU,EDU,22,M,1,SOUTH,1",
+    "C,2019.1,2019.2,TE,PE,23,F,0,SOUTH,2",
+    "D,2019.1,2019.2,U,TE,24,M,1,SOUTH,1",
+    "E,2019.1,2019.2,XX,TE,21,F,1,SOUTH,1",
+]
+
+
+class TestEntrypoint:
+    @pytest.mark.parametrize("argv, code", ENDINGS)
+    def test_ends_with_the_code_once_stdout_is_flushed(self, monkeypatch, exits, argv, code):
+        with contextlib.redirect_stdout(io.StringIO()) as expected:
+            assert main(argv) == code
+        raw = io.BytesIO()  # behind a text buffer that holds the whole output until a flush
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+        monkeypatch.setattr(sys, "argv", ["lmflows", *argv])
+        with pytest.raises(_Ended):
+            entrypoint()
+        assert (exits, raw.getvalue()) == ([code], expected.getvalue().encode())
+
+    @pytest.mark.parametrize("argv, code", ENDINGS)
+    def test_a_failed_flush_exits_through_sys_exit(self, monkeypatch, exits, argv, code):
+        monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+        monkeypatch.setattr(sys, "argv", ["lmflows", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == code
+        assert exits == []
+
+    def test_a_child_without_stdout_ends_with_the_code(self, tmp_path):
+        target = tmp_path / "sim.csv"
+        result = child("simulate", "--fixture", "early_2019Q3", "--n", "50", "--seed", "1",
+                       "--out", str(target), stderr=subprocess.PIPE, text=True,
+                       preexec_fn=lambda: os.close(1))  # so the child's sys.stdout is None
+        assert (result.returncode, result.stderr) == (0, f"wrote 50 pairs to {target}\n")
+        assert len(target.read_text().splitlines()) == 51
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0),
+        (["shares", "--quarter", "2019.1"], 2),
+    ])
+    def test_argparse_exits_as_before(self, monkeypatch, exits, argv, code):
+        monkeypatch.setattr(sys, "argv", ["lmflows", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == code
+        assert exits == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (["transitions", "--data", "{data}", "--quarter", "2019.1"], 0),
+        (["shares", "--data", "{data}", "--quarter", "2019.1", "--format", "json"], 0),
+        (["fpt", "--data", "{data}", "--quarter", "2019.1", "--from", "EDU", "--to", "PE",
+          "--rejects", "{file}"], 0),
+        (["fpt", "--fixture", "early_2019Q3", "--from", "EDU", "--to", "FS", "--strict"], 1),
+        (["shares", "--data", "{data}", "--quarter", "2019.1", "--region", "NORTH"], 2),
+        (["simulate", "--fixture", "early_2019Q3", "--n", "50", "--seed", "1", "--out", "{file}"], 0),
+        (["fixtures", "--format", "json"], 0),
+        (["fpt", "--fixture", "early_2019Q3", "--from", "EDU", "--to", "PE", "--horizon", "20000"], 0),
+    ], ids=["transitions", "shares-json", "fpt-rejects", "fpt-strict", "empty-cohort",
+            "simulate-out", "fixtures-json", "fpt-20000-terms"])
+    def test_child_matches_main(self, tmp_path, capsys, monkeypatch, argv, code):
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # the child's stdout is buffered
+        data = write_panel(tmp_path, PARITY_ROWS)
+        target = tmp_path / "written.csv"
+        argv = [arg.format(data=data, file=target) for arg in argv]
+
+        def outcome(code, out, err):
+            written = target.read_bytes() if target.exists() else None
+            target.unlink(missing_ok=True)
+            return code, out, err, written
+
+        expected = outcome(*run(capsys, *argv))
+        result = child(*argv, capture_output=True)
+        assert outcome(result.returncode, result.stdout.decode(), result.stderr.decode()) == expected
+        assert expected[0] == code

@@ -82,6 +82,11 @@ class TestQuarterId:
         with pytest.raises(ValueError, match="^year and quarter must be integers$"):
             QuarterId(2019.0, 1)
 
+    @pytest.mark.parametrize("year,quarter", [(True, 1), (2019, True)])
+    def test_constructor_refuses_a_bool(self, year, quarter):
+        with pytest.raises(ValueError, match="^year and quarter must be integers$"):
+            QuarterId(year, quarter)
+
     def test_plus_and_ordering(self):
         q = QuarterId(2019, 3)
         assert q.plus(6) == QuarterId(2021, 1)
