@@ -74,6 +74,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _floats(text: str) -> list[float]:
+    """An argparse type: comma-separated numbers; argparse names the flag in its errors."""
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cohort_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("cohort filters")
@@ -163,6 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quarters", type=_int_at_least(1), default=2, help="window length (default 2)")
     p.add_argument(
         "--initial-shares",
+        type=_floats,
         metavar="P0,...,P6",
         help="comma-separated entry-state distribution (default uniform)",
     )
@@ -286,13 +295,6 @@ def cmd_fpt(args) -> int:
     return 0
 
 
-def _parse_shares(text: str, k: int):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != k:
-        raise ValueError(f"--initial-shares needs {k} comma-separated values, got {len(parts)}")
-    return [float(p) for p in parts]
-
-
 def cmd_simulate(args) -> int:
     if not args.out:
         raise ValueError("simulate requires --out PATH")
@@ -300,7 +302,9 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     truth = apply_fallback_policy(fixture.matrix(), cfg.fallback_policy)
     k = truth.n_states
-    shares = _parse_shares(args.initial_shares, k) if args.initial_shares else [1.0 / k] * k
+    shares = args.initial_shares or [1.0 / k] * k
+    if len(shares) != k:
+        raise ValueError(f"--initial-shares needs {k} comma-separated values, got {len(shares)}")
     dataset = generate_synthetic_panel(
         truth,
         shares,

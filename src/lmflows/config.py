@@ -48,7 +48,7 @@ class RunConfig:
         unparsable values raise ValueError naming the line.
         """
         values = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte order mark is dropped
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

@@ -1,7 +1,7 @@
 """A CSV file read a block of bytes at a time, and the decoding of its fields' tokens.
 
 ``record_batches`` reads a binary file in blocks of about BLOCK_BYTES, each
-cut after a newline (a byte order mark at the start of the file is dropped
+cut after a line end (a byte order mark at the start of the file is dropped
 first), and gives each block's records as byte ranges of their fields
 (``Records``). A block holding no double quote, and no carriage return but
 those of CRLF line ends, is split at commas and newlines with numpy; any
@@ -32,12 +32,13 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 
 import numpy as np
 
 from .errors import PanelFormatError
 
-# Bytes read at a time. Each block is cut after its last newline, so a
+# Bytes read at a time. Each block is cut after its last line end, so a
 # block holds whole lines; the memory a parse needs beyond its result is a
 # few times this size.
 BLOCK_BYTES = 1 << 18
@@ -108,28 +109,30 @@ def record_batches(fh, path: str, limit: int):
     line = 1
     for data in blocks:
         if b'"' in data or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
-            records, n_lines = _csv_records(data, line, blocks, path)
+            records = _csv_records(data, line, blocks, path)
         else:
             if not data.isascii():
                 _utf8_text(data, line, path)
             records = _split_records(data, line, limit)
-            n_lines = len(records.line)
         yield records
-        line += n_lines
+        line = int(records.line[-1]) + 1  # a batch's last record ends its last line
         del records  # not kept while the next block is read
 
 
 def _blocks(fh):
-    """The bytes of ``fh`` in blocks of about BLOCK_BYTES that end after a newline.
+    """The bytes of ``fh`` in blocks of about BLOCK_BYTES that end after a line end.
 
-    A byte order mark at the start of the file is dropped. Only the last
-    block may lack a final newline.
+    A chunk read is cut after its last ``\\n``, or after a later ``\\r`` that
+    is not its last byte, so that a ``\\r\\n`` read in two chunks stays
+    whole. A byte order mark at the start of the file is dropped. Only the
+    last block may lack a final line end.
     """
     tail = fh.read(len(codecs.BOM_UTF8))
     if tail == codecs.BOM_UTF8:
         tail = b""
     while chunk := fh.read(BLOCK_BYTES):
         cut = chunk.rfind(b"\n") + 1
+        cut = chunk.rfind(b"\r", cut, len(chunk) - 1) + 1 or cut
         if cut:
             yield tail + chunk[:cut]
             tail = chunk[cut:]
@@ -177,41 +180,22 @@ def _split_records(data: bytes, line: int, limit: int) -> Records:
     return Records(data, line + np.arange(len(last)), first, count, long, start, end)
 
 
-class _LineFeed:
-    """Text lines of a block for ``csv.reader``, then of later blocks if it asks for more.
-
-    ``left`` counts the lines of the current block not yet read and ``n``
-    the lines read in all.
-    """
-
-    def __init__(self, data: bytes, line: int, blocks, path: str):
-        self.line, self.blocks, self.path = line, blocks, path
-        self.n = 0
-        self._load(data)
-
-    def _load(self, data: bytes) -> None:
-        lines = list(io.StringIO(_utf8_text(data, self.line + self.n, self.path), newline=""))
-        self.left = len(lines)
-        self._next = iter(lines).__next__
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        if not self.left:
-            self._load(next(self.blocks))  # StopIteration at the end of the file
-        self.left -= 1
-        self.n += 1
-        return self._next()
-
-
-def _csv_records(data: bytes, line: int, blocks, path: str) -> tuple[Records, int]:
-    """The records ``csv.reader`` reads from ``data`` on (and the lines it read).
+def _csv_records(data: bytes, line: int, blocks, path: str) -> Records:
+    """The records ``csv.reader`` reads from ``data`` on, taking in later
+    blocks only while a record runs past a block's end.
 
     It stops at the first record that ends where a block ends.
     """
-    feed = _LineFeed(data, line, blocks, path)
-    reader = csv.reader(feed)
+    taken = 0  # the lines of the blocks taken in
+
+    def feed():
+        nonlocal taken
+        for block in itertools.chain((data,), blocks):
+            text = list(io.StringIO(_utf8_text(block, line + taken, path), newline=""))
+            taken += len(text)
+            yield from text
+
+    reader = csv.reader(feed())
     rows, lines, long = [], [], []
     while True:
         try:
@@ -225,7 +209,7 @@ def _csv_records(data: bytes, line: int, blocks, path: str) -> tuple[Records, in
         rows.append(row)
         lines.append(line - 1 + reader.line_num)
         long.append(too_long)
-        if not feed.left:
+        if reader.line_num == taken:
             break
     encoded = [field.encode() for row in rows for field in row]
     size = np.array([len(field) for field in encoded], dtype=np.int64)
@@ -239,7 +223,7 @@ def _csv_records(data: bytes, line: int, blocks, path: str) -> tuple[Records, in
         long=np.array(long, dtype=bool),
         start=end - size,
         end=end,
-    ), feed.n
+    )
 
 
 # The low ``n`` bytes of a uint64, for n = 0..8.

@@ -125,8 +125,9 @@ class ObservationPair:
             raise ValueError(
                 f"pair quarters must be adjacent, got {self.quarter_from} -> {self.quarter_to}"
             )
-        if not self.weight > 0:
-            raise ValueError(f"pair weight must be positive, got {self.weight!r}")
+        low, high = _RANGES["weight"]
+        if not low <= self.weight <= high:  # NaN too
+            raise ValueError(f"pair weight must be finite and positive, got {self.weight!r}")
 
 
 # Column dtypes of a PanelDataset, in constructor order.

@@ -445,6 +445,16 @@ class TestSimulateCommand:
         assert "initial-shares" in err
 
 
+    @pytest.mark.parametrize("shares,bad", [("a,b,0,0,0,0,1", "'a'"), ("0.5,,0.5", "''")])
+    def test_unparsable_initial_share_names_the_flag(self, tmp_path, capsys, shares, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--fixture", "early_2019Q3", "--n", "5",
+                  "--out", str(tmp_path / "x.csv"), "--initial-shares", shares])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument --initial-shares: could not convert string to float: {bad}")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_nan_initial_share_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code, stdout, err = run(capsys, "simulate", "--fixture", "early_2019Q3", "--n", "50",
@@ -535,6 +545,16 @@ class TestConfigFile:
                            "--config", str(cfg), "--format", "csv")
         assert code == 0
         assert out.startswith("# source=A")
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon=1e-10\nformat=json\n", encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert RunConfig.read_file(cfg) == {"epsilon": 1e-10, "output_format": "json"}
+        code, out, err = run(capsys, "fpt", "--fixture", "demo_geometric_q25",
+                             "--from", "A", "--to", "B", "--horizon", "3", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        json.loads(out)
 
     def test_value_ends_at_the_first_hash(self, tmp_path):
         cfg = tmp_path / "run.cfg"

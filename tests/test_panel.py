@@ -493,6 +493,13 @@ class TestObservationPair:
             ObservationPair("A", QuarterId(2019, 1), QuarterId(2019, 2),
                             LaborState.U, LaborState.U, demo(), weight=0.0)
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+    def test_rejects_a_weight_no_dataset_holds(self, weight):
+        """The dataset's rule: a weight must be finite and positive."""
+        with pytest.raises(ValueError, match=rf"^pair weight must be finite and positive, got {weight!r}$"):
+            ObservationPair("A", QuarterId(2019, 1), QuarterId(2019, 2),
+                            LaborState.U, LaborState.U, demo(), weight=weight)
+
 
 # Two rows at the edges of every checked column's range.
 EDGES = {"person": [0, 1], "quarter": [QuarterId(1900, 1).ordinal, QuarterId(9999, 3).ordinal],

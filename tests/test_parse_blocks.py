@@ -183,6 +183,16 @@ def test_wave_rows_parse_like_the_row_loop(raw, block_bytes, field_limit):
 PAIR_HEAD = ",".join(panel.PAIR_HEADER)
 
 
+@pytest.fixture
+def read_by_csv(monkeypatch):
+    """The blocks handed to ``_csv_records``, in order."""
+    read = []
+    csv_records = csvblocks._csv_records
+    monkeypatch.setattr(csvblocks, "_csv_records",
+                        lambda data, *args: read.append(data) or csv_records(data, *args))
+    return read
+
+
 @pytest.mark.parametrize("block_bytes", [1, 20, 45, 60, csvblocks.BLOCK_BYTES])
 def test_quoted_newline_across_a_block_boundary(block_bytes):
     text = (PAIR_HEAD + "\n"
@@ -230,15 +240,12 @@ def test_ids_padded_or_long_share_codes_by_stripped_text(tmp_path):
     (PAIR_HEAD, "\r", True),
 ], ids=["bare", "first-quoted", "all-quoted", "bare-crlf", "bare-cr"])
 @pytest.mark.parametrize("block_bytes", [1, csvblocks.BLOCK_BYTES])
-def test_byte_order_mark_before_the_header(tmp_path, monkeypatch, header, end, by_csv, block_bytes):
+def test_byte_order_mark_before_the_header(tmp_path, monkeypatch, read_by_csv, header, end, by_csv,
+                                            block_bytes):
     """A leading byte order mark is dropped before either tokenizer reads the header."""
     raw = ("\ufeff" + header + end + "A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1" + end).encode()
     path = tmp_path / "p.csv"
     path.write_bytes(raw)
-    read_by_csv = []
-    csv_records = csvblocks._csv_records
-    monkeypatch.setattr(csvblocks, "_csv_records",
-                        lambda data, *args: read_by_csv.append(data) or csv_records(data, *args))
     monkeypatch.setattr(csvblocks, "BLOCK_BYTES", block_bytes)
     data, report = panel.parse_panel_file(path)
     assert data.provenance.startswith("pair_rows:")
@@ -318,17 +325,13 @@ def test_a_clean_file_is_parsed_without_decoding_its_ids(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("block_bytes", [64, 1000, csvblocks.BLOCK_BYTES])
-def test_crlf_parses_as_its_lf_original_by_the_numpy_split(tmp_path, monkeypatch, block_bytes):
+def test_crlf_parses_as_its_lf_original_by_the_numpy_split(tmp_path, monkeypatch, read_by_csv, block_bytes):
     rows = ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1", "", "  ",
             "B,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,", "C,2019.1,2019.3,EDU,TE,21,F,1,SOUTH,1",
             "Zoë,2019.2,2019.3,NEET,U,40,M,0,NORTH,2.5", "D,2019.1", ",,,,,,,,,", "",
             "E,2019.1,2019.2,EDU,TE,21,X,1,SOUTH ,1", " F ,2019.3,2019.4,SE,SE,34,F,0,centre,1e3"]
     lf = ("\n".join([PAIR_HEAD] + rows * 3) + "\n").encode()
     crlf = lf.replace(b"\n", b"\r\n")
-    read_by_csv = []
-    csv_records = csvblocks._csv_records
-    monkeypatch.setattr(csvblocks, "_csv_records",
-                        lambda data, *args: read_by_csv.append(data) or csv_records(data, *args))
     monkeypatch.setattr(csvblocks, "BLOCK_BYTES", block_bytes)
     got = {}
     for name, raw in (("lf", lf), ("crlf", crlf), ("crlf-open", crlf[:-2])):
@@ -345,6 +348,57 @@ def test_crlf_parses_as_its_lf_original_by_the_numpy_split(tmp_path, monkeypatch
     lone = crlf.replace(b"\r\n", b"\r", 1)  # a lone carriage return ends the header
     monkeypatch.undo()
     assert_parses_like_the_loop(lone, block_bytes, csv.field_size_limit())
+
+
+def test_a_cr_only_file_is_read_a_block_at_a_time(tmp_path, monkeypatch, read_by_csv):
+    """Lines ended by a lone carriage return are cut into blocks as LF lines are."""
+    rows = [f"P{i},2019.{1 + i % 3},2019.{2 + i % 3},EDU,TE,{20 + i % 5},F,1,SOUTH,{i}.5"
+            for i in range(30)] + ["", "D,2019.1", "E,2019.1,2019.2,EDU,TE,21,X,1,SOUTH,1"]
+    lf = ("\n".join([PAIR_HEAD] + rows) + "\n").encode()
+    cr = lf.replace(b"\n", b"\r")
+    monkeypatch.setattr(csvblocks, "BLOCK_BYTES", 64)
+    (tmp_path / "lf").write_bytes(lf)
+    (tmp_path / "cr").write_bytes(cr)
+    data, report = panel.parse_panel_file(tmp_path / "lf")
+    assert read_by_csv == []
+    got, got_report = panel.parse_panel_file(tmp_path / "cr")
+    assert len(read_by_csv) > 1 and b"".join(read_by_csv) == cr
+    assert got.person_ids == data.person_ids
+    for name in panel._COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(data, name)), name
+    assert got_report == report and len(report.rejections) == 2
+    monkeypatch.undo()
+    assert_parses_like_the_loop(cr, 64, csv.field_size_limit())
+
+
+@pytest.mark.parametrize("block_bytes", range(1, 24))
+def test_blocks_end_at_line_ends_and_never_inside_a_crlf(block_bytes, monkeypatch):
+    """Every block but the last ends after a line end; a chunk read that ends
+    on the \\r of a \\r\\n, as one does at sizes 1, 2, 4 and 11, is not cut there."""
+    raw = b"h\r\nA\rB\r\n\rC\nD\r\r\nE"
+    monkeypatch.setattr(csvblocks, "BLOCK_BYTES", block_bytes)
+    blocks = list(csvblocks._blocks(io.BytesIO(raw)))
+    assert b"".join(blocks) == raw
+    for block, after in zip(blocks, blocks[1:]):
+        assert block.endswith(b"\n") or (block.endswith(b"\r") and not after.startswith(b"\n"))
+
+
+@pytest.mark.parametrize("block_bytes", [16, 64, 100, 1000])
+def test_a_quoted_block_then_quote_free_blocks(monkeypatch, read_by_csv, block_bytes):
+    """Only the block holding the quotes, and those its quoted field runs
+    into, are read by csv.reader; the batches after it are numbered on from
+    its last record, which ends the line after the quoted newline."""
+    rows = [f"P{i},2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1" for i in range(12)]
+    rows[1] = '"Q\nstill Q",2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1'
+    raw = "".join(line + "\n" for line in [PAIR_HEAD, *rows]).encode()
+    reader = csv.reader(io.StringIO(raw.decode(), newline=""))
+    want = [(reader.line_num, row) for row in reader]
+    assert [line for line, _ in want] == [1, 2, 4, *range(5, 15)]
+    monkeypatch.setattr(csvblocks, "BLOCK_BYTES", block_bytes)
+    batches = list(csvblocks.record_batches(io.BytesIO(raw), "p.csv", csv.field_size_limit()))
+    assert len(read_by_csv) == 1 and b'"' in read_by_csv[0]
+    assert [(line, records.fields(r)) for records in batches
+            for r, line in enumerate(records.line.tolist())] == want
 
 
 # Records set apart before any field is read: too few and too many fields,
