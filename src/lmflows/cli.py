@@ -85,8 +85,9 @@ def _floats(text: str) -> list[float]:
 def _cohort_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("cohort filters")
-    g.add_argument("--age", choices=sorted(_AGE_CHOICES), help="age band at first interview")
-    g.add_argument("--sex", choices=["M", "F"], help="restrict to one sex")
+    g.add_argument("--age", choices=sorted(_AGE_CHOICES), type=str.lower,
+                   help="age band at first interview")
+    g.add_argument("--sex", choices=["M", "F"], type=str.upper, help="restrict to one sex")
     g.add_argument("--citizen", choices=["0", "1"], help="citizenship flag (1=citizen)")
     g.add_argument(
         "--region",
@@ -101,8 +102,7 @@ def _output_parent(pretty: bool, formats: bool = True) -> argparse.ArgumentParse
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("output")
     if formats:
-        g.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS,
-                       help="output format (default csv)")
+        g.add_argument("--format", choices=OUTPUT_FORMATS, help="output format (default csv)")
     g.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     if pretty:
         g.add_argument("--pretty", action="store_true", help="aligned two-decimal text instead of csv/json")
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> RunConfig:
     """The config file's values, checked first, then each flag given, by its field name."""
     values = RunConfig.read_file(args.config) if getattr(args, "config", None) else {}
-    if "output_format" in values and not hasattr(args, "output_format"):
+    if "format" in values and not hasattr(args, "format"):
         raise ValueError(f"{args.config}: format does not apply to {args.command}")
     flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     return dataclasses.replace(RunConfig(**values),
@@ -230,7 +230,7 @@ def _render(args, cfg, value, pretty, to_doc, to_csv) -> None:
     ``pretty`` is None for a command with no --pretty flag."""
     if getattr(args, "pretty", False):
         text = pretty(value)
-    elif cfg.output_format == "json":
+    elif cfg.format == "json":
         text = to_json(to_doc(value))
     else:
         text = to_csv(value)

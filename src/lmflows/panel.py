@@ -71,6 +71,7 @@ import functools
 import io
 import itertools
 import math
+import numbers
 import os
 import re
 import sys
@@ -80,6 +81,7 @@ import numpy as np
 from . import csvblocks
 from .errors import PanelFormatError
 from .estimation import TransitionMatrix
+from .fpt import _term_count
 from .states import (
     AGE_MAX,
     AGE_MIN,
@@ -652,7 +654,7 @@ def generate_synthetic_panel(
         Window length in quarters (>= 1). The window may not run past
         9999.4, the last quarter a panel file can hold.
     seed : int
-        Output is a deterministic function of the arguments and this seed.
+        RNG seed (>= 0). Output is a deterministic function of the arguments and this seed.
 
     Returns
     -------
@@ -667,10 +669,12 @@ def generate_synthetic_panel(
         raise ValueError(f"initial_shares must have length {N_STATES}")
     if not (shares.min() >= 0 and abs(float(shares.sum()) - 1.0) <= 1e-9):  # NaN fails too
         raise ValueError("initial_shares must be nonnegative and sum to 1 within 1e-9")
-    if n_individuals < 1:
-        raise ValueError("n_individuals must be >= 1")
-    if n_quarters < 1:
-        raise ValueError("n_quarters must be >= 1")
+    n_individuals = _term_count(n_individuals, "n_individuals")
+    n_quarters = _term_count(n_quarters, "n_quarters")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if start_quarter.ordinal + n_quarters - 1 > _LAST_QUARTER.ordinal:
         raise ValueError(f"a window of {n_quarters} quarters from {start_quarter} runs past "
                          f"{_LAST_QUARTER}, the last quarter a panel file can hold")
@@ -758,6 +762,10 @@ def replacing_file(path):
             yield fh
         return
     target = os.path.realpath(path)  # through a symlink, the file it names is replaced
+    try:
+        mode = os.stat(target).st_mode & 0o777  # a replaced file keeps its permission bits
+    except OSError:  # a new target, or one the open below fails on and reports
+        mode = None
     while True:
         tmp = os.path.join(os.path.dirname(target), f".lmflows-{os.urandom(6).hex()}")
         try:
@@ -770,6 +778,8 @@ def replacing_file(path):
             raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)
             yield fh
         os.replace(tmp, target)
     except BaseException:

@@ -30,13 +30,15 @@ def _meta_block(items) -> str:
 
 
 def _cohort_doc(cohort):
-    if cohort is None:
-        return None
+    return cohort.written() if cohort is not None else None
+
+
+def _chain_doc(m) -> dict:
+    """A matrix's ``from_quarter``, ``to_quarter`` and ``cohort`` as the JSON documents write them."""
     return {
-        "age_band": cohort.age_band.name if cohort.age_band is not None else None,
-        "sex": cohort.sex.name if cohort.sex is not None else None,
-        "citizen": (1 if cohort.citizen else 0) if cohort.citizen is not None else None,
-        "region": cohort.region.name if cohort.region is not None else None,
+        "from_quarter": str(m.from_quarter) if m.from_quarter is not None else None,
+        "to_quarter": str(m.to_quarter) if m.to_quarter is not None else None,
+        "cohort": _cohort_doc(m.cohort),
     }
 
 
@@ -53,9 +55,7 @@ def matrix_to_doc(m) -> dict:
         "entries": [[float(v) for v in row] for row in m.entries],
         "row_counts": list(m.row_counts) if m.row_counts is not None else None,
         "fallback_rows": sorted(m.fallback_rows),
-        "from_quarter": str(m.from_quarter) if m.from_quarter is not None else None,
-        "to_quarter": str(m.to_quarter) if m.to_quarter is not None else None,
-        "cohort": _cohort_doc(m.cohort),
+        **_chain_doc(m),
         "provenance": m.provenance,
     }
 
@@ -69,14 +69,8 @@ def _csv_field(label) -> str:
 
 
 def matrix_to_csv(m) -> str:
-    meta = _meta_block(
-        (
-            ("from_quarter", str(m.from_quarter) if m.from_quarter is not None else None),
-            ("to_quarter", str(m.to_quarter) if m.to_quarter is not None else None),
-            ("cohort", m.cohort.describe() if m.cohort is not None else None),
-            ("provenance", m.provenance or None),
-        )
-    )
+    chain = {**_chain_doc(m), "cohort": m.cohort.describe() if m.cohort is not None else None}
+    meta = _meta_block((*chain.items(), ("provenance", m.provenance or None)))
     labels = list(map(_csv_field, m.states))
     counts = [""] * len(labels) if m.row_counts is None else map(_fmt, m.row_counts)
     # Floats and ints, which csv.writer would never quote: one join a row, each as _fmt writes it.
@@ -190,9 +184,7 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
         "source": dist.source,
         "target": dist.target,
         "horizon": int(horizon),
-        "from_quarter": str(m.from_quarter) if m.from_quarter is not None else None,
-        "to_quarter": str(m.to_quarter) if m.to_quarter is not None else None,
-        "cohort": _cohort_doc(m.cohort),
+        **_chain_doc(m),
         "well_defined": {
             "verdict": wd.verdict,
             "mass_at_horizon": float(wd.mass_at_horizon),

@@ -4,6 +4,7 @@ import dataclasses
 import enum
 import numbers
 import re
+import typing
 
 # Other names read as a member's name.
 _ALIASES = {"NEET": "NLFET"}
@@ -174,14 +175,19 @@ class CohortFilter:
     citizen: bool | None = None
     region: MacroRegion | None = None
 
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, field.type):  # the annotation, ``X | None``
+                kind = typing.get_args(field.type)[0].__name__
+                raise TypeError(f"cohort {field.name} must be {kind} or None, got {value!r}")
+
+    def written(self) -> dict:
+        """Each field as the outputs write it: a member by its name, citizen as 1 or 0, None if unset."""
+        values = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        return {name: value if value is None else int(value) if isinstance(value, bool) else value.name
+                for name, value in values.items()}
+
     def describe(self) -> str:
-        parts = []
-        if self.age_band is not None:
-            parts.append(f"age={self.age_band.name}")
-        if self.sex is not None:
-            parts.append(f"sex={self.sex.name}")
-        if self.citizen is not None:
-            parts.append(f"citizen={1 if self.citizen else 0}")
-        if self.region is not None:
-            parts.append(f"region={self.region.name}")
-        return ", ".join(parts) if parts else "all"
+        return ", ".join(f"{'age' if name == 'age_band' else name}={value}"
+                         for name, value in self.written().items() if value is not None) or "all"

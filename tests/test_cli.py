@@ -69,6 +69,15 @@ class TestSharesCommand:
         assert code == 2
         assert "region=SOUTH" in err
 
+    @pytest.mark.parametrize("flag, value", [("--age", "early"), ("--sex", "F"), ("--region", "SOUTH")])
+    def test_cohort_flags_read_any_case(self, tmp_path, capsys, flag, value):
+        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,EDU,21,F,1,SOUTH,1",
+                                      "B,2019.1,2019.2,TE,TE,27,M,1,NORTH,1"])
+        outputs = [run(capsys, "shares", "--data", data, "--quarter", "2019.1", flag, text)
+                   for text in (value, value.lower(), value.upper(), value.title())]
+        assert outputs[0][0] == 0
+        assert all(output == outputs[0] for output in outputs)
+
     def test_synthetic_edu_share_recovers_target(self, tmp_path, capsys):
         shares = "0.09,0.12,0.10,0.11,0.10,0.43,0.05"
         sim = str(tmp_path / "sim.csv")
@@ -550,7 +559,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epsilon=1e-10\nformat=json\n", encoding="utf-8-sig")
         assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
-        assert RunConfig.read_file(cfg) == {"epsilon": 1e-10, "output_format": "json"}
+        assert RunConfig.read_file(cfg) == {"epsilon": 1e-10, "format": "json"}
         code, out, err = run(capsys, "fpt", "--fixture", "demo_geometric_q25",
                              "--from", "A", "--to", "B", "--horizon", "3", "--config", str(cfg))
         assert (code, err) == (0, "")
@@ -559,7 +568,7 @@ class TestConfigFile:
     def test_value_ends_at_the_first_hash(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format=json#x\n")
-        assert RunConfig.read_file(cfg) == {"output_format": "json"}
+        assert RunConfig.read_file(cfg) == {"format": "json"}
         cfg.write_text("format=csv\nepsilon=#1\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:2: "):
             RunConfig.read_file(cfg)
@@ -678,6 +687,28 @@ class TestOutputFile:
         assert target.read_text().startswith("line_number" if flag == "--rejects" else "#")
         assert (target.stat().st_mode & 0o777) == 0o666 & ~current_umask()
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "panel.csv", "target.csv"]
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    @pytest.mark.parametrize("flag", ["--out", "--rejects", "simulate --out"])
+    @pytest.mark.parametrize("through_link", [False, True])
+    def test_replaced_target_keeps_its_permission_bits(self, tmp_path, capsys, mode, flag,
+                                                       through_link):
+        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1",
+                                      "B,2019.1,2019.2,XX,TE,21,F,1,SOUTH,1"])
+        target, link = tmp_path / "private.csv", tmp_path / "link.csv"
+        target.write_bytes(b"earlier output\n")
+        target.chmod(mode)
+        link.symlink_to(target.name)
+        path = str(link if through_link else target)
+        if flag == "simulate --out":
+            argv = ["simulate", "--fixture", "early_2019Q3", "--n", "5", "--out", path]
+        else:
+            argv = ["transitions", "--data", data, "--quarter", "2019.1", "--min-support", "0",
+                    flag, path]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert target.read_bytes() != b"earlier output\n"
+        assert (target.stat().st_mode & 0o777) == mode
 
     def test_write_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
         mask = current_umask()

@@ -418,3 +418,30 @@ def test_the_singular_guard_may_refuse_past_sqrt_m_times_the_floor():
     assert fpt._first_step_solve(P, region) is None
     with pytest.raises(fpt.InfiniteEfptError, match="numerically singular"):
         efpt_linear(P, 0, m)
+
+
+def test_an_exactly_singular_first_step_system_is_reported_infinite(monkeypatch):
+    # The rows sum to 1 and the passage 0 -> 1 is certain in the limit, yet 1 - 1e-300
+    # rounds to 1, so I - Q is [[0.0]] and np.linalg.solve raises rather than returning.
+    P = np.array([[1.0, 1e-300], [0.0, 1.0]])
+    raised = []
+    real = np.linalg.solve
+
+    def solve(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    text = ("expected first passage time from 0 to 1 is infinite or undefined: "
+            "first-step system is numerically singular")
+    with pytest.raises(fpt.InfiniteEfptError) as err:
+        efpt_linear(P, 0, 1)
+    assert str(err.value) == text
+    assert raised == ["Singular matrix"]
+    doc = build_fpt_report(P, 0, 1, HORIZON, DEFAULT_EPSILON, DEFAULT_MAX_HORIZON)
+    linear = doc["efpt"]["linear_system"]
+    assert (linear["infinite"], linear["quarters"], linear["detail"]) == (True, None, text)
+    assert doc["well_defined"]["verdict"] == fpt.VERDICT_SUSPECT

@@ -622,6 +622,20 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_synthetic_panel(np.eye(3), np.full(3, 1 / 3), 10, QuarterId(2019, 1), 2, seed=0)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("n_individuals", True, TypeError),
+        ("n_individuals", 10.0, TypeError),
+        ("n_quarters", 2.5, TypeError),
+        ("n_quarters", True, TypeError),
+        ("seed", True, TypeError),
+        ("seed", 1.0, TypeError),
+        ("seed", -1, ValueError),
+    ])
+    def test_rejects_a_count_or_seed_that_is_not_an_int(self, field, value, error):
+        args = {"n_individuals": 10, "n_quarters": 2, "seed": 0, field: value}
+        with pytest.raises(error, match=f"^{field} must be"):
+            generate_synthetic_panel(np.eye(7), UNIFORM7, start_quarter=QuarterId(2019, 1), **args)
+
 
 class TestRoundTripCsv:
     def test_write_then_parse_preserves_pairs(self, tmp_path):

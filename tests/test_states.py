@@ -148,6 +148,19 @@ class TestCohortFilter:
         f = CohortFilter(age_band=AgeBand.LATE_YOUNG, citizen=False)
         assert f.describe() == "age=LATE_YOUNG, citizen=0"
 
+    def test_written_gives_each_field_as_the_outputs_write_it(self):
+        f = CohortFilter(sex=Sex.F, citizen=True)
+        assert f.written() == {"age_band": None, "sex": "F", "citizen": 1, "region": None}
+        assert f.describe() == "sex=F, citizen=1"
+
+    @pytest.mark.parametrize("field, value", [
+        ("age_band", "early"), ("age_band", (20, 24)), ("sex", "F"), ("sex", MacroRegion.SOUTH),
+        ("citizen", "1"), ("citizen", 1), ("citizen", 0), ("citizen", 2), ("region", "SOUTH"),
+    ])
+    def test_refuses_a_value_not_of_its_type(self, field, value):
+        with pytest.raises(TypeError, match=f"^cohort {field} must be "):
+            CohortFilter(**{field: value})
+
 
 class TestParsers:
     def test_sex_and_region_parse(self):
