@@ -25,6 +25,8 @@ it cannot decode that way in a table. ``PersonTable`` keeps the keys of
 every row, ranks the distinct ones by their bytes once the whole file is
 read and numbers them by first appearance then, but decodes them only when
 they are first read.
+
+``csv_field`` is the other way: a text as ``csv.writer`` writes it in a row.
 """
 
 import codecs
@@ -226,6 +228,15 @@ def _csv_records(data: bytes, line: int, blocks, path: str) -> Records:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def csv_field(text) -> str:
+    """``text`` as csv.writer writes it among the other fields of a row
+    (QUOTE_MINIMAL, ``\\n`` line ends): the reference for its quoting."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 # The low ``n`` bytes of a uint64, for n = 0..8.
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 # Top byte of the key of a token set aside; no UTF-8 text holds a 0xFF byte.
@@ -373,11 +384,12 @@ class FieldTable(_Table):
             return
         bits = max(5, (2 * n * n - 1).bit_length())
         shift = np.uint64(64 - bits)
+        positions = np.arange(n)
         for multiplier in _MULTIPLIERS:
             slot = ((self.keys * multiplier) >> shift).view(np.int64)
-            if len(np.unique(slot)) == n:
-                slots = np.zeros(1 << bits, dtype=np.intp)
-                slots[slot] = np.arange(n)
+            slots = np.zeros(1 << bits, dtype=np.intp)
+            slots[slot] = positions  # keys sharing a slot leave it to the last of them
+            if (slots[slot] == positions).all():
                 self.index = multiplier, shift, slots
                 return
 
@@ -471,9 +483,17 @@ class PersonTable(_Table):
             np.minimum.at(merged_first, merged, first)
             rank, first = merged[rank], merged_first
         ranks[order] = rank
-        # In the narrowest type that holds them: the table keeps by_code, and
-        # the parse gathers every row's code.
-        self.by_code = np.argsort(first).astype(np.min_scalar_type(len(first)))
+        # The ranks in order of their first rows, which are distinct rows: each
+        # rank scattered to its first row, then the filled rows gathered in
+        # order. In the narrowest type that holds them: the table keeps
+        # by_code, and the parse gathers every row's code.
+        dtype = np.min_scalar_type(len(first))
+        filled = np.zeros(n, dtype=bool)
+        filled[first] = True
+        slots = np.empty(n, dtype=dtype)
+        slots[first] = np.arange(len(first), dtype=dtype)
+        self.by_code = slots[np.flatnonzero(filled)]
+        del filled, slots
         code = np.empty_like(self.by_code)
         code[self.by_code] = np.arange(len(first), dtype=code.dtype)
         return ranks, code

@@ -62,6 +62,14 @@ token's table kept when the token failed. A field longer than the csv
 module's field limit (``csv.field_size_limit()``, 131072
 characters unless changed) rejects its line; bytes that are not UTF-8 fail
 the parse with PanelFormatError naming the line that holds them.
+
+``write_pairs_csv`` writes a dataset in the pair_rows layout, the bytes
+matching ``csv.writer``'s (QUOTE_MINIMAL, ``\\n`` line ends) on the same
+rows. Each column is a table of its distinct fields' bytes, a text that
+needs quoting quoted by ``csv.writer`` itself, and rows are assembled from
+the tables with numpy a block at a time, so its memory beyond the dataset
+is bounded per block; no Python code runs per row, but for a row holding a
+field over 256 bytes, which is joined alone.
 """
 
 import contextlib
@@ -260,8 +268,7 @@ class PanelDataset:
         The dataset does not keep the tuple. Pairs with equal quarters or
         equal demographics share one QuarterId or Demographics instance.
         """
-        quarters = {q: QuarterId.from_ordinal(q)
-                    for u in np.unique(self.quarter).tolist() for q in (u, u + 1)}
+        quarters = {q: QuarterId.from_ordinal(q) for u in _distinct(self.quarter) for q in (u, u + 1)}
         demographics: dict[tuple, Demographics] = {}
         pairs = []
         for at in range(0, len(self), _PAIRS_CHUNK):  # a chunk's rows as lists at a time
@@ -555,6 +562,18 @@ def _in_scope(columns, person_ids, provenance: str, rejections,
     return dataset, report
 
 
+def _distinct(values: np.ndarray) -> list:
+    """The distinct values of an array, ascending, as a list.
+
+    ``np.unique`` with no options would do, but from numpy 2.3 on it imports
+    ``numpy.ma`` to ask whether the array is masked.
+    """
+    ordered = np.sort(values)
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return ordered[new].tolist()
+
+
 def link_waves(waves, person_ids, lines) -> tuple[dict[str, np.ndarray], list]:
     """Screen a wave table for duplicate interviews and link the rest into 3-month pairs.
 
@@ -596,7 +615,7 @@ def link_waves(waves, person_ids, lines) -> tuple[dict[str, np.ndarray], list]:
         conflict = np.minimum.reduceat(states, heads) != np.maximum.reduceat(states, heads)
         keep[at[heads[conflict]]] = False
         people, quarters = np.divmod(key[at[heads]], span)
-        labels = {q: str(QuarterId.from_ordinal(q + low)) for q in np.unique(quarters).tolist()}
+        labels = {q: str(QuarterId.from_ordinal(q + low)) for q in _distinct(quarters)}
         keys = [f"person {name!r} at {labels[q]}"  # only the ids of repeated interviews are decoded
                 for name, q in zip(person_ids.texts(people), quarters.tolist())]
         row_lines = lines[order[at]]
@@ -616,11 +635,26 @@ def link_waves(waves, person_ids, lines) -> tuple[dict[str, np.ndarray], list]:
     return pairs, rejections
 
 
-def _sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # First index whose cumulative mass reaches u; clip guards the u ~ 1.0
-    # edge against row sums a few ulp below one.
-    idx = (cum_rows < u[:, None]).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
+def _draw(cum: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each row's next state: the first index whose mass ``cum[state]`` reaches
+    ``u``, found by one binary search per source state (a row of ``cum`` never
+    decreases, so this counts its entries below ``u``); clipped to the last
+    state, against row sums a few ulp below one."""
+    drawn = np.empty(len(state), dtype=np.int8)
+    for source, row in enumerate(cum):
+        at = np.flatnonzero(state == source)
+        drawn[at] = np.searchsorted(row, u[at], side="left")
+    return np.minimum(drawn, cum.shape[1] - 1, out=drawn)
+
+
+def _synthetic_ids(numbers: np.ndarray, width: int) -> list[str]:
+    """``f"P{i:0{width}d}"`` of each number i, from an array of its digits."""
+    text = np.empty((len(numbers), width + 2), dtype=np.uint8)
+    text[:, 0], text[:, -1] = ord("P"), ord("\n")
+    for c in range(width, 0, -1):
+        numbers, digit = np.divmod(numbers, 10)
+        text[:, c] = digit + ord("0")
+    return text.tobytes().decode().split("\n")[:-1]
 
 
 def generate_synthetic_panel(
@@ -690,11 +724,11 @@ def generate_synthetic_panel(
     regions = rng.choice(3, size=n, p=(0.45, 0.20, 0.35))
 
     n_steps = max(ROTATION_OFFSETS)
-    states = np.empty((n, n_steps + 1), dtype=np.int64)
-    states[:, 0] = _sample_rows(np.cumsum(shares)[None, :], rng.random(n))
+    states = np.empty((n, n_steps + 1), dtype=np.int8, order="F")  # a quarter's states contiguous
+    states[:, 0] = _draw(np.cumsum(shares)[None, :], np.zeros(n, dtype=np.int8), rng.random(n))
     cum = np.cumsum(P, axis=1)
     for t in range(1, n_steps + 1):
-        states[:, t] = _sample_rows(cum[states[:, t - 1]], rng.random(n))
+        states[:, t] = _draw(cum, states[:, t - 1], rng.random(n))
 
     # One pair per interview spell that ends inside the window, by person then spell.
     spell_start = np.array(ROTATION_OFFSETS[::2])
@@ -707,7 +741,7 @@ def generate_synthetic_panel(
         f"start={start_quarter}, quarters={n_quarters}"
     )
     return PanelDataset(
-        person_ids=tuple(f"P{i:0{width}d}" for i in people.tolist()),
+        person_ids=_synthetic_ids(people, width),
         person=person,
         quarter=start_quarter.ordinal + entry[k] + lo,
         state_from=states[k, lo],
@@ -719,11 +753,6 @@ def generate_synthetic_panel(
         weight=np.ones(len(k)),
         provenance=provenance,
     )
-
-
-def _labels(codes: np.ndarray, labels) -> list:
-    """The label of each code, ``labels[code]``, as a list."""
-    return np.array(labels, dtype=object)[codes].tolist()
 
 
 def _in_place(path):
@@ -787,26 +816,108 @@ def replacing_file(path):
         raise
 
 
+# A field of more bytes than this, its separator counted, is not padded into
+# blocks: a row that holds one is joined alone.
+_WIDE_FIELD = 256
+# The rows write_pairs_csv assembles at once. Padded to one width, a row takes
+# at most about _WIDE_FIELD bytes for the id and 80 for the other fields, so
+# a block takes at most about 5.5 MB.
+_BLOCK_ROWS = 1 << 14
+# The byte that pads a field in a block: UTF-8 text never holds it.
+_PAD = 0xFF
+
+
+def _utf8_fields(texts: list[str], sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """(the UTF-8 bytes of the texts, each followed by ``sep``, as uint8; where each ends)."""
+    data = np.frombuffer((sep.join(texts) + sep).encode() if texts else b"", dtype=np.uint8)
+    end = np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) + len(sep))
+    if len(end) and end[-1] != len(data):  # non-ASCII: the byte where each character begins
+        chars = np.flatnonzero((data & 0xC0) != 0x80)
+        end = np.append(chars, len(data))[end]
+    return data, end
+
+
+def _field_table(texts, sep: str) -> tuple[np.ndarray, dict[int, bytes]]:
+    """The texts as CSV fields, each followed by ``sep``, as csv.writer writes them.
+
+    Returns a void array, one element per text holding its field's bytes
+    padded with _PAD, and the fields of more than _WIDE_FIELD bytes by index,
+    which the array leaves blank. A text holding a control character, a
+    comma or a double quote is written by csv.writer itself
+    (``csvblocks.csv_field``), which quotes it as its Python version does;
+    any other is written as it is.
+    """
+    texts = list(texts)
+    data, end = _utf8_fields(texts, sep)
+    special = (data < 0x20) | (data == ord(",")) | (data == ord('"'))
+    special[end - 1] = False  # the separators
+    if special.any():
+        for i in set(np.searchsorted(end, np.flatnonzero(special), side="right").tolist()):
+            texts[i] = csvblocks.csv_field(texts[i])
+        data, end = _utf8_fields(texts, sep)
+    length = np.diff(end, prepend=0)
+    start = end - length
+    wide = {i: data[start[i]:end[i]].tobytes() for i in np.flatnonzero(length > _WIDE_FIELD).tolist()}
+    length[list(wide)] = 0
+    width = max(int(length.max(initial=0)), 1)
+    table = np.empty((len(texts), width), dtype=np.uint8)
+    for c in range(width):  # a byte column at a time: no temporary of every byte's index
+        table[:, c] = np.where(length > c, data[np.minimum(start + c, end - 1)], _PAD)
+    return table.view(f"V{width}").ravel(), wide
+
+
 def write_pairs_csv(dataset: PanelDataset, path) -> None:
     """Write a dataset in the pair_rows layout. Output is byte-deterministic.
 
-    The file is written as by ``replacing_file``: a failed write leaves ``path`` as it was.
+    The bytes match ``csv.writer``'s (QUOTE_MINIMAL, ``\\n`` line ends) on
+    the rows, ages written as ``str``, citizen as 0/1 and weights as
+    ``repr``. Each column is a table of the bytes of its distinct fields and
+    a code per row, and rows are assembled from the tables with numpy,
+    _BLOCK_ROWS at a time: beyond the dataset, the writer holds its tables
+    and one block (a row with a field over _WIDE_FIELD bytes is joined
+    alone). The file is written as by ``replacing_file``: a failed write
+    leaves ``path`` as it was.
     """
-    quarters, quarter_index = np.unique(dataset.quarter, return_inverse=True)
-    state_names = [s.name for s in STATE_ORDER]
-    columns = (
-        _labels(dataset.person, dataset.person_ids),
-        _labels(quarter_index, [str(QuarterId.from_ordinal(q)) for q in quarters.tolist()]),
-        _labels(quarter_index, [str(QuarterId.from_ordinal(q + 1)) for q in quarters.tolist()]),
-        _labels(dataset.state_from, state_names),
-        _labels(dataset.state_to, state_names),
-        dataset.age.tolist(),
-        _labels(dataset.sex, [s.name for s in SEX_ORDER]),
-        dataset.citizen.astype(np.int8).tolist(),
-        _labels(dataset.region, [r.name for r in REGION_ORDER]),
-        [repr(w) for w in dataset.weight.tolist()],
+    quarters, quarter = np.unique(dataset.quarter, return_inverse=True)
+    ages, age = np.unique(dataset.age, return_inverse=True)
+    weights, weight = np.unique(dataset.weight, return_inverse=True)
+    quarters = quarters.tolist()
+    columns = (  # (each row's code, the text of each code), in PAIR_HEADER order
+        (dataset.person, dataset.person_ids),
+        (quarter, [str(QuarterId.from_ordinal(q)) for q in quarters]),
+        (quarter, [str(QuarterId.from_ordinal(q + 1)) for q in quarters]),
+        (dataset.state_from, [s.name for s in STATE_ORDER]),
+        (dataset.state_to, [s.name for s in STATE_ORDER]),
+        (age, map(str, ages.tolist())),
+        (dataset.sex, [s.name for s in SEX_ORDER]),
+        (dataset.citizen.view(np.uint8), ("0", "1")),
+        (dataset.region, [r.name for r in REGION_ORDER]),
+        (weight, map(repr, weights.tolist())),
     )
+    codes = [code for code, _ in columns]
+    tables = [_field_table(texts, "\n" if name == PAIR_HEADER[-1] else ",")
+              for name, (_, texts) in zip(PAIR_HEADER, columns)]
+    widths = [table.itemsize for table, _ in tables]
+    row = np.dtype({"names": list(PAIR_HEADER), "formats": [f"V{w}" for w in widths],
+                    "offsets": np.cumsum([0, *widths[:-1]]).tolist()})
+    alone = np.zeros(len(dataset), dtype=bool)  # the rows that hold a wide field
+    for code, (table, wide) in zip(codes, tables):
+        if wide:
+            holds = np.zeros(len(table), dtype=bool)
+            holds[list(wide)] = True
+            alone |= holds[code]
     with replacing_file(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(PAIR_HEADER)
-        w.writerows(zip(*columns))
+        fh.write(",".join(PAIR_HEADER) + "\n")
+        at = 0
+        for stop in [*np.flatnonzero(alone).tolist(), len(dataset)]:
+            for first in range(at, stop, _BLOCK_ROWS):
+                block = np.empty(min(_BLOCK_ROWS, stop - first), dtype=row)
+                for name, code, (table, _) in zip(PAIR_HEADER, codes, tables):
+                    block[name] = table[code[first:first + len(block)]]
+                data = block.view(np.uint8)
+                fh.write(data[data != _PAD].tobytes().decode())
+            if stop < len(dataset):
+                fields = [wide.get(c) or table[c].tobytes().replace(bytes([_PAD]), b"")
+                          for c, (table, wide) in zip((int(code[stop]) for code in codes), tables)]
+                fh.write(b"".join(fields).decode())
+            at = stop + 1

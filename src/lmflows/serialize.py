@@ -9,10 +9,10 @@ such tables are usually published, with fallback rows starred.
 """
 
 import csv
-import functools
 import io
 import json
 
+from .csvblocks import csv_field
 from .errors import InfiniteEfptError
 from .estimation import TransitionMatrix
 from .fpt import Passage, _term_count
@@ -60,18 +60,10 @@ def matrix_to_doc(m) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=256)
-def _csv_field(label) -> str:
-    """``label`` as csv.writer writes it among the other fields of a row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([label, ""])
-    return buf.getvalue()[:-2]
-
-
 def matrix_to_csv(m) -> str:
     chain = {**_chain_doc(m), "cohort": m.cohort.describe() if m.cohort is not None else None}
     meta = _meta_block((*chain.items(), ("provenance", m.provenance or None)))
-    labels = list(map(_csv_field, m.states))
+    labels = list(map(csv_field, m.states))
     counts = [""] * len(labels) if m.row_counts is None else map(_fmt, m.row_counts)
     # Floats and ints, which csv.writer would never quote: one join a row, each as _fmt writes it.
     rows = (f"{label},{','.join(map(repr, entries))},{count},{int(i in m.fallback_rows)}\n"

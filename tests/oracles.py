@@ -7,7 +7,9 @@ reads a panel file one row at a time with ``csv.reader`` and, by design,
 the package's own token parsers (what each token means is theirs to say);
 ``link_by_loop`` shares the package's rejection texts. ``link_by_rank`` is
 not a reference: it puts a table coded by tuple ids through the package's
-linker, which reads ranks.
+linker, which reads ranks. ``write_pairs_by_csv_writer`` writes a dataset's
+rows through ``csv.writer``, one list of labels per column, with the
+package's state, sex and region tables and quarter labels.
 """
 
 import csv
@@ -427,3 +429,35 @@ def link_by_rank(waves, person_ids, lines):
     pairs, rejections = panel.link_waves(columns, ranked, np.asarray(lines))
     pairs["person"] = np.array(ranked.by_rank, dtype=np.int64)[pairs["person"]]
     return pairs, rejections
+
+
+def write_pairs_by_csv_writer(dataset, path):
+    """A dataset in the pair_rows layout, each row written by ``csv.writer``.
+
+    Ages as ints, citizen as 0/1 and weights as ``repr``, a column's labels
+    picked per row from a list of the labels of its codes.
+    """
+    from lmflows.panel import PAIR_HEADER
+    from lmflows.states import REGION_ORDER, SEX_ORDER, STATE_ORDER, QuarterId
+
+    def labels(codes, texts):
+        return np.array(texts, dtype=object)[codes].tolist()
+
+    quarters, quarter_index = np.unique(dataset.quarter, return_inverse=True)
+    state_names = [s.name for s in STATE_ORDER]
+    columns = (
+        labels(dataset.person, dataset.person_ids),
+        labels(quarter_index, [str(QuarterId.from_ordinal(q)) for q in quarters.tolist()]),
+        labels(quarter_index, [str(QuarterId.from_ordinal(q + 1)) for q in quarters.tolist()]),
+        labels(dataset.state_from, state_names),
+        labels(dataset.state_to, state_names),
+        dataset.age.tolist(),
+        labels(dataset.sex, [s.name for s in SEX_ORDER]),
+        dataset.citizen.astype(np.int8).tolist(),
+        labels(dataset.region, [r.name for r in REGION_ORDER]),
+        [repr(w) for w in dataset.weight.tolist()],
+    )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(PAIR_HEADER)
+        w.writerows(zip(*columns))

@@ -19,7 +19,7 @@ import lmflows
 from lmflows.cli import entrypoint, main
 from lmflows.config import RunConfig
 from lmflows.fixtures import fixture_names, get_fixture
-from lmflows.panel import PAIR_HEADER, replacing_file
+from lmflows.panel import PAIR_HEADER, WAVE_HEADER, replacing_file
 
 PAIR_HEAD = ",".join(PAIR_HEADER)
 
@@ -804,6 +804,36 @@ def test_cli_import_leaves_scipy_unloaded():
     probe = "import sys, lmflows.cli; sys.exit('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr or "scipy was imported"
+
+
+def test_data_calls_leave_numpy_ma_as_numpy_left_it(tmp_path):
+    """``numpy.ma`` is loaded after a data call only if ``import numpy`` loaded it
+    (numpy 1.x does; from 2.3 on, ``np.unique`` with no options would)."""
+    pairs, waves = tmp_path / "pairs.csv", tmp_path / "waves.csv"
+    assert main(["simulate", "--fixture", "early_2019Q3", "--n", "300", "--seed", "1",
+                 "--out", str(pairs)]) == 0
+    rows = [f"W{k},2019.{q},{s},21,F,1,SOUTH,1" for k in range(5) for q, s in ((1, "EDU"), (2, "TE"))]
+    waves.write_text("\n".join([",".join(WAVE_HEADER), *rows, rows[0], rows[3].replace("TE", "U")]) + "\n",
+                     encoding="utf-8")
+    calls = [[command, "--data", str(path), "--quarter", "2019.1", *extra]
+             for path in (pairs, waves)
+             for command, extra in (("transitions", ()), ("shares", ()),
+                                    ("fpt", ("--from", "EDU", "--to", "TE")))]
+    src = str(Path(lmflows.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import contextlib, io, json, sys, numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from lmflows.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out, "
+        "contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "        assert main(argv) == 0 and out.getvalue(), (argv, err.getvalue())\n"
+        "    assert ('numpy.ma' in sys.modules) == before, argv\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe, json.dumps(calls)], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @st.composite

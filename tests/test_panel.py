@@ -1,6 +1,11 @@
 import csv
 import itertools
+import math
 import re
+import sys
+import tempfile
+import unittest.mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,3 +659,59 @@ class TestRoundTripCsv:
         write_pairs_csv(data, a)
         write_pairs_csv(data, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# Ids as csv.writer sees them: separators, quotes, line ends, NUL, non-ASCII
+# text, edge spaces, the empty id, and ids past 64 bytes and past the width
+# at which a row is joined alone.
+writer_ids = st.one_of(
+    st.text(st.sampled_from([*"Pa7 ,\"\r\n\x00\té€", "\U0001f600", " "]), max_size=8),
+    st.text(min_size=60, max_size=90),
+    st.text(st.sampled_from("x,é"), min_size=250, max_size=300),
+)
+
+
+@st.composite
+def significant_floats(draw):
+    """Positive floats of 1 to 17 significant digits, at any exponent."""
+    digits = draw(st.integers(1, 17))
+    mantissa = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1))
+    value = float(f"{mantissa}e{draw(st.integers(-330, 290))}")
+    return value if 0 < value < float("inf") else 1.0
+
+
+@st.composite
+def writer_datasets(draw):
+    ids = draw(st.lists(writer_ids, min_size=1, max_size=6))
+    n = draw(st.integers(0, 30))
+    column = lambda values: draw(st.lists(values, min_size=n, max_size=n))  # noqa: E731
+    weights = st.one_of(significant_floats(), st.sampled_from([math.ulp(0.0), 1.0, sys.float_info.max]))
+    return panel.PanelDataset(
+        person_ids=ids, provenance="drawn",
+        person=column(st.integers(0, len(ids) - 1)),
+        quarter=column(st.integers(QuarterId(1900, 1).ordinal, QuarterId(9999, 3).ordinal)),
+        state_from=column(st.integers(0, 6)), state_to=column(st.integers(0, 6)),
+        age=column(st.one_of(st.integers(0, 40), st.sampled_from([0, 35, 120, 2 ** 63 - 1]))),
+        sex=column(st.integers(0, 1)), citizen=column(st.booleans()),
+        region=column(st.integers(0, 2)), weight=column(weights),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=writer_datasets(), block_rows=st.sampled_from([1, 2, 7, panel._BLOCK_ROWS]))
+def test_the_writer_writes_the_bytes_of_csv_writer(data, block_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with unittest.mock.patch.object(panel, "_BLOCK_ROWS", block_rows):
+            write_pairs_csv(data, got)
+        oracles.write_pairs_by_csv_writer(data, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("width", [6, 7, 8])
+def test_synthetic_ids_are_zero_padded_numbers(width):
+    numbers = np.array([0, 1, 9, 10, 123456, 10 ** 6 - 1, 10 ** width - 1])
+    numbers = numbers[numbers < 10 ** width]
+    assert panel._synthetic_ids(numbers, width) == [f"P{i:0{width}d}" for i in numbers.tolist()]
+    assert panel._synthetic_ids(numbers[:0], width) == []
+
