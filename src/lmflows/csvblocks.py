@@ -22,9 +22,9 @@ lacks are decoded and parsed, once each; a token that fails keeps its
 error text, the reason of the rows that hold it. ``DecimalField`` decodes
 a column of decimal numbers with numpy, exactly, and keeps only the tokens
 it cannot decode that way in a table. ``PersonTable`` keeps the keys of
-every row, ranks the distinct ones by their bytes once the whole file is
-read and numbers them by first appearance then, but decodes them only when
-they are first read.
+every row and ranks the distinct ones by their bytes once the whole file
+is read, each rank the code of its id, but decodes them only when they are
+first read.
 
 ``csv_field`` is the other way: a text as ``csv.writer`` writes it in a row.
 """
@@ -231,10 +231,11 @@ def _csv_records(data: bytes, line: int, blocks, path: str) -> Records:
 @functools.lru_cache(maxsize=256)
 def csv_field(text) -> str:
     """``text`` as csv.writer writes it among the other fields of a row
-    (QUOTE_MINIMAL, ``\\n`` line ends): the reference for its quoting."""
+    (QUOTE_MINIMAL), a lone CR quoted: before Python 3.13 the writer quotes
+    one only when its line end, here ``\\r\\n``, holds one."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-3]
 
 
 # The low ``n`` bytes of a uint64, for n = 0..8.
@@ -415,30 +416,29 @@ _STRIPPABLE[0x80:] = True
 
 
 class PersonTable(_Table):
-    """The person id tokens of a file's admitted rows, ranked and numbered once the file is read.
+    """The person id tokens of a file's admitted rows, ranked once the file is read.
 
     ``ranks`` sorts the keys once, in byte order, and gives each row the
-    rank of its id among the distinct ids; UTF-8 bytes sort in code-point
-    order, so the ranks order the ids as ``link_waves`` does (a uint64 key
-    byte-swapped to big-endian, an ``S<n>`` key as it is). With them it
-    gives each rank's code, the codes numbering the ids by their first row.
-    The table then holds the distinct ids as ``keys``, in rank order,
-    decoded only when read: ``texts`` for some ranks, ``decoded`` for all
-    of them in code order. If any id could be changed by strip (its first
-    or last byte is whitespace or not ASCII), or any was set aside (see
-    ``_Table``), every id is decoded and stripped while ranking instead,
-    ids equal once stripped sharing a rank, and ``keys`` holds their texts.
+    rank of its id among the distinct ids, which is the row's code; UTF-8
+    bytes sort in code-point order, so the ranks order the ids as
+    ``link_waves`` does (a uint64 key byte-swapped to big-endian, an
+    ``S<n>`` key as it is). The table then holds the distinct ids as
+    ``keys``, in rank order, decoded only when read: ``texts`` for some
+    ranks, ``decoded`` for all of them. If any id could be changed by strip
+    (its first or last byte is whitespace or not ASCII), or any was set
+    aside (see ``_Table``), every id is decoded and stripped while ranking
+    instead, ids equal once stripped sharing a rank, and ``keys`` holds
+    their texts.
     """
 
     def __init__(self):
         super().__init__()
         self.parts: list[np.ndarray] = []
         self.keys = np.empty(0, dtype=np.uint64)
-        self.by_code = np.empty(0, dtype=np.uint8)  # the rank of each code
         self.strippable = False  # whether an id met so far begins or ends in a _STRIPPABLE byte
 
     def __len__(self) -> int:
-        return len(self.by_code)
+        return len(self.keys)
 
     def add(self, rec: Records, start, end) -> None:
         """Keep the keys of the person ids ``rec.data[start:end]`` of a batch's admitted rows."""
@@ -448,9 +448,8 @@ class PersonTable(_Table):
             last = _STRIPPABLE[np.frombuffer(rec.data, np.uint8)[end - 1]] & (end > start)
             self.strippable = bool((_STRIPPABLE[keys.view(np.uint8)[::keys.itemsize]] | last).any())
 
-    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(each row's rank among the distinct ids, in code-point order; each
-        rank's code, the ids numbered in order of their first row)."""
+    def ranks(self) -> np.ndarray:
+        """Each row's rank among the distinct ids, in code-point order."""
         parts = self.parts or [np.empty(0, dtype=np.uint64)]
         if any(part.dtype != np.uint64 for part in parts):
             width = max(part.itemsize for part in parts)
@@ -462,41 +461,25 @@ class PersonTable(_Table):
         # dropped once read: a heap left with holes below the result held a
         # pair file's parse about 4 MiB higher.
         ranks = np.empty(n, dtype=np.int64)
-        # Big-endian, a uint64 key orders as its bytes. Stable, so that the
-        # first row of each run of equal keys is the key's first row.
+        # Big-endian, a uint64 key orders as its bytes. Any sort gives the same
+        # ranks, but on nearly ordered keys the stable one is faster: 1.6 ms
+        # against 5.3 ms on the 286,319 rows of the seed-1 benchmark pair file.
         order = np.argsort(keys.byteswap() if keys.dtype == np.uint64 else keys, kind="stable")
         ordered = keys[order]
         del keys
         new = np.ones(n, dtype=bool)
         new[1:] = ordered[1:] != ordered[:-1]
-        starts = np.flatnonzero(new)  # gathers: faster than compressing by a scattered mask
-        first = order[starts]
-        self.keys = ordered[starts]
-        del ordered, starts
+        self.keys = ordered[np.flatnonzero(new)]  # a gather: faster than compressing by the mask
+        del ordered
         rank = np.cumsum(new)  # of each sorted row, from 1
         rank -= 1
         if self.strippable or self.aside:
             ids = np.array([text.strip() for text in self._texts(self.keys)], dtype=object)
             # Raw ids that differ only in padding share a rank; str sorts by code point.
             self.keys, merged = np.unique(ids, return_inverse=True)
-            merged_first = np.full(len(self.keys), n, dtype=first.dtype)
-            np.minimum.at(merged_first, merged, first)
-            rank, first = merged[rank], merged_first
+            rank = merged[rank]
         ranks[order] = rank
-        # The ranks in order of their first rows, which are distinct rows: each
-        # rank scattered to its first row, then the filled rows gathered in
-        # order. In the narrowest type that holds them: the table keeps
-        # by_code, and the parse gathers every row's code.
-        dtype = np.min_scalar_type(len(first))
-        filled = np.zeros(n, dtype=bool)
-        filled[first] = True
-        slots = np.empty(n, dtype=dtype)
-        slots[first] = np.arange(len(first), dtype=dtype)
-        self.by_code = slots[np.flatnonzero(filled)]
-        del filled, slots
-        code = np.empty_like(self.by_code)
-        code[self.by_code] = np.arange(len(first), dtype=code.dtype)
-        return ranks, code
+        return ranks
 
     def texts(self, ranks) -> list[str]:
         """The ids of ``ranks``."""
@@ -504,8 +487,8 @@ class PersonTable(_Table):
         return keys.tolist() if keys.dtype == object else self._texts(keys)
 
     def decoded(self) -> tuple[str, ...]:
-        """The ids in code order."""
-        return tuple(self.texts(self.by_code))
+        """The ids in rank order."""
+        return tuple(self.texts(slice(None)))
 
 
 # 10**k for k = 0..15, each exact in float64.

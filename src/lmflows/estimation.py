@@ -87,8 +87,14 @@ class TransitionMatrix:
             raise ValueError(f"{len(self.states)} state labels for a {k}x{k} matrix")
         if self.row_counts is not None and len(self.row_counts) != k:
             raise ValueError(f"{len(self.row_counts)} row counts for a {k}x{k} matrix")
-        if any(not 0 <= r < k for r in self.fallback_rows):
-            raise ValueError(f"fallback row index out of range for a {k}x{k} matrix")
+        for r in self.fallback_rows:
+            if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+                raise ValueError(f"fallback row {r!r} is not an int")
+            if not 0 <= r < k:
+                raise ValueError(f"fallback row index out of range for a {k}x{k} matrix")
+        for count in self.row_counts or ():
+            if not 0 <= float(count) < float("inf"):  # NaN fails too
+                raise ValueError(f"row count {count!r} is not finite and nonnegative")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "states", tuple(self.states))

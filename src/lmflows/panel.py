@@ -48,15 +48,14 @@ CRLF lines takes the same numpy split as an LF block. A field's tokens are
 looked up in a table of the tokens met so far, hash-indexed while it is
 small, and a token new to the table is parsed once; but weights are
 decoded directly where they can be, and person ids are ranked by their
-bytes, with one sort once the whole file is read; ``link_waves`` orders
-people by those ranks, and the parse then numbers the ids once by first
-appearance. The ids are decoded to text on the first read of
-``PanelDataset.person_ids`` (by ``.pairs``, ``write_pairs_csv`` or the
-caller); a duplicate interview's rejection text decodes only its own id.
-A file holding an id that ``str.strip`` could change, or one set aside
-(over 64 bytes or NUL-ended), has all its ids decoded, stripped and merged
-before ranking. A row is rejected
-for its first failing field in header order, non-adjacent quarters
+bytes, with one sort once the whole file is read; each rank is its id's
+code, and ``link_waves`` orders people by them. The ids are decoded to
+text on the first read of ``PanelDataset.person_ids`` (by ``.pairs``,
+``write_pairs_csv`` or the caller); a duplicate interview's rejection text
+decodes only its own id. A file holding an id that ``str.strip`` could
+change, or one set aside (over 64 bytes or NUL-ended), has all its ids
+decoded, stripped and merged before ranking. A row is rejected for its
+first failing field in header order, non-adjacent quarters
 counting as a field right after ``quarter_to``, with the error text its
 token's table kept when the token failed. A field longer than the csv
 module's field limit (``csv.field_size_limit()``, 131072
@@ -64,12 +63,13 @@ characters unless changed) rejects its line; bytes that are not UTF-8 fail
 the parse with PanelFormatError naming the line that holds them.
 
 ``write_pairs_csv`` writes a dataset in the pair_rows layout, the bytes
-matching ``csv.writer``'s (QUOTE_MINIMAL, ``\\n`` line ends) on the same
-rows. Each column is a table of its distinct fields' bytes, a text that
-needs quoting quoted by ``csv.writer`` itself, and rows are assembled from
-the tables with numpy a block at a time, so its memory beyond the dataset
-is bounded per block; no Python code runs per row, but for a row holding a
-field over 256 bytes, which is joined alone.
+matching ``csv.writer``'s (QUOTE_MINIMAL, ``\\n`` line ends, a lone CR
+quoted as from Python 3.13 on) on the same rows. Each column is a table of
+its distinct fields' bytes, a text that needs quoting quoted by
+``csv.writer`` itself, and rows are assembled from the tables with numpy a
+block at a time, so its memory beyond the dataset is bounded per block; no
+Python code runs per row, but for a row holding a field over 256 bytes,
+which is joined alone.
 """
 
 import contextlib
@@ -170,6 +170,8 @@ _RANGES = {
     **dict.fromkeys(("state_from", "state_to"), (0, N_STATES - 1)),
     "sex": (0, len(SEX_ORDER) - 1),
     "region": (0, len(REGION_ORDER) - 1),
+    "age": (0, int(np.iinfo(_COLUMNS["age"]).max)),
+    "citizen": (0, 1),
     "weight": (math.ulp(0.0), sys.float_info.max),  # finite and positive
 }
 
@@ -200,10 +202,11 @@ class PanelDataset:
     REGION_ORDER and ``person`` indexes ``person_ids``. The constructor
     copies each column into a read-only array of its fixed dtype and
     raises ValueError, naming the column and its first bad value, for a
-    code outside its table, a departure quarter outside 1900.1-9999.3 or a
-    weight that is not finite and positive. A parsed file's ids are
-    numbered by first appearance while parsing, and decoded on the first
-    read of ``person_ids``.
+    code outside its table, a departure quarter outside 1900.1-9999.3, a
+    negative age, a citizen flag other than 0 or 1, a weight that is not
+    finite and positive, or a value the cast to its dtype would change. A
+    parsed file's ids are numbered in code-point order, and decoded on the
+    first read of ``person_ids``.
 
     ``cell`` selects a cohort's rows in one quarter. It reads a copy of the
     columns it needs grouped by departure quarter, built on its first use
@@ -228,12 +231,18 @@ class PanelDataset:
         ranges = {"person": (0, len(fields["person_ids"]) - 1), **_RANGES}  # len() decodes no id
         for name, dtype in _COLUMNS.items():
             column = np.asarray(fields[name])  # checked as given: the cast could wrap it into range
-            low, high = ranges.get(name, (-math.inf, math.inf))
+            low, high = ranges[name]
             if len(column) and not low <= column.min() <= column.max() <= high:  # NaN fails too
                 bad = column[~((column >= low) & (column <= high))][0].item()
                 raise ValueError(f"dataset column {name} holds {bad!r}, outside {low!r}..{high!r}")
-            fields[name] = np.array(column, dtype=dtype)
-            fields[name].setflags(write=False)
+            with np.errstate(invalid="ignore"):  # a float just past the age cap, refused below
+                cast = fields[name] = np.array(column, dtype=dtype)
+            # Integer and bool input loses nothing in range; any other must survive the cast.
+            if column.dtype.kind not in "biu" and column.dtype != dtype and (cast != column).any():
+                bad = column[cast != column][0].item()
+                why = f"outside {low!r}..{high!r}" if bad > high else f"which {cast.dtype} cannot hold"
+                raise ValueError(f"dataset column {name} holds {bad!r}, {why}")
+            cast.setflags(write=False)
         if len({len(fields[name]) for name in _COLUMNS}) > 1:
             raise ValueError("dataset columns must have equal lengths")
 
@@ -362,7 +371,7 @@ class ParseReport:
 
 
 _AGE_RE = re.compile(r"[+-]?[0-9]+")
-_AGE_CAP = int(np.iinfo(_COLUMNS["age"]).max)
+_AGE_CAP = _RANGES["age"][1]
 
 
 def _parse_age(text) -> int:
@@ -464,12 +473,11 @@ def parse_panel_file(path) -> tuple[PanelDataset, ParseReport]:
         for rec in itertools.chain([first.after_first()], batches):
             table.add(rec)
             del rec  # not kept while the next batch is read
-    person_ids, code, columns, lines, rejections, n_rows = table.result()
+    person_ids, columns, lines, rejections, n_rows = table.result()
     del table, first  # the token tables and first block are not kept while linking and copying
     if waves:
         columns, duplicates = link_waves(columns, person_ids, lines)
         rejections += duplicates
-    columns["person"] = code[columns["person"]]
     return _in_scope(columns, person_ids, f"{detected}:{path}", sorted(rejections), n_rows)
 
 
@@ -479,10 +487,10 @@ class _Columns:
     A field's tokens are looked up in a table of the tokens met so far, and
     a token new to it is parsed then, once; weights are mostly decoded
     directly (``csvblocks.DecimalField``), and person ids are ranked by
-    their bytes and numbered in ``result``. A record is rejected for its
-    first failing field in header order, the quarters' adjacency checked
-    right after ``quarter_to``; the reason is the error text the field's
-    table kept for the failed token.
+    their bytes in ``result``, each rank the id's code. A record is
+    rejected for its first failing field in header order, the quarters'
+    adjacency checked right after ``quarter_to``; the reason is the error
+    text the field's table kept for the failed token.
     """
 
     def __init__(self, header, names, limit: int):
@@ -535,15 +543,14 @@ class _Columns:
         self.parts["line"].append(line[keep])
 
     def result(self):
-        """(the person ids, as a PersonTable, the code of each rank among them,
-        columns with ``person`` as ranks, line numbers of admitted rows,
-        unsorted rejections, rows read)."""
+        """(the person ids, as a PersonTable, columns with ``person`` as their
+        ranks, line numbers of admitted rows, unsorted rejections, rows read)."""
         parts = self.parts
         columns = {name: np.concatenate(parts.pop(name) or [np.empty(0, _DTYPES[name])])
                    for name in self.names[1:]}
-        columns[self.names[0]], code = self.persons.ranks()
+        columns[self.names[0]] = self.persons.ranks()
         lines = np.concatenate(parts.pop("line") or [np.empty(0, dtype=np.int64)])
-        return self.persons, code, columns, lines, self.rejections, self.n_rows
+        return self.persons, columns, lines, self.rejections, self.n_rows
 
 
 def _in_scope(columns, person_ids, provenance: str, rejections,
@@ -588,8 +595,8 @@ def link_waves(waves, person_ids, lines) -> tuple[dict[str, np.ndarray], list]:
     demographics and weight from the first wave, sorted by (person_id,
     quarter_from).
 
-    Returns the pairs, an array for each name of ``_COLUMNS`` (``person``
-    still ranks), and the rejected rows' (line, reason), in line order.
+    Returns the pairs, an array for each name of ``_COLUMNS``, and the
+    rejected rows' (line, reason), in line order.
     """
     rank, quarter = waves["person"], waves["quarter"]
     # (rank, quarter) as one key, with a spare quarter after the last, so that
@@ -844,8 +851,8 @@ def _field_table(texts, sep: str) -> tuple[np.ndarray, dict[int, bytes]]:
     padded with _PAD, and the fields of more than _WIDE_FIELD bytes by index,
     which the array leaves blank. A text holding a control character, a
     comma or a double quote is written by csv.writer itself
-    (``csvblocks.csv_field``), which quotes it as its Python version does;
-    any other is written as it is.
+    (``csvblocks.csv_field``), which quotes a CR or LF on any Python
+    version; any other is written as it is.
     """
     texts = list(texts)
     data, end = _utf8_fields(texts, sep)
@@ -869,8 +876,9 @@ def _field_table(texts, sep: str) -> tuple[np.ndarray, dict[int, bytes]]:
 def write_pairs_csv(dataset: PanelDataset, path) -> None:
     """Write a dataset in the pair_rows layout. Output is byte-deterministic.
 
-    The bytes match ``csv.writer``'s (QUOTE_MINIMAL, ``\\n`` line ends) on
-    the rows, ages written as ``str``, citizen as 0/1 and weights as
+    The bytes match ``csv.writer``'s (QUOTE_MINIMAL, ``\\n`` line ends, a
+    lone CR quoted as from Python 3.13 on) on the rows, so that the file
+    reads back as written; ages written as ``str``, citizen as 0/1 and weights as
     ``repr``. Each column is a table of the bytes of its distinct fields and
     a code per row, and rows are assembled from the tables with numpy,
     _BLOCK_ROWS at a time: beyond the dataset, the writer holds its tables

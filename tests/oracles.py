@@ -9,7 +9,9 @@ the package's own token parsers (what each token means is theirs to say);
 not a reference: it puts a table coded by tuple ids through the package's
 linker, which reads ranks. ``write_pairs_by_csv_writer`` writes a dataset's
 rows through ``csv.writer``, one list of labels per column, with the
-package's state, sex and region tables and quarter labels.
+package's state, sex and region tables and quarter labels. The pair file and
+matrix oracles write each row with ``csv_row``, which quotes a lone CR as
+Python 3.13's csv.writer does, on any version, so that a reader reads it back.
 """
 
 import csv
@@ -141,14 +143,11 @@ def matrix_csv_by_writer(m) -> str:
         ("cohort", m.cohort.describe() if m.cohort is not None else None),
         ("provenance", m.provenance or None),
     )
-    buf = io.StringIO()
-    buf.write(meta_lines(meta))
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["state", *m.states, "row_count", "fallback"])
+    rows = [["state", *m.states, "row_count", "fallback"]]
     for i, name in enumerate(m.states):
         count = "" if m.row_counts is None else fmt(m.row_counts[i])
-        w.writerow([name, *(fmt(v) for v in m.entries[i]), count, int(i in m.fallback_rows)])
-    return buf.getvalue()
+        rows.append([name, *(fmt(v) for v in m.entries[i]), count, int(i in m.fallback_rows)])
+    return meta_lines(meta) + "".join(map(csv_row, rows))
 
 
 def shares_csv_by_writer(table) -> str:
@@ -314,8 +313,8 @@ def read_panel_by_loop(path):
     skipped; a row ``csv.reader`` refuses for a field past its limit is
     rejected as "field longer than N characters"; then field count, then
     the token parsers in field order decide (the weight's is ``_weight``).
-    Person ids are stripped and numbered in order of first appearance among
-    admitted rows. Returns
+    Person ids are stripped, and the distinct ids of admitted rows numbered
+    in sorted (code-point) order. Returns
     (layout, person_ids, {column: list of values}, line numbers of the
     admitted rows, [(line, reason)], rows read). Bytes that are not UTF-8
     raise UnicodeDecodeError.
@@ -326,7 +325,7 @@ def read_panel_by_loop(path):
         names = tuple(h.strip() for h in header)
         pair = names[1] == "quarter_from"
         values_of, columns = (_pair_values, PAIR_COLUMNS) if pair else (_wave_values, WAVE_COLUMNS)
-        person_codes, table = {}, {name: [] for name in columns}
+        table = {name: [] for name in columns}
         lines, rejections, n_rows = [], [], 0
         while True:
             try:
@@ -350,12 +349,15 @@ def read_panel_by_loop(path):
             except ValueError as exc:
                 rejections.append((reader.line_num, str(exc)))
                 continue
-            values.insert(0, person_codes.setdefault(row[0].strip(), len(person_codes)))
+            values.insert(0, row[0].strip())
             for name, value in zip(columns, values):
                 table[name].append(value)
             lines.append(reader.line_num)
+    person_ids = tuple(sorted(set(table["person"])))
+    code = {person_id: i for i, person_id in enumerate(person_ids)}
+    table["person"] = [code[person_id] for person_id in table["person"]]
     layout = "pair_rows" if pair else "wave_rows"
-    return layout, tuple(person_codes), table, lines, rejections, n_rows
+    return layout, person_ids, table, lines, rejections, n_rows
 
 
 def link_by_loop(waves, person_ids, lines):
@@ -431,6 +433,17 @@ def link_by_rank(waves, person_ids, lines):
     return pairs, rejections
 
 
+def csv_row(fields) -> str:
+    """A row as ``csv.writer`` writes it (QUOTE_MINIMAL), ended by ``\\n``.
+
+    Written with ``\\r\\n`` line ends and the CR dropped: csv.writer before
+    Python 3.13 quotes a lone CR only when its line end holds one.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def write_pairs_by_csv_writer(dataset, path):
     """A dataset in the pair_rows layout, each row written by ``csv.writer``.
 
@@ -458,6 +471,5 @@ def write_pairs_by_csv_writer(dataset, path):
         [repr(w) for w in dataset.weight.tolist()],
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(PAIR_HEADER)
-        w.writerows(zip(*columns))
+        fh.write(csv_row(PAIR_HEADER))
+        fh.writelines(map(csv_row, zip(*columns)))

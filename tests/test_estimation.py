@@ -1,6 +1,8 @@
 import concurrent.futures
 import dataclasses
 
+import re
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,19 @@ class TestTransitionMatrixType:
     def test_fallback_rows_must_be_states(self):
         with pytest.raises(ValueError, match=r"^fallback row index out of range for a 7x7 matrix$"):
             TransitionMatrix(entries=np.eye(7), fallback_rows={7})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("fallback_rows", {1.5}, "fallback row 1.5 is not an int"),
+        ("fallback_rows", {True}, "fallback row True is not an int"),
+        ("row_counts", (1.0,) * 6 + (float("nan"),), "row count nan is not finite and nonnegative"),
+        ("row_counts", (-3,) + (1.0,) * 6, "row count -3 is not finite and nonnegative"),
+        ("row_counts", (float("inf"),) * 7, "row count inf is not finite and nonnegative"),
+    ], ids=["fraction", "bool", "nan-count", "negative-count", "infinite-count"])
+    def test_metadata_a_matrix_cannot_hold_is_refused(self, field, value, message):
+        """A fallback row that is not an int, or a row count that is not finite
+        and nonnegative, fails the constructor instead of being truncated or printed."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TransitionMatrix(entries=np.eye(7), **{field: value})
 
     @pytest.mark.parametrize("key,expected", [
         ("EDU", 5), ("edu", 5), (LaborState.PE, 2), (0, 0), (6, 6), ("NEET", 4),

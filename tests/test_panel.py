@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmflows import panel
@@ -541,6 +541,32 @@ class TestDatasetColumnRanges:
         with pytest.raises(ValueError, match=rf"^dataset column {name} holds {re.escape(repr(bad))},"):
             panel.PanelDataset(person_ids=("A", "B"), provenance="bad", **{**EDGES, name: values})
 
+    @pytest.mark.parametrize("name,values,bad,why", [
+        ("person", [0.7, 1.0], 0.7, "which int64 cannot hold"),
+        ("quarter", [8076.0, 8076.9], 8076.9, "which int64 cannot hold"),
+        ("state_from", [1.5, 0.0], 1.5, "which int8 cannot hold"),
+        ("state_to", [0.0, 1.5], 1.5, "which int8 cannot hold"),
+        ("age", [20.9, 20.0], 20.9, "which int64 cannot hold"),
+        ("age", [22, -5], -5, "outside 0..9223372036854775807"),
+        ("sex", [0.5, 1.0], 0.5, "which int8 cannot hold"),
+        ("citizen", [2, 0], 2, "outside 0..1"),
+        ("citizen", [0, -1], -1, "outside 0..1"),
+        ("citizen", [1.0, 0.5], 0.5, "which bool cannot hold"),
+        ("region", [1.5, 2.0], 1.5, "which int8 cannot hold"),
+        pytest.param("weight", np.longdouble(1.0) + np.array([0.0, 2.0 ** -60], dtype=np.longdouble),
+                     np.longdouble(1.0) + np.longdouble(2.0 ** -60), "which float64 cannot hold",
+                     marks=pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0 ** -60,
+                                              reason="no long double wider than float64")),
+    ], ids=["person", "quarter", "state_from", "state_to", "age", "age-negative", "sex",
+            "citizen-2", "citizen-negative", "citizen-fraction", "region", "weight-long-double"])
+    def test_a_value_its_column_cannot_hold_exactly_is_refused(self, name, values, bad, why):
+        """The dtype cast truncates no value: a fraction in a column of codes,
+        ages or flags, a negative age and a citizen flag other than 0 or 1
+        fail the constructor, which names the column and the first bad value."""
+        match = rf"^dataset column {name} holds {re.escape(repr(bad))}, {why}$"
+        with pytest.raises(ValueError, match=match):
+            panel.PanelDataset(person_ids=("A", "B"), provenance="bad", **{**EDGES, name: values})
+
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError, match="^dataset columns must have equal lengths$"):
             panel.PanelDataset(person_ids=("A", "B"), provenance="bad", **{**EDGES, "age": [22]})
@@ -681,8 +707,9 @@ def significant_floats(draw):
 
 
 @st.composite
-def writer_datasets(draw):
-    ids = draw(st.lists(writer_ids, min_size=1, max_size=6))
+def writer_datasets(draw, ids=writer_ids,
+                    ages=st.one_of(st.integers(0, 40), st.sampled_from([0, 35, 120, 2 ** 63 - 1]))):
+    ids = draw(st.lists(ids, min_size=1, max_size=6))
     n = draw(st.integers(0, 30))
     column = lambda values: draw(st.lists(values, min_size=n, max_size=n))  # noqa: E731
     weights = st.one_of(significant_floats(), st.sampled_from([math.ulp(0.0), 1.0, sys.float_info.max]))
@@ -691,7 +718,7 @@ def writer_datasets(draw):
         person=column(st.integers(0, len(ids) - 1)),
         quarter=column(st.integers(QuarterId(1900, 1).ordinal, QuarterId(9999, 3).ordinal)),
         state_from=column(st.integers(0, 6)), state_to=column(st.integers(0, 6)),
-        age=column(st.one_of(st.integers(0, 40), st.sampled_from([0, 35, 120, 2 ** 63 - 1]))),
+        age=column(ages),
         sex=column(st.integers(0, 1)), citizen=column(st.booleans()),
         region=column(st.integers(0, 2)), weight=column(weights),
     )
@@ -706,6 +733,27 @@ def test_the_writer_writes_the_bytes_of_csv_writer(data, block_rows):
             write_pairs_csv(data, got)
         oracles.write_pairs_by_csv_writer(data, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+ODD_PAIRS = panel.PanelDataset(
+    person_ids=("a\rb", "c\nd", 'e,"f"', "\x00"), provenance="odd ids", person=[0, 1, 2, 3],
+    quarter=[QuarterId(2019, 1).ordinal] * 4, state_from=[0, 1, 2, 3], state_to=[4, 5, 6, 0],
+    age=[15, 20, 30, 34], sex=[0, 1, 0, 1], citizen=[0, 1, 1, 0], region=[0, 1, 2, 0], weight=[1.0] * 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=writer_datasets(ids=writer_ids.filter(lambda text: text == text.strip()),
+                            ages=st.integers(15, 34)))
+@example(data=ODD_PAIRS)
+def test_a_written_pair_file_reads_back(data):
+    """Every id strip leaves as it is, a lone CR among them, reads back from
+    the file the writer wrote: no line is rejected and the pairs are equal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.csv"
+        write_pairs_csv(data, path)
+        back, report = parse_panel_file(path)
+    assert report.rejections == ()
+    assert back.pairs == data.pairs
 
 
 @pytest.mark.parametrize("width", [6, 7, 8])

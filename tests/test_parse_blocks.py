@@ -226,8 +226,8 @@ def test_ids_padded_or_long_share_codes_by_stripped_text(tmp_path):
     path = tmp_path / "p.csv"
     path.write_bytes(raw)
     data, _ = panel.parse_panel_file(path)
-    assert data.person_ids == ("A", long_id, "B")
-    assert data.person.tolist() == [0, 0, 1, 2, 1]
+    assert data.person_ids == ("A", "B", long_id)
+    assert data.person.tolist() == [0, 0, 2, 1, 2]
     for block_bytes in (1, 40, csvblocks.BLOCK_BYTES):
         assert_parses_like_the_loop(raw, block_bytes, csv.field_size_limit())
 
@@ -320,7 +320,7 @@ def test_a_clean_file_is_parsed_without_decoding_its_ids(tmp_path, monkeypatch):
     assert pair_data.person_ids == tuple(f"P{i:05d}" for i in range(n))  # age-filtered too
     assert wave_report.rejections == () and len(wave_data) == n // 2
     ids = tuple(f"P{i:05d}" for i in range(n // 2))
-    assert wave_data.person_ids == ids[::-1]
+    assert wave_data.person_ids == ids
     assert [wave_data.person_ids[p] for p in wave_data.person.tolist()] == list(ids)
 
 
@@ -479,8 +479,8 @@ def numbered(data, person_first):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), layout=st.sampled_from(["pair_rows", "wave_rows"]),
        block_bytes=st.sampled_from([64, csvblocks.BLOCK_BYTES]), person_first=st.booleans())
-def test_ids_are_numbered_by_first_appearance_when_read(data, layout, block_bytes, person_first):
-    """person_ids and person are the loop's first-appearance numbering, read
+def test_ids_are_numbered_in_code_point_order_when_read(data, layout, block_bytes, person_first):
+    """person_ids and person are the loop's code-point numbering, read
     right after the parse or after every cell has been estimated; and no
     cell's shares or matrix decode an id."""
     text = data.draw(id_panels(layout))
@@ -519,7 +519,7 @@ def test_ids_are_numbered_by_first_appearance_when_read(data, layout, block_byte
 @pytest.mark.parametrize("people", [["P2", "P10", "B", "A"], ["Zoë", " A", "L" * 70, "A", "A\x00"]],
                          ids=["plain", "odd"])
 @pytest.mark.parametrize("layout", ["pair_rows", "wave_rows"])
-def test_person_is_a_column_of_first_appearance_codes(tmp_path, monkeypatch, people, layout):
+def test_person_is_a_column_of_code_point_ranks(tmp_path, monkeypatch, people, layout):
     """A parse numbers the ids once: person is a read-only int64 column of
     the loop's codes, and reading it decodes no id."""
     if layout == "pair_rows":
@@ -548,7 +548,7 @@ def test_person_is_a_column_of_first_appearance_codes(tmp_path, monkeypatch, peo
 
 def test_threads_reading_the_ids_of_one_parse_agree(tmp_path):
     """The first reads of person and person_ids race: every thread must see
-    codes with the ids they index, never ranks with ids or codes twice mapped."""
+    codes with the ids they index."""
     n = 3000
     rows = [f"{'BA'[i % 2]}{(i * 7919) % n:05d},2020.1,2020.2,EDU,TE,21,F,1,NORTH,1" for i in range(n)]
     path = tmp_path / "p.csv"
