@@ -68,8 +68,8 @@ quoted as from Python 3.13 on) on the same rows. Each column is a table of
 its distinct fields' bytes, a text that needs quoting quoted by
 ``csv.writer`` itself, and rows are assembled from the tables with numpy a
 block at a time, so its memory beyond the dataset is bounded per block; no
-Python code runs per row, but for a row holding a field over 256 bytes,
-which is joined alone.
+Python code runs per row, but to write an id over 256 bytes at the mark its
+row holds in the block.
 """
 
 import contextlib
@@ -771,7 +771,7 @@ def _in_place(path):
     """
     try:
         target = os.stat(path)
-    except OSError:
+    except FileNotFoundError:  # a new file, or a dangling link to one
         return None
     for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
         try:
@@ -823,15 +823,16 @@ def replacing_file(path):
         raise
 
 
-# A field of more bytes than this, its separator counted, is not padded into
-# blocks: a row that holds one is joined alone.
+# A field of more bytes than this, its separator counted, is one _MARK in its
+# table, written at that mark in a block. Only an id can be so wide: the other
+# fields are names, quarters, int64 ages and float reprs.
 _WIDE_FIELD = 256
 # The rows write_pairs_csv assembles at once. Padded to one width, a row takes
 # at most about _WIDE_FIELD bytes for the id and 80 for the other fields, so
 # a block takes at most about 5.5 MB.
 _BLOCK_ROWS = 1 << 14
-# The byte that pads a field in a block: UTF-8 text never holds it.
-_PAD = 0xFF
+# The bytes that pad a field in a block and mark a wide one: UTF-8 holds neither.
+_PAD, _MARK = 0xFF, 0xFE
 
 
 def _utf8_fields(texts: list[str], sep: str) -> tuple[np.ndarray, np.ndarray]:
@@ -849,7 +850,7 @@ def _field_table(texts, sep: str) -> tuple[np.ndarray, dict[int, bytes]]:
 
     Returns a void array, one element per text holding its field's bytes
     padded with _PAD, and the fields of more than _WIDE_FIELD bytes by index,
-    which the array leaves blank. A text holding a control character, a
+    whose elements hold one _MARK. A text holding a control character, a
     comma or a double quote is written by csv.writer itself
     (``csvblocks.csv_field``), which quotes a CR or LF on any Python
     version; any other is written as it is.
@@ -870,6 +871,7 @@ def _field_table(texts, sep: str) -> tuple[np.ndarray, dict[int, bytes]]:
     table = np.empty((len(texts), width), dtype=np.uint8)
     for c in range(width):  # a byte column at a time: no temporary of every byte's index
         table[:, c] = np.where(length > c, data[np.minimum(start + c, end - 1)], _PAD)
+    table[list(wide), 0] = _MARK
     return table.view(f"V{width}").ravel(), wide
 
 
@@ -877,14 +879,15 @@ def write_pairs_csv(dataset: PanelDataset, path) -> None:
     """Write a dataset in the pair_rows layout. Output is byte-deterministic.
 
     The bytes match ``csv.writer``'s (QUOTE_MINIMAL, ``\\n`` line ends, a
-    lone CR quoted as from Python 3.13 on) on the rows, so that the file
-    reads back as written; ages written as ``str``, citizen as 0/1 and weights as
-    ``repr``. Each column is a table of the bytes of its distinct fields and
-    a code per row, and rows are assembled from the tables with numpy,
-    _BLOCK_ROWS at a time: beyond the dataset, the writer holds its tables
-    and one block (a row with a field over _WIDE_FIELD bytes is joined
-    alone). The file is written as by ``replacing_file``: a failed write
-    leaves ``path`` as it was.
+    lone CR quoted as from Python 3.13 on) on the rows; ages written as
+    ``str``, citizen as 0/1 and weights as ``repr``. The file reads back as
+    the dataset when no id has edge whitespace (the parse strips ids) and
+    every age is within 15-34 (the parse drops other rows). Each column is a
+    table of the bytes of its distinct fields and a code per row, and rows
+    are assembled from the tables with numpy, _BLOCK_ROWS at a time: beyond
+    the dataset, the writer holds its tables, one block and one id over
+    _WIDE_FIELD bytes, written at its mark in the block. The file is written
+    as by ``replacing_file``: a failed write leaves ``path`` as it was.
     """
     quarters, quarter = np.unique(dataset.quarter, return_inverse=True)
     ages, age = np.unique(dataset.age, return_inverse=True)
@@ -905,27 +908,19 @@ def write_pairs_csv(dataset: PanelDataset, path) -> None:
     codes = [code for code, _ in columns]
     tables = [_field_table(texts, "\n" if name == PAIR_HEADER[-1] else ",")
               for name, (_, texts) in zip(PAIR_HEADER, columns)]
-    widths = [table.itemsize for table, _ in tables]
-    row = np.dtype({"names": list(PAIR_HEADER), "formats": [f"V{w}" for w in widths],
-                    "offsets": np.cumsum([0, *widths[:-1]]).tolist()})
-    alone = np.zeros(len(dataset), dtype=bool)  # the rows that hold a wide field
-    for code, (table, wide) in zip(codes, tables):
-        if wide:
-            holds = np.zeros(len(table), dtype=bool)
-            holds[list(wide)] = True
-            alone |= holds[code]
+    row = np.dtype([(name, table.dtype) for name, (table, _) in zip(PAIR_HEADER, tables)])
+    long_ids = tables[0][1]  # only an id is wider than _WIDE_FIELD
+    is_long = np.zeros(len(dataset.person_ids), dtype=bool)
+    is_long[list(long_ids)] = True
     with replacing_file(path) as fh:
         fh.write(",".join(PAIR_HEADER) + "\n")
-        at = 0
-        for stop in [*np.flatnonzero(alone).tolist(), len(dataset)]:
-            for first in range(at, stop, _BLOCK_ROWS):
-                block = np.empty(min(_BLOCK_ROWS, stop - first), dtype=row)
-                for name, code, (table, _) in zip(PAIR_HEADER, codes, tables):
-                    block[name] = table[code[first:first + len(block)]]
-                data = block.view(np.uint8)
-                fh.write(data[data != _PAD].tobytes().decode())
-            if stop < len(dataset):
-                fields = [wide.get(c) or table[c].tobytes().replace(bytes([_PAD]), b"")
-                          for c, (table, wide) in zip((int(code[stop]) for code in codes), tables)]
-                fh.write(b"".join(fields).decode())
-            at = stop + 1
+        for first in range(0, len(dataset), _BLOCK_ROWS):
+            block = np.empty(min(_BLOCK_ROWS, len(dataset) - first), dtype=row)
+            for name, code, (table, _) in zip(PAIR_HEADER, codes, tables):
+                block[name] = table[code[first:first + len(block)]]
+            data = block.view(np.uint8)
+            text = data[data != _PAD].tobytes()
+            person = dataset.person[first:first + len(block)]
+            marked = [b"", *map(long_ids.get, person[is_long[person]].tolist())]  # in row order
+            for long_id, part in zip(marked, text.split(bytes([_MARK])) if long_ids else [text]):
+                fh.write((long_id + part).decode())  # b"" + part is part, not a copy

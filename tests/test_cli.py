@@ -688,24 +688,49 @@ class TestOutputFile:
         assert (target.stat().st_mode & 0o777) == 0o666 & ~current_umask()
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "panel.csv", "target.csv"]
 
+    @staticmethod
+    def write_argv(tmp_path, flag, path):
+        if flag == "simulate --out":
+            return ["simulate", "--fixture", "early_2019Q3", "--n", "5", "--out", path]
+        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1",
+                                      "B,2019.1,2019.2,XX,TE,21,F,1,SOUTH,1"])
+        return ["transitions", "--data", data, "--quarter", "2019.1", "--min-support", "0",
+                flag, path]
+
+    @pytest.mark.parametrize("flag", ["--out", "--rejects", "simulate --out"])
+    def test_write_through_a_symlink_loop_fails_and_keeps_the_links(self, tmp_path, capsys, flag):
+        argv = self.write_argv(tmp_path, flag, str(tmp_path / "loop1"))
+        (tmp_path / "loop1").symlink_to("loop2")
+        (tmp_path / "loop2").symlink_to("loop1")
+        before = sorted(os.listdir(tmp_path))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "Too many levels of symbolic links" in err
+        assert (tmp_path / "loop1").is_symlink() and (tmp_path / "loop2").is_symlink()
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--rejects", "simulate --out"])
+    def test_write_through_a_dangling_symlink_creates_the_file_it_names(self, tmp_path, capsys,
+                                                                        flag):
+        argv = self.write_argv(tmp_path, flag, str(tmp_path / "link.csv"))
+        (tmp_path / "link.csv").symlink_to("new.csv")
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "new.csv").read_text().startswith(
+            {"--out": "#", "--rejects": "line_number", "simulate --out": PAIR_HEAD}[flag])
+
     @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
     @pytest.mark.parametrize("flag", ["--out", "--rejects", "simulate --out"])
     @pytest.mark.parametrize("through_link", [False, True])
     def test_replaced_target_keeps_its_permission_bits(self, tmp_path, capsys, mode, flag,
                                                        through_link):
-        data = write_panel(tmp_path, ["A,2019.1,2019.2,EDU,TE,21,F,1,SOUTH,1",
-                                      "B,2019.1,2019.2,XX,TE,21,F,1,SOUTH,1"])
         target, link = tmp_path / "private.csv", tmp_path / "link.csv"
         target.write_bytes(b"earlier output\n")
         target.chmod(mode)
         link.symlink_to(target.name)
         path = str(link if through_link else target)
-        if flag == "simulate --out":
-            argv = ["simulate", "--fixture", "early_2019Q3", "--n", "5", "--out", path]
-        else:
-            argv = ["transitions", "--data", data, "--quarter", "2019.1", "--min-support", "0",
-                    flag, path]
-        code, _, _ = run(capsys, *argv)
+        code, _, _ = run(capsys, *self.write_argv(tmp_path, flag, path))
         assert code == 0
         assert target.read_bytes() != b"earlier output\n"
         assert (target.stat().st_mode & 0o777) == mode

@@ -1,9 +1,11 @@
 import csv
+import io
 import itertools
 import math
 import re
 import sys
 import tempfile
+import tracemalloc
 import unittest.mock
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lmflows import panel
+from lmflows import csvblocks, panel
 from lmflows.errors import PanelFormatError
 from lmflows.fixtures import get_fixture
 from lmflows.panel import (
@@ -689,7 +691,7 @@ class TestRoundTripCsv:
 
 # Ids as csv.writer sees them: separators, quotes, line ends, NUL, non-ASCII
 # text, edge spaces, the empty id, and ids past 64 bytes and past the width
-# at which a row is joined alone.
+# at which the writer marks an id in its block and writes it apart.
 writer_ids = st.one_of(
     st.text(st.sampled_from([*"Pa7 ,\"\r\n\x00\té€", "\U0001f600", " "]), max_size=8),
     st.text(min_size=60, max_size=90),
@@ -733,6 +735,43 @@ def test_the_writer_writes_the_bytes_of_csv_writer(data, block_rows):
             write_pairs_csv(data, got)
         oracles.write_pairs_by_csv_writer(data, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_the_writer_holds_one_long_id_at_a_time(tmp_path):
+    """One 100,000-character id on every other row, 64 rows a block: the
+    writer's peak is a few ids' worth, not the 32 ids of a block joined."""
+    long_id, n = "L" * 100_000, 193
+    data = panel.PanelDataset(
+        person_ids=(long_id, "S"), provenance="one long id", person=np.arange(n) % 2,
+        quarter=[QuarterId(2019, 1).ordinal] * n, state_from=[0] * n, state_to=[1] * n,
+        age=[20] * n, sex=[0] * n, citizen=[False] * n, region=[0] * n, weight=[1.0] * n)
+    path = tmp_path / "pairs.csv"
+    with unittest.mock.patch.object(panel, "_BLOCK_ROWS", 64):
+        tracemalloc.start()
+        try:
+            write_pairs_csv(data, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 10 * len(long_id)
+    assert path.read_bytes().count(long_id.encode() + b",2019.1,") == (n + 1) // 2
+
+
+# Fields csv.writer quotes, doubles or leaves as they are: separators,
+# quotes, each line end alone and as CRLF, NUL, a tab, edge spaces, non-ASCII.
+AWKWARD_FIELDS = ["", "plain", "a,b", 'say "hi"', '"', "\r", "\n", "\r\n", "a\rb", "\x00", "\t",
+                  " edge ", "é€"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13),
+                    reason="csv.writer quotes a lone CR under a \\n line end from Python 3.13 on")
+@pytest.mark.parametrize("text", AWKWARD_FIELDS)
+def test_the_written_fields_are_the_native_csv_writer_fields(text):
+    """csv_field and the oracles' csv_row copy what csv.writer does from 3.13 on."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    assert csvblocks.csv_field(text) == buf.getvalue()[:-2]
+    assert oracles.csv_row([text, ""]) == buf.getvalue()
 
 
 ODD_PAIRS = panel.PanelDataset(
