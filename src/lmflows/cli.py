@@ -53,11 +53,15 @@ from .serialize import (
 )
 from .states import AgeBand, CohortFilter, MacroRegion, QuarterId, Sex
 
-_AGE_CHOICES = {
-    "teens": AgeBand.TEENS,
-    "early": AgeBand.EARLY_YOUNG,
-    "late": AgeBand.LATE_YOUNG,
-    "preadult": AgeBand.PRE_ADULTS,
+# The cohort flags: each flag's CohortFilter field, its help, how a value is read
+# and the member each of its choices names, flags and choices in help order.
+_COHORT_FLAGS = {
+    "age": ("age_band", "age band at first interview", str.lower, {
+        "early": AgeBand.EARLY_YOUNG, "late": AgeBand.LATE_YOUNG,
+        "preadult": AgeBand.PRE_ADULTS, "teens": AgeBand.TEENS}),
+    "sex": ("sex", "restrict to one sex", str.upper, {s.name: s for s in Sex}),
+    "citizen": ("citizen", "citizenship flag (1=citizen)", str, {"0": False, "1": True}),
+    "region": ("region", "macro region of residence", str.upper, {r.name: r for r in MacroRegion}),
 }
 
 
@@ -85,16 +89,8 @@ def _floats(text: str) -> list[float]:
 def _cohort_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("cohort filters")
-    g.add_argument("--age", choices=sorted(_AGE_CHOICES), type=str.lower,
-                   help="age band at first interview")
-    g.add_argument("--sex", choices=["M", "F"], type=str.upper, help="restrict to one sex")
-    g.add_argument("--citizen", choices=["0", "1"], help="citizenship flag (1=citizen)")
-    g.add_argument(
-        "--region",
-        choices=["NORTH", "CENTRE", "SOUTH"],
-        type=str.upper,
-        help="macro region of residence",
-    )
+    for flag, (_, help_text, read, members) in _COHORT_FLAGS.items():
+        g.add_argument(f"--{flag}", choices=list(members), type=read, help=help_text)
     return p
 
 
@@ -194,12 +190,9 @@ def _load_config(args) -> RunConfig:
 
 
 def _cohort_from_args(args) -> CohortFilter:
-    return CohortFilter(
-        age_band=_AGE_CHOICES[args.age] if args.age else None,
-        sex=Sex.parse(args.sex) if args.sex else None,
-        citizen=args.citizen == "1" if args.citizen is not None else None,
-        region=MacroRegion.parse(args.region) if args.region else None,
-    )
+    return CohortFilter(**{field: members[getattr(args, flag)]
+                           for flag, (field, _, _, members) in _COHORT_FLAGS.items()
+                           if getattr(args, flag) is not None})
 
 
 def _emit(text: str, out_path) -> None:
@@ -263,11 +256,9 @@ def cmd_transitions(args) -> int:
 def cmd_fpt(args) -> int:
     cfg = _load_config(args)
     if args.fixture:
-        data_flags = [flag for flag, value in (
-            ("--rejects", args.rejects), ("--quarter", args.quarter), ("--age", args.age),
-            ("--sex", args.sex), ("--citizen", args.citizen), ("--region", args.region),
-            ("--min-support", args.min_support),
-        ) if value is not None]
+        data_flags = ["--" + name.replace("_", "-")
+                      for name in ("rejects", "quarter", *_COHORT_FLAGS, "min_support")
+                      if getattr(args, name) is not None]
         if data_flags:
             raise ValueError(f"{', '.join(data_flags)} "
                              f"{'applies' if len(data_flags) == 1 else 'apply'} only with --data")

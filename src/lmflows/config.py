@@ -1,10 +1,9 @@
 """Run configuration: defaults, key=value config files, flag overrides."""
 
 import dataclasses
-import numbers
 import typing
 
-from .estimation import DEFAULT_MIN_SUPPORT, FALLBACK_POLICIES, FALLBACK_UNIFORM
+from .estimation import DEFAULT_MIN_SUPPORT, FALLBACK_POLICIES, FALLBACK_UNIFORM, _check_min_support
 from .fpt import DEFAULT_EPSILON, DEFAULT_MAX_HORIZON, _check_epsilon, _term_count
 
 OUTPUT_FORMATS = ("csv", "json")
@@ -23,10 +22,7 @@ class RunConfig:
     def __post_init__(self):
         _check_epsilon(self.epsilon)
         _term_count(self.max_horizon, "max_horizon")
-        if isinstance(self.min_support, bool) or not isinstance(self.min_support, numbers.Real):
-            raise TypeError(f"min_support must be a real number, got {self.min_support!r}")
-        if not self.min_support >= 0:  # NaN too
-            raise ValueError(f"min_support must be >= 0, got {self.min_support!r}")
+        _check_min_support(self.min_support)
         for what, value, choices in (("output format", self.format, OUTPUT_FORMATS),
                                      ("fallback policy", self.fallback_policy, FALLBACK_POLICIES)):
             if value not in choices:

@@ -90,12 +90,6 @@ class Records:
         at = range(self.first[r], self.first[r] + self.count[r])
         return [self.data[self.start[i]:self.end[i]].decode() for i in at]
 
-    def after_first(self) -> "Records":
-        cut = int(self.first[1]) if len(self.first) > 1 else len(self.start)
-        return dataclasses.replace(self, line=self.line[1:], first=self.first[1:] - cut,
-                                   count=self.count[1:], long=self.long[1:],
-                                   start=self.start[cut:], end=self.end[cut:])
-
 
 def record_batches(fh, path: str, limit: int):
     """The records of a binary file, a block at a time, numbering lines from 1.

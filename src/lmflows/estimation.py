@@ -18,6 +18,7 @@ downstream consumers can tell estimated rows from imputed ones.
 """
 
 import dataclasses
+import numbers
 import warnings
 
 import numpy as np
@@ -39,6 +40,14 @@ FALLBACK_ABSORBING = "absorbing_fs"
 FALLBACK_POLICIES = (FALLBACK_UNIFORM, FALLBACK_ABSORBING)
 
 DEFAULT_MIN_SUPPORT = 30.0
+
+
+def _check_min_support(min_support) -> None:
+    """Raise unless ``min_support`` is a real number, not a bool, and >= 0."""
+    if isinstance(min_support, bool) or not isinstance(min_support, numbers.Real):
+        raise TypeError(f"min_support must be a real number, got {min_support!r}")
+    if not min_support >= 0:  # NaN too
+        raise ValueError(f"min_support must be >= 0, got {min_support!r}")
 
 
 class ThinRowWarning(UserWarning):
@@ -173,10 +182,11 @@ def estimate_transition_matrix(
     departing i. Rows with zero departing weight get the uniform fallback
     1/7 in every column and are recorded in ``fallback_rows``. Rows with
     positive weight below ``min_support`` are kept as estimated but trigger
-    a ThinRowWarning.
+    a ThinRowWarning; ``min_support`` must be a real number >= 0.
 
     Raises EmptyCohortError when no pair departs the quarter at all.
     """
+    _check_min_support(min_support)
     cohort = cohort or CohortFilter()
     k = N_STATES
     state_from, state_to, weight = data.cell(from_quarter, cohort)

@@ -77,7 +77,6 @@ import csv
 import dataclasses
 import functools
 import io
-import itertools
 import math
 import numbers
 import os
@@ -140,40 +139,14 @@ class ObservationPair:
             raise ValueError(f"pair weight must be finite and positive, got {self.weight!r}")
 
 
-# Column dtypes of a PanelDataset, in constructor order.
-_COLUMNS = {
-    "person": np.int64,
-    "quarter": np.int64,
-    "state_from": np.int8,
-    "state_to": np.int8,
-    "age": np.int64,
-    "sex": np.int8,
-    "citizen": np.bool_,
-    "region": np.int8,
-    "weight": np.float64,
-}
-
-
-# Columns of a wave table: one entry per interview, coded as in PanelDataset.
-_WAVE_COLUMNS = ("person", "quarter", "state", "age", "sex", "citizen", "region", "weight")
-_DTYPES = {**_COLUMNS, "state": _COLUMNS["state_from"], "quarter_to": _COLUMNS["quarter"]}
-
-
 # Rows that PanelDataset.pairs converts to Python lists at a time.
 _PAIRS_CHUNK = 1 << 14
 
 
-# The values a checked column may hold, as (lowest, highest); NaN lies outside
-# every range. A quarter is a departure, so the last a file can hold is 9999.3.
-_RANGES = {
-    "quarter": (QuarterId(1900, 1).ordinal, _LAST_QUARTER.ordinal - 1),
-    **dict.fromkeys(("state_from", "state_to"), (0, N_STATES - 1)),
-    "sex": (0, len(SEX_ORDER) - 1),
-    "region": (0, len(REGION_ORDER) - 1),
-    "age": (0, int(np.iinfo(_COLUMNS["age"]).max)),
-    "citizen": (0, 1),
-    "weight": (math.ulp(0.0), sys.float_info.max),  # finite and positive
-}
+def _column(dtype, *bounds):
+    """A PanelDataset column: a field whose metadata holds its dtype and its
+    fixed range, ``bounds`` as (lowest, highest), or () for a column with none."""
+    return dataclasses.field(metadata={"dtype": dtype, "range": bounds})
 
 
 class _PersonIds:
@@ -214,16 +187,19 @@ class PanelDataset:
     their own row order. The dataset also keeps the last cell it selected.
     """
 
+    # Each column's dtype and range; NaN lies outside every range. A quarter is
+    # a departure, so the last a file can hold is 9999.3. A person code's range
+    # is set by person_ids.
     person_ids: tuple[str, ...] = _PersonIds()
-    person: np.ndarray
-    quarter: np.ndarray
-    state_from: np.ndarray
-    state_to: np.ndarray
-    age: np.ndarray
-    sex: np.ndarray
-    citizen: np.ndarray
-    region: np.ndarray
-    weight: np.ndarray
+    person: np.ndarray = _column(np.int64)
+    quarter: np.ndarray = _column(np.int64, QuarterId(1900, 1).ordinal, _LAST_QUARTER.ordinal - 1)
+    state_from: np.ndarray = _column(np.int8, 0, N_STATES - 1)
+    state_to: np.ndarray = _column(np.int8, 0, N_STATES - 1)
+    age: np.ndarray = _column(np.int64, 0, int(np.iinfo(np.int64).max))
+    sex: np.ndarray = _column(np.int8, 0, len(SEX_ORDER) - 1)
+    citizen: np.ndarray = _column(np.bool_, 0, 1)
+    region: np.ndarray = _column(np.int8, 0, len(REGION_ORDER) - 1)
+    weight: np.ndarray = _column(np.float64, math.ulp(0.0), sys.float_info.max)  # finite and positive
     provenance: str
 
     def __post_init__(self):
@@ -352,6 +328,17 @@ class PanelDataset:
         return cell
 
 
+# Column dtypes of a PanelDataset, in constructor order, and the ranges of those
+# checked against fixed bounds.
+_COLUMNS = {f.name: f.metadata["dtype"] for f in dataclasses.fields(PanelDataset) if f.metadata}
+_RANGES = {f.name: f.metadata["range"]
+           for f in dataclasses.fields(PanelDataset) if f.metadata.get("range")}
+
+# Columns of a wave table: one entry per interview, coded as in PanelDataset.
+_WAVE_COLUMNS = ("person", "quarter", "state", "age", "sex", "citizen", "region", "weight")
+_DTYPES = {**_COLUMNS, "state": _COLUMNS["state_from"], "quarter_to": _COLUMNS["quarter"]}
+
+
 @dataclasses.dataclass(frozen=True)
 class ParseReport:
     """Audit trail of a parse: rejected lines and out-of-scope counts."""
@@ -470,11 +457,13 @@ def parse_panel_file(path) -> tuple[PanelDataset, ParseReport]:
         waves = detected == "wave_rows"
         table = (_Columns(WAVE_HEADER, _WAVE_COLUMNS, limit) if waves
                  else _Columns(PAIR_HEADER, _COLUMNS, limit))
-        for rec in itertools.chain([first.after_first()], batches):
+        table.add(first, header=True)
+        del first
+        for rec in batches:
             table.add(rec)
             del rec  # not kept while the next batch is read
     person_ids, columns, lines, rejections, n_rows = table.result()
-    del table, first  # the token tables and first block are not kept while linking and copying
+    del table  # the token tables are not kept while linking and copying
     if waves:
         columns, duplicates = link_waves(columns, person_ids, lines)
         rejections += duplicates
@@ -507,11 +496,15 @@ class _Columns:
         self.n_rows = 0
         self.long_field = csvblocks.long_field(limit)
 
-    def add(self, rec: csvblocks.Records) -> None:
+    def add(self, rec: csvblocks.Records, header: bool = False) -> None:
+        """Count, check and admit a batch's records; with ``header``, all but its
+        first, the file's header line."""
         k = len(self.header)
         real = (rec.count > 0) | rec.long
-        self.n_rows += int(real.sum())
         ok = (rec.count == k) & ~rec.long
+        if header:
+            real[0] = ok[0] = False
+        self.n_rows += int(real.sum())
         for line, too_long, count in zip(*(column[real & ~ok].tolist()
                                            for column in (rec.line, rec.long, rec.count))):
             self.rejections.append((line, self.long_field if too_long

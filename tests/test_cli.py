@@ -1131,3 +1131,130 @@ class TestEntrypoint:
         result = child(*argv, capture_output=True)
         assert outcome(result.returncode, result.stdout.decode(), result.stderr.decode()) == expected
         assert expected[0] == code
+
+
+# The --help text of the commands with cohort flags, as argparse writes it 80 columns wide.
+HELP = {
+    "shares": """\
+usage: lmflows shares [-h] --data PATH [--rejects PATH]
+                      [--age {early,late,preadult,teens}] [--sex {M,F}]
+                      [--citizen {0,1}] [--region {NORTH,CENTRE,SOUTH}]
+                      [--format {csv,json}] [--out PATH] [--pretty]
+                      [--config PATH] --quarter QUARTER
+
+options:
+  -h, --help            show this help message and exit
+  --quarter QUARTER     quarter to tabulate, YYYY.Q
+
+input data:
+  --data PATH           panel CSV (pair_rows or wave_rows)
+  --rejects PATH        write the rejection report CSV here
+
+cohort filters:
+  --age {early,late,preadult,teens}
+                        age band at first interview
+  --sex {M,F}           restrict to one sex
+  --citizen {0,1}       citizenship flag (1=citizen)
+  --region {NORTH,CENTRE,SOUTH}
+                        macro region of residence
+
+output:
+  --format {csv,json}   output format (default csv)
+  --out PATH            write output here instead of stdout
+  --pretty              aligned two-decimal text instead of csv/json
+  --config PATH         key=value config file
+""",
+    "transitions": """\
+usage: lmflows transitions [-h] --data PATH [--rejects PATH]
+                           [--age {early,late,preadult,teens}] [--sex {M,F}]
+                           [--citizen {0,1}] [--region {NORTH,CENTRE,SOUTH}]
+                           [--format {csv,json}] [--out PATH] [--pretty]
+                           [--config PATH] --quarter QUARTER
+                           [--min-support MIN_SUPPORT]
+                           [--fallback-policy {uniform,absorbing_fs}]
+
+options:
+  -h, --help            show this help message and exit
+  --quarter QUARTER     departure quarter, YYYY.Q
+  --min-support MIN_SUPPORT
+                        warn on rows thinner than this weight
+  --fallback-policy {uniform,absorbing_fs}
+                        treatment of empty rows
+
+input data:
+  --data PATH           panel CSV (pair_rows or wave_rows)
+  --rejects PATH        write the rejection report CSV here
+
+cohort filters:
+  --age {early,late,preadult,teens}
+                        age band at first interview
+  --sex {M,F}           restrict to one sex
+  --citizen {0,1}       citizenship flag (1=citizen)
+  --region {NORTH,CENTRE,SOUTH}
+                        macro region of residence
+
+output:
+  --format {csv,json}   output format (default csv)
+  --out PATH            write output here instead of stdout
+  --pretty              aligned two-decimal text instead of csv/json
+  --config PATH         key=value config file
+""",
+    "fpt": """\
+usage: lmflows fpt [-h] [--age {early,late,preadult,teens}] [--sex {M,F}]
+                   [--citizen {0,1}] [--region {NORTH,CENTRE,SOUTH}]
+                   [--format {csv,json}] [--out PATH] [--pretty]
+                   [--config PATH]
+                   (--fixture {early_2019Q2,early_2019Q3,early_2020Q2,early_2020Q3,late_2019Q2,late_2019Q3,late_2020Q2,late_2020Q3,demo_geometric_q25} | --data PATH)
+                   [--rejects PATH] [--quarter QUARTER] --from STATE --to
+                   STATE [--horizon HORIZON] [--epsilon EPSILON]
+                   [--max-horizon MAX_HORIZON]
+                   [--fallback-policy {uniform,absorbing_fs}]
+                   [--min-support MIN_SUPPORT] [--strict]
+
+options:
+  -h, --help            show this help message and exit
+  --fixture {early_2019Q2,early_2019Q3,early_2020Q2,early_2020Q3,late_2019Q2,late_2019Q3,late_2020Q2,late_2020Q3,demo_geometric_q25}
+                        use an embedded matrix
+  --data PATH           estimate the matrix from this panel CSV
+  --rejects PATH        with --data, write the rejection report CSV here
+  --quarter QUARTER     departure quarter when estimating from --data
+  --from STATE          source state
+  --to STATE            target state
+  --horizon HORIZON     quarters to tabulate (default 40)
+  --epsilon EPSILON     relative error the series must prove
+  --max-horizon MAX_HORIZON
+                        most series terms (default 8000)
+  --fallback-policy {uniform,absorbing_fs}
+                        treatment of imputed rows
+  --min-support MIN_SUPPORT
+                        warn on rows thinner than this weight
+  --strict              exit 1 unless the passage time is well defined
+
+cohort filters:
+  --age {early,late,preadult,teens}
+                        age band at first interview
+  --sex {M,F}           restrict to one sex
+  --citizen {0,1}       citizenship flag (1=citizen)
+  --region {NORTH,CENTRE,SOUTH}
+                        macro region of residence
+
+output:
+  --format {csv,json}   output format (default csv)
+  --out PATH            write output here instead of stdout
+  --pretty              aligned two-decimal text instead of csv/json
+  --config PATH         key=value config file
+""",
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", HELP)
+    def test_help_text(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        usage, _, body = capsys.readouterr().out.partition("\n\n")
+        want_usage, _, want_body = HELP[command].partition("\n\n")
+        assert usage.split() == want_usage.split()  # Python 3.13 breaks a long usage elsewhere
+        assert body == want_body

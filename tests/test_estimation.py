@@ -166,6 +166,16 @@ class TestEstimateTransitionMatrix:
         with pytest.raises(EmptyCohortError):
             estimate_transition_matrix(data, Q2)
 
+    @pytest.mark.parametrize("value, error, message", [
+        (float("nan"), ValueError, "min_support must be >= 0, got nan"),
+        (-5.0, ValueError, "min_support must be >= 0, got -5.0"),
+        (True, TypeError, "min_support must be a real number, got True"),
+    ])
+    def test_bad_min_support_is_refused(self, value, error, message):
+        data = dataset(pair("EDU", "TE"))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            estimate_transition_matrix(data, Q1, min_support=value)
+
     def test_weight_rescaling_invariance(self, rng):
         pairs = [
             pair(LaborState(int(rng.integers(7))).name, LaborState(int(rng.integers(7))).name,
