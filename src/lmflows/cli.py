@@ -238,43 +238,35 @@ def cmd_shares(args) -> int:
     return 0
 
 
-def _data_matrix(args, cfg):
-    """The --data matrix of --quarter and the cohort, under the fallback policy."""
-    dataset = _load_dataset(args)
-    matrix = estimate_transition_matrix(dataset, QuarterId.parse(args.quarter),
-                                        _cohort_from_args(args), min_support=cfg.min_support)
+def _chain(args, cfg):
+    """The command's chain under the fallback policy: the --fixture table, or the
+    --data matrix of --quarter and the cohort."""
+    if getattr(args, "fixture", None):
+        data_flags = ["--" + name.replace("_", "-")
+                      for name in ("rejects", "quarter", *_COHORT_FLAGS, "min_support")
+                      if getattr(args, name, None) is not None]
+        if data_flags:
+            raise ValueError(f"{', '.join(data_flags)} "
+                             f"{'applies' if len(data_flags) == 1 else 'apply'} only with --data")
+        matrix = get_fixture(args.fixture).matrix()
+    elif not args.quarter:
+        raise ValueError("--quarter is required with --data")
+    else:
+        matrix = estimate_transition_matrix(_load_dataset(args), QuarterId.parse(args.quarter),
+                                            _cohort_from_args(args), min_support=cfg.min_support)
     return apply_fallback_policy(matrix, cfg.fallback_policy)
 
 
 def cmd_transitions(args) -> int:
     cfg = _load_config(args)
-    matrix = _data_matrix(args, cfg)
-    _render(args, cfg, matrix, matrix_pretty, matrix_to_doc, matrix_to_csv)
+    _render(args, cfg, _chain(args, cfg), matrix_pretty, matrix_to_doc, matrix_to_csv)
     return 0
 
 
 def cmd_fpt(args) -> int:
     cfg = _load_config(args)
-    if args.fixture:
-        data_flags = ["--" + name.replace("_", "-")
-                      for name in ("rejects", "quarter", *_COHORT_FLAGS, "min_support")
-                      if getattr(args, name) is not None]
-        if data_flags:
-            raise ValueError(f"{', '.join(data_flags)} "
-                             f"{'applies' if len(data_flags) == 1 else 'apply'} only with --data")
-        matrix = apply_fallback_policy(get_fixture(args.fixture).matrix(), cfg.fallback_policy)
-    elif not args.quarter:
-        raise ValueError("--quarter is required with --data")
-    else:
-        matrix = _data_matrix(args, cfg)
-    doc = build_fpt_report(
-        matrix,
-        args.from_state,
-        args.to_state,
-        horizon=args.horizon,
-        epsilon=cfg.epsilon,
-        max_horizon=cfg.max_horizon,
-    )
+    doc = build_fpt_report(_chain(args, cfg), args.from_state, args.to_state, horizon=args.horizon,
+                           epsilon=cfg.epsilon, max_horizon=cfg.max_horizon)
     _render(args, cfg, doc, fpt_report_pretty, lambda d: d, fpt_report_to_csv)
     if args.strict and doc["well_defined"]["verdict"] != VERDICT_WELL_DEFINED:
         print(
@@ -289,21 +281,15 @@ def cmd_fpt(args) -> int:
 def cmd_simulate(args) -> int:
     if not args.out:
         raise ValueError("simulate requires --out PATH")
-    fixture = get_fixture(args.fixture)
     cfg = _load_config(args)
-    truth = apply_fallback_policy(fixture.matrix(), cfg.fallback_policy)
+    truth = _chain(args, cfg)
     k = truth.n_states
     shares = args.initial_shares or [1.0 / k] * k
     if len(shares) != k:
         raise ValueError(f"--initial-shares needs {k} comma-separated values, got {len(shares)}")
-    dataset = generate_synthetic_panel(
-        truth,
-        shares,
-        n_individuals=args.n,
-        start_quarter=QuarterId.parse(args.start),
-        n_quarters=args.quarters,
-        seed=args.seed,
-    )
+    dataset = generate_synthetic_panel(truth, shares, n_individuals=args.n,
+                                       start_quarter=QuarterId.parse(args.start),
+                                       n_quarters=args.quarters, seed=args.seed)
     write_pairs_csv(dataset, args.out)
     print(f"wrote {len(dataset)} pairs to {args.out}", file=sys.stderr)
     return 0

@@ -31,7 +31,7 @@ from .states import (
     CohortFilter,
     LaborState,
     QuarterId,
-    resolve_state,
+    name_key,
 )
 from .stochastic import as_square_matrix, ensure_row_stochastic
 
@@ -60,6 +60,9 @@ class TransitionMatrix:
 
     The one chain type the package reads, validated once, when built, and
     read-only after; ``TransitionMatrix.of`` validates a bare array into one.
+    The constructor refuses, with a ValueError naming the field, a label that is
+    not a str, a cohort that is not a CohortFilter or None, a fallback row that is
+    not an int index of a row, and a row count that is not finite and nonnegative.
 
     Attributes
     ----------
@@ -94,6 +97,11 @@ class TransitionMatrix:
         k = entries.shape[0]
         if len(self.states) != k:
             raise ValueError(f"{len(self.states)} state labels for a {k}x{k} matrix")
+        for label in self.states:
+            if not isinstance(label, str):
+                raise ValueError(f"state label {label!r} is not a str")
+        if self.cohort is not None and not isinstance(self.cohort, CohortFilter):
+            raise ValueError(f"cohort {self.cohort!r} is not a CohortFilter or None")
         if self.row_counts is not None and len(self.row_counts) != k:
             raise ValueError(f"{len(self.row_counts)} row counts for a {k}x{k} matrix")
         for r in self.fallback_rows:
@@ -130,8 +138,25 @@ class TransitionMatrix:
         return self.entries.shape[0]
 
     def state_index(self, state) -> int:
-        """Resolve a state given as an index, a label, or a LaborState."""
-        return resolve_state(state, self.states)
+        """Index of ``state``: an index (not a bool), a LaborState, a label as given,
+        or else the one label whose ``name_key`` is the name's (any case or padding,
+        NEET for NLFET). ValueError otherwise, "ambiguous" when labels share that key.
+        """
+        if isinstance(state, LaborState):
+            state = state.name
+        if isinstance(state, numbers.Integral) and not isinstance(state, bool):
+            if not 0 <= state < self.n_states:
+                raise ValueError(f"state index {state} out of range 0..{self.n_states - 1}")
+            return int(state)
+        if isinstance(state, str) and state in self.states:
+            return self.states.index(state)
+        key, keys = name_key(state), tuple(map(name_key, self.states))
+        if keys.count(key) == 1:
+            return keys.index(key)
+        if key in keys:
+            names = ", ".join(label for label, k in zip(self.states, keys) if k == key)
+            raise ValueError(f"ambiguous state {state!r}: it names {names}")
+        raise ValueError(f"unknown state {state!r}; expected one of {', '.join(self.states)}")
 
     def probability(self, source, target) -> float:
         return float(self.entries[self.state_index(source), self.state_index(target)])

@@ -58,7 +58,6 @@ import numpy as np
 
 from .errors import InfiniteEfptError
 from .estimation import TransitionMatrix
-from .states import resolve_state
 
 VERDICT_WELL_DEFINED = "well_defined"
 VERDICT_SUSPECT = "suspect"
@@ -437,7 +436,7 @@ class Passage:
     def __init__(self, m, source, target):
         m = TransitionMatrix.of(m)
         self.P, self.labels = m.entries, m.states
-        self.i, self.j = resolve_state(source, self.labels), resolve_state(target, self.labels)
+        self.i, self.j = m.state_index(source), m.state_index(target)
         self.source, self.target = self.labels[self.i], self.labels[self.j]
         engines = _ENGINES.setdefault(m, {})
         self._shared = engines.get(self.j) or engines.setdefault(self.j, _Engine(self.P, self.j))

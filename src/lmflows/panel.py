@@ -302,7 +302,12 @@ class PanelDataset:
 
         The dataset keeps the last cell, keyed by quarter and cohort, as it
         keeps its quarter groups: a cell's shares and matrix select its rows once.
+        Raises TypeError for a quarter or cohort of another type.
         """
+        if not isinstance(quarter, QuarterId):
+            raise TypeError(f"quarter must be a QuarterId, got {quarter!r}")
+        if not isinstance(cohort, CohortFilter):
+            raise TypeError(f"cohort must be a CohortFilter, got {cohort!r}")
         key = (quarter.ordinal, cohort)
         last = getattr(self, "_last_cell", None)
         if last is not None and last[0] == key:
@@ -709,6 +714,8 @@ def generate_synthetic_panel(
         raise TypeError(f"seed must be an int, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if not isinstance(start_quarter, QuarterId):
+        raise TypeError(f"start_quarter must be a QuarterId, got {start_quarter!r}")
     if start_quarter.ordinal + n_quarters - 1 > _LAST_QUARTER.ordinal:
         raise ValueError(f"a window of {n_quarters} quarters from {start_quarter} runs past "
                          f"{_LAST_QUARTER}, the last quarter a panel file can hold")

@@ -2,7 +2,6 @@
 
 import dataclasses
 import enum
-import numbers
 import re
 import typing
 
@@ -10,11 +9,16 @@ import typing
 _ALIASES = {"NEET": "NLFET"}
 
 
-def _member(cls, text, error: str):
-    """The member of enum ``cls`` named ``text``, in any case, padded or aliased."""
+def name_key(text) -> str:
+    """The key a name is matched by: stripped, upper case, NEET read as NLFET."""
     name = str(text).strip().upper()
+    return _ALIASES.get(name, name)
+
+
+def _member(cls, text, error: str):
+    """The member of enum ``cls`` whose name has ``text``'s key."""
     try:
-        return cls[_ALIASES.get(name, name)]
+        return cls[name_key(text)]
     except KeyError:
         raise ValueError(error.format(text)) from None
 
@@ -43,28 +47,6 @@ class LaborState(enum.Enum):
 STATE_ORDER: tuple[LaborState, ...] = tuple(LaborState)
 STATE_CODES: tuple[str, ...] = tuple(s.name for s in STATE_ORDER)
 N_STATES = len(STATE_ORDER)
-
-
-def resolve_state(state, labels) -> int:
-    """Index of ``state`` among ``labels``.
-
-    ``state`` may be an index (not a bool), a label (any case; NEET is
-    accepted for NLFET) or a LaborState. Raises ValueError otherwise.
-    """
-    if isinstance(state, LaborState):
-        state = state.name
-    if isinstance(state, numbers.Integral) and not isinstance(state, bool):
-        idx = int(state)
-        if not 0 <= idx < len(labels):
-            raise ValueError(f"state index {idx} out of range 0..{len(labels) - 1}")
-        return idx
-    text = str(state).strip().upper()
-    for i, name in enumerate(labels):
-        if name.upper() == text:
-            return i
-    if _ALIASES.get(text) in labels:
-        return labels.index(_ALIASES[text])
-    raise ValueError(f"unknown state {state!r}; expected one of {', '.join(labels)}")
 
 
 class Sex(enum.Enum):

@@ -362,6 +362,13 @@ class TestFptCommand:
         assert code == 2
         assert "unknown state" in err
 
+    def test_states_named_in_any_case_and_by_alias(self, capsys):
+        """edu and neet name the EDU and NLFET labels: the report is the same, byte for byte."""
+        code, out, _ = run(capsys, "fpt", "--fixture", "early_2019Q3", "--from", "edu", "--to", "neet")
+        assert code == 0
+        assert (0, out, "") == run(capsys, "fpt", "--fixture", "early_2019Q3",
+                                   "--from", "EDU", "--to", "NLFET")
+
     def test_non_integer_horizon_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fpt", "--fixture", "early_2019Q3", "--from", "EDU", "--to", "PE",

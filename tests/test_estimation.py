@@ -19,6 +19,7 @@ from lmflows.estimation import (
 )
 from lmflows.panel import ObservationPair, PanelDataset, generate_synthetic_panel
 from lmflows.states import (
+    STATE_CODES,
     AgeBand,
     CohortFilter,
     Demographics,
@@ -176,6 +177,21 @@ class TestEstimateTransitionMatrix:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             estimate_transition_matrix(data, Q1, min_support=value)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda d: compute_shares(d, "2019.1"), "quarter must be a QuarterId, got '2019.1'"),
+        (lambda d: estimate_transition_matrix(d, "2019.1"),
+         "quarter must be a QuarterId, got '2019.1'"),
+        (lambda d: compute_shares(d, Q1, "teens"), "cohort must be a CohortFilter, got 'teens'"),
+        (lambda d: estimate_transition_matrix(d, Q1, AgeBand.TEENS),
+         "cohort must be a CohortFilter, got <AgeBand.TEENS: (15, 19)>"),
+    ], ids=["shares-quarter", "matrix-quarter", "shares-cohort", "matrix-cohort"])
+    def test_a_cell_of_another_type_is_a_type_error(self, call, message):
+        """The cell refuses a quarter that is not a QuarterId and a cohort that is
+        not a CohortFilter, naming the argument, for the shares and the matrix both."""
+        data = dataset(pair("EDU", "TE"))
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(data)
+
     def test_weight_rescaling_invariance(self, rng):
         pairs = [
             pair(LaborState(int(rng.integers(7))).name, LaborState(int(rng.integers(7))).name,
@@ -248,25 +264,49 @@ class TestTransitionMatrixType:
         ("row_counts", (1.0,) * 6 + (float("nan"),), "row count nan is not finite and nonnegative"),
         ("row_counts", (-3,) + (1.0,) * 6, "row count -3 is not finite and nonnegative"),
         ("row_counts", (float("inf"),) * 7, "row count inf is not finite and nonnegative"),
-    ], ids=["fraction", "bool", "nan-count", "negative-count", "infinite-count"])
+        ("cohort", "teens", "cohort 'teens' is not a CohortFilter or None"),
+        ("cohort", AgeBand.TEENS, "cohort <AgeBand.TEENS: (15, 19)> is not a CohortFilter or None"),
+        ("states", STATE_CODES[:6] + (7,), "state label 7 is not a str"),
+    ], ids=["fraction", "bool", "nan-count", "negative-count", "infinite-count",
+            "cohort-text", "cohort-band", "label-int"])
     def test_metadata_a_matrix_cannot_hold_is_refused(self, field, value, message):
-        """A fallback row that is not an int, or a row count that is not finite
-        and nonnegative, fails the constructor instead of being truncated or printed."""
+        """A fallback row that is not an int, a row count that is not finite and
+        nonnegative, a cohort that is not a CohortFilter or a label that is not a
+        str fails the constructor instead of being truncated or failing a renderer."""
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TransitionMatrix(entries=np.eye(7), **{field: value})
 
-    @pytest.mark.parametrize("key,expected", [
-        ("EDU", 5), ("edu", 5), (LaborState.PE, 2), (0, 0), (6, 6), ("NEET", 4),
-    ])
-    def test_state_index_resolution(self, key, expected):
-        m = TransitionMatrix(entries=np.full((7, 7), 1.0 / 7))
-        assert m.state_index(key) == expected
+    @staticmethod
+    def uniform(labels):
+        return TransitionMatrix(entries=np.full((len(labels),) * 2, 1.0 / len(labels)),
+                                states=labels)
 
-    @pytest.mark.parametrize("key", ["XX", 7, -1])
-    def test_state_index_rejects_unknown(self, key):
-        m = TransitionMatrix(entries=np.full((7, 7), 1.0 / 7))
-        with pytest.raises(ValueError):
-            m.state_index(key)
+    @pytest.mark.parametrize("labels,key,expected", [
+        pytest.param(STATE_CODES, "EDU", 5, id="EDU-5"),
+        pytest.param(STATE_CODES, "edu", 5, id="edu-5"),
+        pytest.param(STATE_CODES, LaborState.PE, 2, id="LaborState.PE-2"),
+        pytest.param(STATE_CODES, 0, 0, id="0-0"),
+        pytest.param(STATE_CODES, 6, 6, id="6-6"),
+        pytest.param(STATE_CODES, "NEET", 4, id="NEET-4"),
+        # NEET and NLFET name each other in any case, whichever one the labels use.
+        pytest.param(("nlfet", "X"), "NEET", 0, id="nlfet-label-NEET"),
+        pytest.param(("NEET", "X"), "nlfet", 0, id="NEET-label-nlfet"),
+        # A label as given wins over one that only shares its key.
+        pytest.param(("a", "A"), "A", 1, id="exact-label-first"),
+    ])
+    def test_state_index_resolution(self, labels, key, expected):
+        assert self.uniform(labels).state_index(key) == expected
+
+    @pytest.mark.parametrize("labels,key,message", [
+        pytest.param(STATE_CODES, "XX", "unknown state 'XX'", id="XX"),
+        pytest.param(STATE_CODES, 7, "state index 7 out of range 0..6", id="7"),
+        pytest.param(STATE_CODES, -1, "state index -1 out of range 0..6", id="-1"),
+        # " a " is no label as given, and its key A is the key of both labels.
+        pytest.param(("a", "A"), " a ", "ambiguous state ' a '", id="ambiguous"),
+    ])
+    def test_state_index_rejects_unknown(self, labels, key, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            self.uniform(labels).state_index(key)
 
     def test_probability_lookup(self):
         m = TransitionMatrix(entries=np.eye(7))

@@ -669,6 +669,10 @@ class TestGenerator:
         with pytest.raises(error, match=f"^{field} must be"):
             generate_synthetic_panel(np.eye(7), UNIFORM7, start_quarter=QuarterId(2019, 1), **args)
 
+    def test_rejects_a_start_quarter_that_is_not_a_quarter_id(self):
+        with pytest.raises(TypeError, match=r"^start_quarter must be a QuarterId, got '2019\.1'$"):
+            generate_synthetic_panel(np.eye(7), UNIFORM7, 100, "2019.1", 3, 1)
+
 
 class TestRoundTripCsv:
     def test_write_then_parse_preserves_pairs(self, tmp_path):
