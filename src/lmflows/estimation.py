@@ -61,8 +61,9 @@ class TransitionMatrix:
     The one chain type the package reads, validated once, when built, and
     read-only after; ``TransitionMatrix.of`` validates a bare array into one.
     The constructor refuses, with a ValueError naming the field, a label that is
-    not a str, a cohort that is not a CohortFilter or None, a fallback row that is
-    not an int index of a row, and a row count that is not finite and nonnegative.
+    not a str or repeats another, a cohort that is not a CohortFilter or None, a
+    fallback row that is not an int index of a row, and a row count that is not
+    finite and nonnegative.
 
     Attributes
     ----------
@@ -97,9 +98,11 @@ class TransitionMatrix:
         k = entries.shape[0]
         if len(self.states) != k:
             raise ValueError(f"{len(self.states)} state labels for a {k}x{k} matrix")
-        for label in self.states:
+        for n, label in enumerate(self.states):
             if not isinstance(label, str):
                 raise ValueError(f"state label {label!r} is not a str")
+            if label in self.states[:n]:
+                raise ValueError(f"state label {label!r} is repeated")
         if self.cohort is not None and not isinstance(self.cohort, CohortFilter):
             raise ValueError(f"cohort {self.cohort!r} is not a CohortFilter or None")
         if self.row_counts is not None and len(self.row_counts) != k:
@@ -142,14 +145,15 @@ class TransitionMatrix:
         or else the one label whose ``name_key`` is the name's (any case or padding,
         NEET for NLFET). ValueError otherwise, "ambiguous" when labels share that key.
         """
+        # A label as given first, the cheap test: no str is a LaborState or an Integral.
+        if isinstance(state, str) and state in self.states:
+            return self.states.index(state)
         if isinstance(state, LaborState):
-            state = state.name
+            return self.state_index(state.name)
         if isinstance(state, numbers.Integral) and not isinstance(state, bool):
             if not 0 <= state < self.n_states:
                 raise ValueError(f"state index {state} out of range 0..{self.n_states - 1}")
             return int(state)
-        if isinstance(state, str) and state in self.states:
-            return self.states.index(state)
         key, keys = name_key(state), tuple(map(name_key, self.states))
         if keys.count(key) == 1:
             return keys.index(key)

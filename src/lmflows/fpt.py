@@ -154,7 +154,7 @@ class WellDefinedness:
 
 def _term_count(value, name: str) -> int:
     """``value`` as an int >= 1; raise an error naming the argument if it is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise TypeError(f"{name} must be an int, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
@@ -162,7 +162,7 @@ def _term_count(value, name: str) -> int:
 
 
 def _check_epsilon(epsilon) -> None:
-    if not isinstance(epsilon, numbers.Real):
+    if type(epsilon) is not float and not isinstance(epsilon, numbers.Real):
         raise TypeError(f"epsilon must be a real number, got {epsilon!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")

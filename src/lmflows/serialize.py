@@ -209,8 +209,8 @@ def fpt_report_to_csv(doc: dict) -> str:
         ("trapped_states", ";".join(linear["trapped_states"]) if linear["trapped_states"] else None),
     ))
     # Ints and floats only, which csv.writer would never quote: one join, each as _fmt writes it.
-    columns = (map(repr, map(float, doc[name])) for name in ("distribution", "cdf", "survival"))
-    rows = "".join(map("{},{},{},{}\n".format, range(1, doc["horizon"] + 1), *columns))
+    columns = zip(range(1, doc["horizon"] + 1), doc["distribution"], doc["cdf"], doc["survival"])
+    rows = "".join([f"{n},{float(f)!r},{float(c)!r},{float(s)!r}\n" for n, f, c, s in columns])
     return f"{meta}n,f,cdf,survival\n{rows}"
 
 

@@ -267,12 +267,14 @@ class TestTransitionMatrixType:
         ("cohort", "teens", "cohort 'teens' is not a CohortFilter or None"),
         ("cohort", AgeBand.TEENS, "cohort <AgeBand.TEENS: (15, 19)> is not a CohortFilter or None"),
         ("states", STATE_CODES[:6] + (7,), "state label 7 is not a str"),
+        ("states", STATE_CODES[:6] + ("TE",), "state label 'TE' is repeated"),
     ], ids=["fraction", "bool", "nan-count", "negative-count", "infinite-count",
-            "cohort-text", "cohort-band", "label-int"])
+            "cohort-text", "cohort-band", "label-int", "label-repeated"])
     def test_metadata_a_matrix_cannot_hold_is_refused(self, field, value, message):
         """A fallback row that is not an int, a row count that is not finite and
         nonnegative, a cohort that is not a CohortFilter or a label that is not a
-        str fails the constructor instead of being truncated or failing a renderer."""
+        str or repeats another fails the constructor instead of being truncated,
+        failing a renderer or naming no state."""
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TransitionMatrix(entries=np.eye(7), **{field: value})
 

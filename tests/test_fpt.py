@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,11 +138,15 @@ class TestStateResolution:
             efpt_series(np.full((2, 2), 0.5), 0, 1, epsilon=0.0)
         with pytest.raises(ValueError):
             efpt_series(np.full((2, 2), 0.5), 0, 1, max_horizon=0)
+        for epsilon in (True, float("nan")):
+            with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\), got "):
+                efpt_series(np.full((2, 2), 0.5), 0, 1, epsilon=epsilon)
 
     @pytest.mark.parametrize("call", [
         lambda P: efpt_series(P, 0, 1, epsilon="0.1"),
         lambda P: check_well_defined(P, 0, 1, epsilon=None),
-    ], ids=["series", "verdict"])
+        lambda P: efpt_series(P, 0, 1, epsilon=Decimal("1e-9")),
+    ], ids=["series", "verdict", "decimal"])
     def test_an_epsilon_that_is_no_number_is_a_type_error(self, call):
         with pytest.raises(TypeError, match=r"^epsilon must be a real number, got "):
             call(np.full((2, 2), 0.5))

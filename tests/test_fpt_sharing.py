@@ -19,6 +19,7 @@ import pickle
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_divergent_check_keeps_no_run_of_terms():
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("bad", [2.5, True, False, "40", None, np.float64(3.0), np.bool_(True)])
+@pytest.mark.parametrize("bad", [2.5, 40.0, True, False, "40", None, np.float64(3.0), np.bool_(True)])
 def test_term_counts_must_be_ints(bad):
     m = get_fixture("early_2019Q3").matrix()
     with pytest.raises(TypeError, match="^horizon must be an int, got "):
@@ -160,7 +161,15 @@ def test_term_counts_must_be_ints(bad):
 def test_numpy_ints_are_term_counts():
     m = get_fixture("early_2019Q3").matrix()
     assert report(m, "EDU", "PE", (np.int64(HORIZON), DEFAULT_EPSILON, np.int32(4000))) \
+        == report(m, "EDU", "PE", (np.int32(HORIZON), DEFAULT_EPSILON, np.int64(DEFAULT_MAX_HORIZON))) \
         == report(m, "EDU", "PE")
+
+
+@pytest.mark.parametrize("epsilon", [np.float64(1e-9), Fraction(1, 10**9)], ids=["numpy-float", "fraction"])
+def test_a_real_epsilon_reads_as_its_float(epsilon):
+    m = get_fixture("early_2019Q3").matrix()
+    assert report(m, "EDU", "PE", (HORIZON, epsilon, DEFAULT_MAX_HORIZON)) \
+        == report(m, "EDU", "PE", (HORIZON, 1e-9, DEFAULT_MAX_HORIZON))
 
 
 def test_a_matrix_with_engines_pickles_and_copies_without_them():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmflows.estimation import StateShareTable, TransitionMatrix
+from lmflows.fixtures import get_fixture
 from lmflows.serialize import (
     _meta_block,
     build_fpt_report,
@@ -60,11 +61,17 @@ def test_report_csv_equals_the_writer_oracle(doc):
     assert fpt_report_to_csv(doc) == report_csv_by_writer(doc)
 
 
+def test_a_long_report_csv_equals_the_writer_oracle():
+    """A 20,000-row table, 1.4 MB, as the console script's longest passage table writes it."""
+    doc = build_fpt_report(get_fixture("early_2019Q3").matrix(), "EDU", "PE", 20_000, 1e-9, 8000)
+    assert fpt_report_to_csv(doc) == report_csv_by_writer(doc)
+
+
 state_labels = st.text(alphabet=st.sampled_from(list('AEU0 ,"\r\n\'\t;\\')), max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
-@given(labels=st.lists(state_labels, min_size=1, max_size=7), data=st.data())
+@given(labels=st.lists(state_labels, min_size=1, max_size=7, unique=True), data=st.data())
 @example(labels=["a,b", 'q"t', "c\rr", "l\nf", "", " s "], data=None)
 def test_matrix_csv_equals_the_writer_oracle(labels, data):
     k = len(labels)
