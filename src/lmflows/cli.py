@@ -205,13 +205,12 @@ def _emit(text: str, out_path) -> None:
 
 def _load_dataset(args):
     dataset, report = parse_panel_file(args.data)
-    if getattr(args, "rejects", None):
-        with replacing_file(args.rejects) as fh:
-            fh.write(report.to_csv())
+    if args.rejects:
+        _emit(report.to_csv(), args.rejects)
     if report.rejections:
         print(
             f"note: {len(report.rejections)} of {report.n_rows} rows rejected"
-            + (f"; report written to {args.rejects}" if getattr(args, "rejects", None) else ""),
+            + (f"; report written to {args.rejects}" if args.rejects else ""),
             file=sys.stderr,
         )
     return dataset

@@ -26,7 +26,8 @@ every row and ranks the distinct ones by their bytes once the whole file
 is read, each rank the code of its id, but decodes them only when they are
 first read.
 
-``csv_field`` is the other way: a text as ``csv.writer`` writes it in a row.
+``csv_field`` is the other way: a text as ``csv.writer`` writes it in a row, a lone
+CR quoted on any Python version; every CSV field of text the package writes takes it.
 """
 
 import codecs

@@ -42,12 +42,14 @@ FALLBACK_POLICIES = (FALLBACK_UNIFORM, FALLBACK_ABSORBING)
 DEFAULT_MIN_SUPPORT = 30.0
 
 
-def _check_min_support(min_support) -> None:
-    """Raise unless ``min_support`` is a real number, not a bool, and >= 0."""
+def _check_min_support(min_support) -> float:
+    """``min_support`` as the float that runs; raise unless it is a real number, not a
+    bool, and >= 0. A ``Fraction`` floor is read, and reported, as its float."""
     if isinstance(min_support, bool) or not isinstance(min_support, numbers.Real):
         raise TypeError(f"min_support must be a real number, got {min_support!r}")
     if not min_support >= 0:  # NaN too
         raise ValueError(f"min_support must be >= 0, got {min_support!r}")
+    return float(min_support)
 
 
 class ThinRowWarning(UserWarning):
@@ -215,7 +217,7 @@ def estimate_transition_matrix(
 
     Raises EmptyCohortError when no pair departs the quarter at all.
     """
-    _check_min_support(min_support)
+    min_support = _check_min_support(min_support)
     cohort = cohort or CohortFilter()
     k = N_STATES
     state_from, state_to, weight = data.cell(from_quarter, cohort)

@@ -152,20 +152,24 @@ class WellDefinedness:
     horizon: int
 
 
-def _term_count(value, name: str) -> int:
-    """``value`` as an int >= 1; raise an error naming the argument if it is not one."""
+def _term_count(value, name: str, low: int = 1) -> int:
+    """``value`` as an int >= ``low``; raise an error naming the argument if it is not one."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise TypeError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
-def _check_epsilon(epsilon) -> None:
+def _check_epsilon(epsilon) -> float:
+    """``epsilon``, a real number, as the float that runs and is reported (a ``Fraction``
+    as its float); raise unless both lie in (0, 1), the value compared first, so a
+    huge one is refused, not overflowed, and a bool is refused by the range."""
     if type(epsilon) is not float and not isinstance(epsilon, numbers.Real):
         raise TypeError(f"epsilon must be a real number, got {epsilon!r}")
-    if not 0.0 < epsilon < 1.0:
+    if not (0.0 < epsilon < 1.0 and 0.0 < (value := float(epsilon)) < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    return value
 
 
 class _Scratch(threading.local):
@@ -459,7 +463,7 @@ class Passage:
         )
 
     def series(self, epsilon: float, max_horizon: int) -> EfptResult:
-        _check_epsilon(epsilon)
+        epsilon = _check_epsilon(epsilon)
         max_horizon = _term_count(max_horizon, "max_horizon")
         self._certain_region()
         n, total, mean, met = self._shared.answer(self.i, epsilon, max_horizon)
@@ -490,7 +494,7 @@ class Passage:
 
     def well_defined(self, horizon: int, epsilon: float = DEFAULT_EPSILON) -> WellDefinedness:
         horizon = _term_count(horizon, "horizon")
-        _check_epsilon(epsilon)
+        epsilon = _check_epsilon(epsilon)
         n, total, met = 0, 0.0, False  # a target the source cannot reach: nothing to stream
         if self.i == self.j or self.reachable:
             n, total, _, met = self._shared.answer(self.i, epsilon, horizon)

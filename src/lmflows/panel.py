@@ -76,9 +76,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
-import io
 import math
-import numbers
 import os
 import re
 import sys
@@ -354,12 +352,9 @@ class ParseReport:
     n_age_filtered: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["line_number", "reason"])
-        for line, reason in self.rejections:
-            w.writerow([line, reason])
-        return buf.getvalue()
+        """``line_number,reason`` rows, each reason through ``csv_field``, which quotes a lone CR."""
+        rows = (f"{line},{csvblocks.csv_field(reason)}\n" for line, reason in self.rejections)
+        return "".join(("line_number,reason\n", *rows))
 
 
 _AGE_RE = re.compile(r"[+-]?[0-9]+")
@@ -710,10 +705,7 @@ def generate_synthetic_panel(
         raise ValueError("initial_shares must be nonnegative and sum to 1 within 1e-9")
     n_individuals = _term_count(n_individuals, "n_individuals")
     n_quarters = _term_count(n_quarters, "n_quarters")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise TypeError(f"seed must be an int, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _term_count(seed, "seed", low=0)
     if not isinstance(start_quarter, QuarterId):
         raise TypeError(f"start_quarter must be a QuarterId, got {start_quarter!r}")
     if start_quarter.ordinal + n_quarters - 1 > _LAST_QUARTER.ordinal:

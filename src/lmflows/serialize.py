@@ -8,8 +8,6 @@ renderers print probabilities at two decimals in an aligned grid, the way
 such tables are usually published, with fallback rows starred.
 """
 
-import csv
-import io
 import json
 
 from .csvblocks import csv_field
@@ -168,14 +166,14 @@ def build_fpt_report(m, source, target, horizon, epsilon, max_horizon) -> dict:
     """
     m = TransitionMatrix.of(m)
     passage = Passage(m, source, target)
-    _term_count(horizon, "horizon")  # the distribution's, checked before the verdict's
+    horizon = _term_count(horizon, "horizon")  # the distribution's, checked before the verdict's
     wd = passage.well_defined(max_horizon, epsilon)
     dist = passage.distribution(horizon)
     cdf = dist.cdf()
     doc = {
         "source": dist.source,
         "target": dist.target,
-        "horizon": int(horizon),
+        "horizon": horizon,
         **_chain_doc(m),
         "well_defined": {
             "verdict": wd.verdict,
@@ -267,11 +265,9 @@ def fixtures_to_doc(fixtures) -> dict:
 
 
 def fixtures_to_csv(fixtures) -> str:
-    """The rows of ``fixtures_to_doc`` as CSV: lists joined by ";", None left blank."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    """The rows of ``fixtures_to_doc`` as CSV: lists joined by ";", None left blank,
+    each field quoted by ``csv_field``, so a lone CR is quoted on any Python version."""
     header = ("name", "states", "age_band", "from_quarter", "to_quarter", "fallback_states", "description")
-    w.writerow(header)
-    for row in fixtures_to_doc(fixtures)["fixtures"]:
-        w.writerow(";".join(row[key]) if isinstance(row[key], list) else row[key] for key in header)
-    return buf.getvalue()
+    rows = ([";".join(row[key]) if isinstance(row[key], list) else row[key] for key in header]
+            for row in fixtures_to_doc(fixtures)["fixtures"])
+    return "".join(f"{','.join(map(csv_field, row))}\n" for row in (header, *rows))

@@ -60,6 +60,7 @@ EXPECTED = {
     "fpt_return_csv": "019d43afb85608eb833e126b44eaa5999c1cccbfdc9b38c4e2080e8a39199658",
     "rejects": "1162e0cbedbea4346aed23f29d0c2b8f4c1dac925d139994081a0671b5339d7c",
     "grid_cells": "46d3f2427e0f3e60dce99a338122f5a4587f1b17c4c97666b21a7fee1a9eebe1",
+    "fixtures_csv": "4aa0b35ce3e9fb56261472e73fea4ffcf43aa7636c8d3a9c66d95b3fc2542e61",
 }
 
 # The grid's departure quarters: the corpus's five, and one past its last arrival.
@@ -148,6 +149,7 @@ def output_digests(workdir) -> dict[str, str]:
             "fpt_return_csv": run("fpt", "--data", "weighted.csv", "--quarter", "2019.3",
                                   "--from", "EDU", "--to", "EDU"),
             "grid_cells": grid_cells("weighted.csv"),
+            "fixtures_csv": run("fixtures"),
         }
         files = {"simulate": Path("sim.csv").read_bytes(), "rejects": Path("rejects.csv").read_bytes()}
     finally:

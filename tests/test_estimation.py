@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,10 +147,11 @@ class TestEstimateTransitionMatrix:
         assert all(v == 1.0 / 7 for v in m.entries[fs])
         assert m.row_counts[fs] == 0.0
 
-    def test_thin_rows_warn_but_estimate(self):
+    @pytest.mark.parametrize("floor", [30.0, Fraction(30)], ids=["float", "fraction"])
+    def test_thin_rows_warn_but_estimate(self, floor):
         data = dataset(*[pair("EDU", "TE", pid=str(k)) for k in range(5)])
-        with pytest.warns(ThinRowWarning, match="EDU"):
-            m = estimate_transition_matrix(data, Q1, min_support=30.0)
+        with pytest.warns(ThinRowWarning, match=r": EDU below support floor 30$"):
+            m = estimate_transition_matrix(data, Q1, min_support=floor)
         assert m.entries[LaborState.EDU.index, LaborState.TE.index] == 1.0
 
     def test_no_warning_above_support_floor(self, recwarn):

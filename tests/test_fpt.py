@@ -1,4 +1,5 @@
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,7 +139,8 @@ class TestStateResolution:
             efpt_series(np.full((2, 2), 0.5), 0, 1, epsilon=0.0)
         with pytest.raises(ValueError):
             efpt_series(np.full((2, 2), 0.5), 0, 1, max_horizon=0)
-        for epsilon in (True, float("nan")):
+        # A Fraction whose float is 0.0, and one too large for a float, are refused by value.
+        for epsilon in (True, float("nan"), Fraction(1, 10**400), Fraction(10**400)):
             with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\), got "):
                 efpt_series(np.full((2, 2), 0.5), 0, 1, epsilon=epsilon)
 

@@ -166,10 +166,24 @@ def test_numpy_ints_are_term_counts():
 
 
 @pytest.mark.parametrize("epsilon", [np.float64(1e-9), Fraction(1, 10**9)], ids=["numpy-float", "fraction"])
-def test_a_real_epsilon_reads_as_its_float(epsilon):
-    m = get_fixture("early_2019Q3").matrix()
-    assert report(m, "EDU", "PE", (HORIZON, epsilon, DEFAULT_MAX_HORIZON)) \
-        == report(m, "EDU", "PE", (HORIZON, 1e-9, DEFAULT_MAX_HORIZON))
+@pytest.mark.parametrize("fixture, target, detail", [
+    ("early_2019Q3", "PE", None),
+    ("early_2020Q3", "FS", "expected first passage time from EDU to FS is infinite or undefined: series "
+                           "tail bound exceeds epsilon 1e-09 of the mean after 8000 terms (residual 6.490e-11)"),
+], ids=["finite", "infinite"])
+def test_a_real_epsilon_reads_as_its_float(epsilon, fixture, target, detail, monkeypatch):
+    """The float runs and is reported, and the engine keys it as that float's rule."""
+    m = get_fixture(fixture).matrix()
+    want = report(get_fixture(fixture).matrix(), "EDU", target, (HORIZON, 1e-9, DEFAULT_MAX_HORIZON))
+    got = report(m, "EDU", target, (HORIZON, epsilon, DEFAULT_MAX_HORIZON))
+    assert got == want
+    assert json.loads(got)["efpt"]["series"]["detail"] == detail
+    assert type(fpt._ENGINES[m][m.state_index(target)]._rule[0]) is float
+    rewinds = []
+    rewind = fpt._Engine._rewind
+    monkeypatch.setattr(fpt._Engine, "_rewind", lambda engine: rewinds.append(engine) or rewind(engine))
+    assert report(m, "EDU", target, (HORIZON, 1e-9, DEFAULT_MAX_HORIZON)) == want
+    assert rewinds == []
 
 
 def test_a_matrix_with_engines_pickles_and_copies_without_them():

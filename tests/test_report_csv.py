@@ -1,27 +1,33 @@
-"""The passage-report, matrix and share CSV renderers against row-by-row ``csv.writer`` oracles.
+"""The CSV renderers against row-by-row ``csv.writer`` oracles.
 
-The rows hold ints and floats only, so one joined format string writes the
-bytes ``csv.writer`` wrote, whatever the floats: -0.0, subnormals, +-inf,
-nan, or ints standing in for floats. A matrix's state labels are quoted as
-``csv.writer`` quotes them.
+The report, matrix and share rows hold ints and floats only, so one joined
+format string writes the bytes ``csv.writer`` wrote, whatever the floats:
+-0.0, subnormals, +-inf, nan, or ints standing in for floats. A matrix's
+state labels, a rejection's reason and a fixture's fields are quoted as
+``csv.writer`` quotes them, a lone CR included on any Python version.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmflows.estimation import StateShareTable, TransitionMatrix
-from lmflows.fixtures import get_fixture
+from lmflows.fixtures import fixture_names, get_fixture
+from lmflows.panel import ParseReport
 from lmflows.serialize import (
     _meta_block,
     build_fpt_report,
+    fixtures_to_csv,
+    fixtures_to_doc,
     fpt_report_to_csv,
     matrix_to_csv,
     shares_to_csv,
 )
 from lmflows.states import STATE_ORDER, AgeBand, CohortFilter, QuarterId, Sex
 
-from oracles import matrix_csv_by_writer, report_csv_by_writer, shares_csv_by_writer
+from oracles import csv_row, matrix_csv_by_writer, report_csv_by_writer, shares_csv_by_writer
 
 values = st.one_of(
     st.floats(),
@@ -94,6 +100,31 @@ def test_matrix_csv_equals_the_writer_oracle(labels, data):
         provenance="estimated from a,b.csv" if counted else "",
     )
     assert matrix_to_csv(m) == matrix_csv_by_writer(m)
+
+
+texts = st.text(alphabet=st.sampled_from(list('Ab ,"\r\n;')), max_size=6)
+QUOTED = ["bad, field", 'a "quoted" id', "line\nfeed", "lone\rcr", "\r", ""]
+
+
+@settings(max_examples=100, deadline=None)
+@given(reasons=st.lists(texts, max_size=6))
+@example(reasons=QUOTED)
+def test_rejection_report_csv_equals_the_writer_oracle(reasons):
+    report = ParseReport(rejections=tuple(enumerate(reasons, start=2)), n_rows=len(reasons) + 1,
+                         n_pairs=0, n_age_filtered=0)
+    assert report.to_csv() == "".join(map(csv_row, [("line_number", "reason"), *report.rejections]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(descriptions=st.lists(texts, min_size=1, max_size=len(fixture_names())))
+@example(descriptions=QUOTED)
+def test_fixture_listing_csv_equals_the_writer_oracle(descriptions):
+    fixtures = [dataclasses.replace(get_fixture(name), description=text)
+                for name, text in zip(fixture_names(), descriptions)]
+    header = ("name", "states", "age_band", "from_quarter", "to_quarter", "fallback_states", "description")
+    rows = [[";".join(row[key]) if isinstance(row[key], list) else row[key] for key in header]
+            for row in fixtures_to_doc(fixtures)["fixtures"]]
+    assert fixtures_to_csv(fixtures) == "".join(map(csv_row, [header, *rows]))
 
 
 @settings(max_examples=100, deadline=None)
