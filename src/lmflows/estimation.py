@@ -44,12 +44,16 @@ DEFAULT_MIN_SUPPORT = 30.0
 
 def _check_min_support(min_support) -> float:
     """``min_support`` as the float that runs; raise unless it is a real number, not a
-    bool, and >= 0. A ``Fraction`` floor is read, and reported, as its float."""
+    bool, >= 0 and no larger than a float holds (``inf`` is one). A ``Fraction`` floor
+    is read, and reported, as its float."""
     if isinstance(min_support, bool) or not isinstance(min_support, numbers.Real):
         raise TypeError(f"min_support must be a real number, got {min_support!r}")
     if not min_support >= 0:  # NaN too
         raise ValueError(f"min_support must be >= 0, got {min_support!r}")
-    return float(min_support)
+    try:
+        return float(min_support)
+    except OverflowError:
+        raise ValueError(f"min_support must fit a float, got {min_support!r}") from None
 
 
 class ThinRowWarning(UserWarning):

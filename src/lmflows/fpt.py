@@ -172,26 +172,10 @@ def _check_epsilon(epsilon) -> float:
     return value
 
 
-class _Scratch(threading.local):
-    """A thread's buffers for streaming the recursion, one set per chain size.
-
-    Shared by every engine the thread runs (an engine runs under its lock,
-    on one thread at a time), so an engine keeps no block of its own.
-    """
-
-    def __init__(self):
-        self.by_size = {}
-
-    def get(self, k: int) -> tuple[np.ndarray, list, np.ndarray]:
-        """(block of f rows, a view of each row, block of running sums) for k states."""
-        buffers = self.by_size.get(k)
-        if buffers is None:
-            block = np.empty((_Engine.BLOCK + 1, k))
-            buffers = self.by_size[k] = (block, list(block), np.empty((_Engine.BLOCK + 1, k), complex))
-        return buffers
-
-
-_SCRATCH = _Scratch()
+# Every engine request runs under this one lock, so one set of stream buffers
+# per chain size serves every engine in every thread (``_Engine._run``).
+_LOCK = threading.Lock()
+_BUFFERS = {}
 
 
 def _tail_constants(taboo: np.ndarray, regions: list) -> np.ndarray:
@@ -225,8 +209,10 @@ class _Engine:
     which every stream from n = 0 records as it passes them, and for every
     source the answer to one stopping rule. The sums of f and n f add in
     order of n, as a term-by-term loop adds them. A new rule sends the
-    stream back to n = 0. One lock guards the whole state: reports in
-    several threads may share it.
+    stream back to n = 0. Every engine runs one request at a time under one
+    module lock, ``_LOCK``, so reports in several threads may share engines:
+    a long distribution or stream holds the lock for its whole run, and no
+    result depends on the thread.
 
     Every rule stops on one tail bound. A certain passage's F, read on its
     region R (closed under steps that avoid the target; a return time adds
@@ -263,7 +249,6 @@ class _Engine:
         # n f, met) through the first n <= cap where the bounds hold for the mean
         # (to epsilon) and the mass (_CERTIFIED_MASS), or else through cap.
         self._rule, self._answers = None, {}
-        self._lock = threading.Lock()
         self._rewind()
 
     @functools.cached_property
@@ -309,7 +294,12 @@ class _Engine:
         """Stream the recursion on to ``n`` terms, recording what the requests read."""
         if n <= self._n:
             return
-        block, rows, run = _SCRATCH.get(len(self._first))
+        k = len(self._first)
+        if k not in _BUFFERS:
+            # (block of f rows, a view of each row, block of running sums) for k states.
+            block = np.empty((self.BLOCK + 1, k))
+            _BUFFERS[k] = (block, list(block), np.empty((self.BLOCK + 1, k), complex))
+        block, rows, run = _BUFFERS[k]
         advance = self._taboo.dot
         block[0] = self._last
         run[0] = self._carry
@@ -367,13 +357,13 @@ class _Engine:
 
     def distribution(self, i: int, horizon: int) -> np.ndarray:
         """f(1..horizon) from source ``i``; ``horizon`` is at most the engine's ``rows``."""
-        with self._lock:
+        with _LOCK:
             self._run(horizon)
             return self._rows[:horizon, i].copy()
 
     def answer(self, i: int, epsilon: float, cap: int) -> tuple[int, float, float, bool]:
         """Source ``i``'s answer to the rule (epsilon, cap) (see ``_answers``)."""
-        with self._lock:
+        with _LOCK:
             if self._rule != (epsilon, cap):
                 self._rule, self._answers = (epsilon, cap), {}
                 self._rewind()
@@ -398,7 +388,7 @@ class _Engine:
     def solve(self, P: np.ndarray, region: np.ndarray) -> np.ndarray | None:
         """The first-step solve on ``region`` of P, run once per region (``_first_step_solve``)."""
         key = region.tobytes()
-        with self._lock:
+        with _LOCK:
             if key not in self._solves:
                 self._solves[key] = _first_step_solve(P, region)
             return self._solves[key]

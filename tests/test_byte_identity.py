@@ -3,8 +3,9 @@
 The corpus is ``lmflows simulate`` output; a second file re-weights its rows
 with fractional weights (so that summation order shows in the last bits)
 and adds dirty and out-of-scope lines (so that rejection texts and line
-numbers show). A last digest covers a cohort grid swept in one process over
-the second file, the path a grid of cells takes through the library. Any
+numbers show). A digest covers a cohort grid swept in one process over the
+second file, the path a grid of cells takes through the library, and a last
+one every passage report on the embedded chains, also from one process. Any
 change to these bytes is a change of behaviour and must be deliberate.
 """
 
@@ -20,15 +21,17 @@ import pytest
 from lmflows.cli import main
 from lmflows.errors import EmptyCohortError
 from lmflows.estimation import (
+    FALLBACK_ABSORBING,
     FALLBACK_UNIFORM,
     ThinRowWarning,
     apply_fallback_policy,
     compute_shares,
     estimate_transition_matrix,
 )
+from lmflows.fixtures import fixture_names, get_fixture
 from lmflows.fpt import DEFAULT_EPSILON, DEFAULT_HORIZON, DEFAULT_MAX_HORIZON
 from lmflows.panel import parse_panel_file
-from lmflows.serialize import build_fpt_report, fpt_report_to_csv, matrix_to_csv, shares_to_csv
+from lmflows.serialize import build_fpt_report, fpt_report_to_csv, matrix_to_csv, shares_to_csv, to_json
 from lmflows.states import AgeBand, CohortFilter, QuarterId, Sex
 
 SIM_ARGS = ("simulate", "--fixture", "early_2020Q3", "--n", "3000", "--seed", "11",
@@ -61,6 +64,7 @@ EXPECTED = {
     "rejects": "1162e0cbedbea4346aed23f29d0c2b8f4c1dac925d139994081a0671b5339d7c",
     "grid_cells": "46d3f2427e0f3e60dce99a338122f5a4587f1b17c4c97666b21a7fee1a9eebe1",
     "fixtures_csv": "4aa0b35ce3e9fb56261472e73fea4ffcf43aa7636c8d3a9c66d95b3fc2542e61",
+    "fixture_passages": "28bc021b680d1945e447db97dd2f057a640a72fa35c9b0f4276efbca9a9939ee",
 }
 
 # The grid's departure quarters: the corpus's five, and one past its last arrival.
@@ -115,6 +119,26 @@ def grid_cells(path) -> str:
     return "".join(parts)
 
 
+def fixture_passages() -> str:
+    """The JSON and CSV passage report of every ordered state pair on every embedded
+    chain, under the uniform policy and, where the chain has fallback rows, absorbing_fs,
+    at the default horizon, epsilon and max_horizon, in one process: the reports on a
+    chain share its engines, as they do in use."""
+    parts = []
+    for name in fixture_names():
+        uniform = get_fixture(name).matrix()
+        chains = [uniform]
+        if uniform.fallback_rows:
+            chains.append(apply_fallback_policy(uniform, FALLBACK_ABSORBING))
+        for matrix in chains:
+            for source in matrix.states:
+                for target in matrix.states:
+                    doc = build_fpt_report(matrix, source, target, DEFAULT_HORIZON,
+                                           DEFAULT_EPSILON, DEFAULT_MAX_HORIZON)
+                    parts += [to_json(doc), fpt_report_to_csv(doc)]
+    return "".join(parts)
+
+
 def output_digests(workdir) -> dict[str, str]:
     """Digests of each pinned output, run in ``workdir`` on relative paths.
 
@@ -150,6 +174,7 @@ def output_digests(workdir) -> dict[str, str]:
                                   "--from", "EDU", "--to", "EDU"),
             "grid_cells": grid_cells("weighted.csv"),
             "fixtures_csv": run("fixtures"),
+            "fixture_passages": fixture_passages(),
         }
         files = {"simulate": Path("sim.csv").read_bytes(), "rejects": Path("rejects.csv").read_bytes()}
     finally:

@@ -173,6 +173,10 @@ class TestEstimateTransitionMatrix:
         (float("nan"), ValueError, "min_support must be >= 0, got nan"),
         (-5.0, ValueError, "min_support must be >= 0, got -5.0"),
         (True, TypeError, "min_support must be a real number, got True"),
+        pytest.param(10**400, ValueError, f"min_support must fit a float, got {10**400!r}",
+                     id="huge-int"),
+        pytest.param(Fraction(10**400), ValueError,
+                     f"min_support must fit a float, got {Fraction(10**400)!r}", id="huge-fraction"),
     ])
     def test_bad_min_support_is_refused(self, value, error, message):
         data = dataset(pair("EDU", "TE"))

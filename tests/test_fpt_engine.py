@@ -340,7 +340,7 @@ def test_rule_answers_where_a_region_first_certifies_on_a_block_boundary(monkeyp
     j = 1
     assert first_certified(P, j) == 226
     monkeypatch.setattr(fpt._Engine, "BLOCK", block)
-    monkeypatch.setattr(fpt, "_SCRATCH", fpt._Scratch())  # buffers of this block's size
+    monkeypatch.setattr(fpt, "_BUFFERS", {})  # buffers of this block's size
     for epsilon in (DEFAULT_EPSILON, 1e-3):
         for cap in (block, 2 * block, DEFAULT_MAX_HORIZON):
             m = TransitionMatrix.of(P)

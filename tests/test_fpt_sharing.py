@@ -14,6 +14,7 @@ import collections
 import copy
 import dataclasses
 import gc
+import itertools
 import json
 import pickle
 import sys
@@ -114,16 +115,21 @@ def test_reports_on_one_matrix_share_one_engine_per_target(monkeypatch):
 
 
 def test_reports_from_threads_equal_serial_ones():
-    m = get_fixture("early_2020Q3").matrix()
-    calls = [(source, target, signature) for signature in SIGNATURES[:2]
-             for source in m.states for target in m.states]
-    fresh = get_fixture("early_2020Q3").matrix()
-    want = [report(fresh, *call) for call in calls]
+    # Requests on two 7-state chains and a 2-state one interleave, so the threads
+    # stream engines of two buffer sizes on three matrices at once.
+    names = ("early_2020Q3", "demo_geometric_q25", "late_2019Q3")
+    shared = {name: get_fixture(name).matrix() for name in names}
+    fresh = {name: get_fixture(name).matrix() for name in names}
+    by_chain = [[(name, source, target, signature) for signature in SIGNATURES[:2]
+                 for source in shared[name].states for target in shared[name].states]
+                for name in names]
+    calls = [call for group in itertools.zip_longest(*by_chain) for call in group if call]
+    want = [report(fresh[name], *call) for name, *call in calls]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(report, m, *call) for call in calls]
+            futures = [pool.submit(report, shared[name], *call) for name, *call in calls]
             got = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(switch)
